@@ -72,6 +72,17 @@ def _load_json_file(path: str) -> dict:
         )
 
 
+def _nonneg_int(text: str) -> int:
+    """argparse type for --dim: a malformed or negative value exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _dim_caps(requested: int, hard: int | None = None) -> dict:
     """Applies QCKIT_MAX_DIM and the hard cap; raises UsageError past them."""
     caps = {"requested": requested, "env": None, "hard": hard}
@@ -134,7 +145,7 @@ def _load_spec(path: str):
         raise UsageError(f"{path} is not a monoid spec file")
     try:
         return monoid_spec_from_json(blob)
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise UsageError(f"{path}: malformed monoid spec: {e}")
 
 
@@ -415,20 +426,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nerve", help="coherent nerve of a delooped monoid spec")
     p.add_argument("spec", help="monoid spec file, or the word 'default'")
-    p.add_argument("--dim", type=int, default=3)
+    p.add_argument("--dim", type=_nonneg_int, default=3)
     p.add_argument("--report", help="write the nerve as a simplicial set file")
     p.set_defaults(func=cmd_nerve)
 
     p = sub.add_parser("coslice", help="coslice of a simplicial set file")
     p.add_argument("path")
     p.add_argument("--at", required=True, help="anchor vertex")
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=_nonneg_int, default=2)
     p.add_argument("--report", help="write the coslice as a simplicial set file")
     p.set_defaults(func=cmd_coslice)
 
     p = sub.add_parser("core", help="largest subcomplex with invertible edges")
     p.add_argument("path")
-    p.add_argument("--dim", type=int, default=None,
+    p.add_argument("--dim", type=_nonneg_int, default=None,
                    help="truncate the input first")
     p.add_argument("--report", help="write the core as a simplicial set file")
     p.set_defaults(func=cmd_core)
@@ -443,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="compare the coslice core of the delooped spec with the monoid",
     )
     p.add_argument("spec", help="monoid spec file, or the word 'default'")
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=_nonneg_int, default=2)
     p.add_argument("--report", help="also write the full report to a file")
     p.set_defaults(func=cmd_verify_prop)
 
@@ -460,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-dot", help="vertices and edges as DOT")
     p.add_argument("path")
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=_nonneg_int, default=2)
     p.add_argument("--format", choices=["dot", "json"], default="dot")
     p.add_argument("--report", help="write the graph to a file")
     p.set_defaults(func=cmd_export_dot)

@@ -291,25 +291,14 @@ class SliceSSet(FinSSet):
 
 def _enumerate_anchored_maps(shape: JoinSSet, base: FinSSet, fixed: dict) -> list[tuple]:
     """All simplicial maps shape -> base extending the fixed assignment,
-    as canonical sorted assignment tuples.  Backtracking by dimension with
-    face-profile buckets over the base."""
+    as canonical sorted assignment tuples.  Backtracking by dimension,
+    drawing candidates from the base's face index."""
     order = [
         (d, c)
         for d in range(shape.truncation + 1)
         for c in shape.nondegenerate(d)
         if c not in fixed
     ]
-    buckets: dict[int, dict[tuple, list[SimplexRef]]] = {}
-
-    def bucket(d: int) -> dict[tuple, list[SimplexRef]]:
-        if d not in buckets:
-            table: dict[tuple, list[SimplexRef]] = {}
-            for s in base.simplices(d):
-                key = tuple(base.apply(s, face(d, i)) for i in range(d + 1)) if d else ()
-                table.setdefault(key, []).append(s)
-            buckets[d] = table
-        return buckets[d]
-
     assignment = dict(fixed)
     results: list[tuple] = []
 
@@ -325,7 +314,7 @@ def _enumerate_anchored_maps(shape: JoinSSet, base: FinSSet, fixed: dict) -> lis
             pool = base.simplices(0)
         else:
             key = tuple(image_of(shape.face_entry(c, i)) for i in range(d + 1))
-            pool = bucket(d).get(key, [])
+            pool = base.faces_index(d).get(key, ())
         for cand in pool:
             assignment[c] = cand
             fill(k + 1)

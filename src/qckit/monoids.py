@@ -135,8 +135,11 @@ def cyclic_group(n: int) -> FiniteGroup:
 def group_from_name(name: str) -> FiniteGroup:
     if name == "trivial":
         return cyclic_group(1)
-    if name.startswith("Z/"):
-        return cyclic_group(int(name[2:]))
+    if name.startswith("Z/") and name[2:].isdigit():
+        n = int(name[2:])
+        if n < 1:
+            raise ValueError(f"group {name!r} needs order >= 1")
+        return cyclic_group(n)
     raise ValueError(f"unknown group {name!r}")
 
 
@@ -368,17 +371,39 @@ def monoid_spec_to_json(spec: MonoidSpec) -> dict:
 
 
 def monoid_spec_from_json(blob: dict) -> MonoidSpec:
+    """Reads a spec file's JSON; a malformed spot raises KeyError,
+    TypeError or ValueError naming it.  Laws are left to the build."""
     g = blob["grades"]
     es = tuple(g["elements"])
+    for e in es:
+        if ":" in e:
+            raise ValueError(
+                f"grade name {e!r} contains ':', which cell tags reserve"
+            )
+    rows = g["table"]
+    if len(rows) != len(es):
+        raise ValueError(
+            f"grade table has {len(rows)} rows for {len(es)} grades"
+        )
+    for a, row in zip(es, rows):
+        if len(row) != len(es):
+            raise ValueError(
+                f"grade table row {a!r} has {len(row)} entries, "
+                f"expected {len(es)}"
+            )
     table = {
-        (a, b): g["table"][i][j]
+        (a, b): rows[i][j]
         for i, a in enumerate(es)
         for j, b in enumerate(es)
     }
     grades = GradeMonoid(es, g["unit"], table)
-    components = {
-        grade: entry["group"] for grade, entry in blob["components"].items()
-    }
+    components = {}
+    for grade, entry in blob["components"].items():
+        try:
+            group_from_name(entry["group"])
+        except ValueError as e:
+            raise ValueError(f"component of grade {grade!r}: {e}")
+        components[grade] = entry["group"]
     return MonoidSpec(grades, components, blob.get("truncation", 3))
 
 

@@ -11,7 +11,13 @@ functors levelwise and normalizes their faces.
 Free versus forced cells: a nondegenerate chain of P(i,j) whose least
 element is the bottom {i, j} is free; any other chain has an interior
 point in every entry and splits as a union of two shorter chains, so a
-functor's value on it is forced by composition.
+functor's value on it is forced by composition (the necklace
+description of Dugger-Spivak).  Both kinds of data depend only on the
+cell, so they are computed once per hom: a free cell's candidates are
+looked up in the target hom's :meth:`FinSSet.faces_index` under the
+images of its faces, and a forced cell carries its split point and the
+normal forms of its two halves.  :func:`precompose` likewise reads the
+image chains of an operator from a per-operator table.
 """
 
 from __future__ import annotations
@@ -168,11 +174,14 @@ def _chain_sets(cell_id: str) -> tuple[frozenset, ...]:
 
 
 @lru_cache(maxsize=None)
-def _hom_slots(k: int, i: int, j: int) -> tuple[tuple[str, int, bool, int], ...]:
-    """Cells of N P(i,j) in fill order: (cell, dim, free, split point).
+def _hom_slots(k: int, i: int, j: int) -> tuple[tuple, ...]:
+    """Cells of N P(i,j) in fill order: (cell, dim, faces, split).
 
-    Free cells start at the bottom {i,j}; forced cells carry the least
-    interior point of their first entry as the split."""
+    A free cell starts at the bottom {i,j}; ``faces`` names its face
+    cells and ``split`` is None.  A forced cell has ``split`` = (p,
+    upper, lower): p is the least interior point of its first entry, and
+    upper, lower are the normal forms of the chain cut to P(p,j) and
+    P(i,p)."""
     src = rigidify(k).hom(i, j)
     out = []
     for m in range(j - i):
@@ -180,9 +189,13 @@ def _hom_slots(k: int, i: int, j: int) -> tuple[tuple[str, int, bool, int], ...]
             sets = _chain_sets(cid)
             interior = sorted(sets[0] - {i, j})
             if interior:
-                out.append((cid, m, False, interior[0]))
+                p = interior[0]
+                upper = normalize_chain([s & frozenset(range(p, j + 1)) for s in sets])
+                lower = normalize_chain([s & frozenset(range(i, p + 1)) for s in sets])
+                out.append((cid, m, (), (p, upper, lower)))
             else:
-                out.append((cid, m, True, -1))
+                faces = tuple(r.cell for r in src.face_entries(cid))
+                out.append((cid, m, faces, None))
     return tuple(out)
 
 
@@ -235,24 +248,23 @@ class SimplicialFunctor:
         return SimplicialMap(src, tgt, self.assignments[(i, j)])
 
 
-def _forced_value(tgt: SCat, objs: tuple, assignments: dict,
-                  i: int, j: int, cid: str, m: int, split: int) -> SimplexRef:
-    sets = _chain_sets(cid)
-    upper = normalize_chain([s & frozenset(range(split, j + 1)) for s in sets])
-    lower = normalize_chain([s & frozenset(range(i, split + 1)) for s in sets])
-    hu = tgt.hom(objs[split], objs[j])
-    hl = tgt.hom(objs[i], objs[split])
-    fu = hu.apply(assignments[(split, j)][upper.cell], upper.epi)
-    fl = hl.apply(assignments[(i, split)][lower.cell], lower.epi)
-    return tgt.compose_refs(objs[i], objs[split], objs[j], fu, fl)
+def _forced_value(tgt: SCat, objs: tuple, assignments: dict, i: int, j: int,
+                  split: tuple[int, SimplexRef, SimplexRef]) -> SimplexRef:
+    p, upper, lower = split
+    fu = tgt.hom(objs[p], objs[j]).apply(assignments[(p, j)][upper.cell], upper.epi)
+    fl = tgt.hom(objs[i], objs[p]).apply(assignments[(i, p)][lower.cell], lower.epi)
+    return tgt.compose_refs(objs[i], objs[p], objs[j], fu, fl)
 
 
 def enumerate_functors(k: int, d: SCat) -> list[SimplicialFunctor]:
     """All simplicial functors rigidify(k) -> d, each exactly once.
 
     Adjacent and gap data is chosen by backtracking over the free cells
-    in order of gap, dimension, and chain; forced cells are computed from
-    shorter gaps through the composition tables.
+    in order of gap, dimension, and chain.  A free cell's candidates are
+    the target simplices whose faces are the values already chosen on
+    its faces, read from ``faces_index`` in ``simplices`` order.  Forced
+    cells are computed from shorter gaps through the composition tables,
+    using the splits precomputed by ``_hom_slots``.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -260,15 +272,12 @@ def enumerate_functors(k: int, d: SCat) -> list[SimplicialFunctor]:
         raise TruncationError(
             f"homs truncated at {d.level_cap}, too low for {k}-functors"
         )
-    src = rigidify(k)
     pairs = sorted(
         ((i, j) for i in range(k + 1) for j in range(i + 1, k + 1)),
         key=lambda ij: (ij[1] - ij[0], ij[0]),
     )
     slot_list = [
-        (i, j, cid, m, free, split)
-        for (i, j) in pairs
-        for (cid, m, free, split) in _hom_slots(k, i, j)
+        (i, j) + slot for (i, j) in pairs for slot in _hom_slots(k, i, j)
     ]
     results: list[SimplicialFunctor] = []
 
@@ -280,33 +289,25 @@ def enumerate_functors(k: int, d: SCat) -> list[SimplicialFunctor]:
         for (i, j) in pairs:
             assignments[(i, j)] = {}
 
-        def faces_ok(i: int, j: int, cid: str, m: int, cand: SimplexRef) -> bool:
-            h = d.hom(objs[i], objs[j])
-            src_h = src.hom(i, j)
-            table = assignments[(i, j)]
-            for t in range(m + 1):
-                want = table[src_h.face_entry(cid, t).cell]
-                if h.apply(cand, face(m, t)) != want:
-                    return False
-            return True
-
         def fill(s: int) -> None:
             if s == len(slot_list):
                 results.append(
                     SimplicialFunctor(k, d, objs, assignments)
                 )
                 return
-            i, j, cid, m, free, split = slot_list[s]
+            i, j, cid, m, faces, split = slot_list[s]
             table = assignments[(i, j)]
-            if not free:
-                table[cid] = _forced_value(d, objs, assignments, i, j, cid, m, split)
+            if split is not None:
+                table[cid] = _forced_value(d, objs, assignments, i, j, split)
                 fill(s + 1)
                 del table[cid]
                 return
             h = d.hom(objs[i], objs[j])
-            for cand in h.simplices(m):
-                if m >= 1 and not faces_ok(i, j, cid, m, cand):
-                    continue
+            if m == 0:
+                pool = h.simplices(0)
+            else:
+                pool = h.faces_index(m).get(tuple(table[c] for c in faces), ())
+            for cand in pool:
                 table[cid] = cand
                 fill(s + 1)
                 del table[cid]
@@ -323,20 +324,36 @@ def precompose(f: SimplicialFunctor, op: MonotoneMap) -> SimplicialFunctor:
         )
     l = op.source_arity
     objs = tuple(f.object_map[op(v)] for v in range(l + 1))
-    src = rigidify(l)
     assignments: dict[tuple, dict[str, SimplexRef]] = {}
+    for pair, oi, oj, images in _image_chains(op):
+        h = f.target.hom(f.object_map[oi], f.object_map[oj])
+        table = f.assignments[(oi, oj)]
+        assignments[pair] = {
+            cid: h.apply(table[chain.cell], chain.epi) for cid, chain in images
+        }
+    return SimplicialFunctor(l, f.target, objs, assignments)
+
+
+@lru_cache(maxsize=None)
+def _image_chains(op: MonotoneMap) -> tuple:
+    """For op: [l] -> [k], one entry ((i, j), op(i), op(j), images) per
+    hom of rigidify(l); images pairs each nondegenerate chain of P(i,j)
+    with the normal form of its direct image in P(op(i), op(j)).  It
+    depends only on op, so precompose reads it instead of renormalizing
+    for every functor."""
+    l = op.source_arity
+    src = rigidify(l)
+    out = []
     for i in range(l + 1):
         for j in range(i, l + 1):
-            table: dict[str, SimplexRef] = {}
-            for m in range(max(j - i, 1)):
-                for cid in src.hom(i, j).nondegenerate(m):
-                    sets = _chain_sets(cid)
-                    image_chain = normalize_chain(
-                        [frozenset(op(v) for v in s) for s in sets]
-                    )
-                    table[cid] = f.image(op(i), op(j), image_chain)
-            assignments[(i, j)] = table
-    return SimplicialFunctor(l, f.target, objs, assignments)
+            images = tuple(
+                (cid, normalize_chain([frozenset(op(v) for v in s)
+                                       for s in _chain_sets(cid)]))
+                for m in range(max(j - i, 1))
+                for cid in src.hom(i, j).nondegenerate(m)
+            )
+            out.append(((i, j), op(i), op(j), images))
+    return tuple(out)
 
 
 def rigidify_map(op: MonotoneMap) -> SimplicialFunctor:
@@ -540,15 +557,7 @@ def classify_low_simplices(k: int, d: SCat) -> list:
         return out
     if k != 3:
         raise ValueError("classification covers k in {1, 2, 3}")
-    tris = h.simplices(2)
-    tri_by_faces = {}
-    for t in tris:
-        key = (
-            h.apply(t, face(2, 0)),
-            h.apply(t, face(2, 1)),
-            h.apply(t, face(2, 2)),
-        )
-        tri_by_faces.setdefault(key, []).append(t)
+    tri_by_faces = h.faces_index(2)
     out = []
     for v01 in verts:
         for v12 in verts:
@@ -641,12 +650,11 @@ def classification_to_functor(k: int, d: SCat, data) -> SimplicialFunctor:
     for pair, table in free_values.items():
         assignments[pair] = dict(table)
     for (i, j) in [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)]:
-        for (cid, m, free, split) in _hom_slots(3, i, j):
-            if free:
-                continue
-            assignments[(i, j)][cid] = _forced_value(
-                d, objs, assignments, i, j, cid, m, split
-            )
+        for (cid, _, _, split) in _hom_slots(3, i, j):
+            if split is not None:
+                assignments[(i, j)][cid] = _forced_value(
+                    d, objs, assignments, i, j, split
+                )
     return SimplicialFunctor(3, d, objs, assignments)
 
 

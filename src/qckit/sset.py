@@ -111,6 +111,7 @@ class FinSSet:
         for d in range(truncation + 1):
             for c in self._cells[d]:
                 self._dim_of.setdefault(c, d)
+        self._faces_index: dict[int, dict] = {}
 
     # -- raw structure ------------------------------------------------
 
@@ -178,7 +179,7 @@ class FinSSet:
         return SimplexRef(compose(res.epi, epi), res.cell)
 
     def face(self, ref: SimplexRef, i: int) -> SimplexRef:
-        return self.apply(ref, face_op(ref.dim, i))
+        return self.apply(ref, face(ref.dim, i))
 
     def degenerate(self, ref: SimplexRef, i: int) -> SimplexRef:
         return self.apply(ref, degeneracy(ref.dim, i))
@@ -201,6 +202,25 @@ class FinSSet:
 
     def cell_count(self, dim: int) -> int:
         return len(self.nondegenerate(dim))
+
+    def faces_index(self, dim: int) -> dict[tuple, tuple[SimplexRef, ...]]:
+        """The dim-simplices (dim >= 1) keyed by their normal-form faces
+        (d_0 s, ..., d_dim s), each list in :meth:`simplices` order.
+
+        Built on first use and kept: cells and face tables are never
+        mutated after construction."""
+        if dim < 1:
+            raise ValueError("faces_index needs dimension >= 1")
+        index = self._faces_index.get(dim)
+        if index is None:
+            ops = [face(dim, i) for i in range(dim + 1)]
+            buckets: dict[tuple, list[SimplexRef]] = {}
+            for s in self.simplices(dim):
+                key = tuple(self.apply(s, op) for op in ops)
+                buckets.setdefault(key, []).append(s)
+            index = {key: tuple(ss) for key, ss in buckets.items()}
+            self._faces_index[dim] = index
+        return index
 
     # -- serialization ------------------------------------------------
 
@@ -233,10 +253,6 @@ class FinSSet:
                 out.append(SimplexRef(MonotoneMap(len(vals) - 1, target, vals), e["cell"]))
             faces[c] = tuple(out)
         return cls(truncation, cells, faces)
-
-
-def face_op(n: int, i: int) -> MonotoneMap:
-    return face(n, i)
 
 
 def empty_sset(truncation: int = 0) -> FinSSet:

@@ -2,8 +2,10 @@
 
 import itertools
 
-from qckit.ordinals import MonotoneMap
-from qckit.sset import FinSSet, SimplexRef
+from qckit.ordinals import MonotoneMap, face
+from qckit.posets import chain_cell_id, normalize_chain
+from qckit.scat import SimplicialFunctor, rigidify
+from qckit.sset import FinSSet, SimplexRef, nondeg_ref
 
 
 def bar_cell_id(entries):
@@ -66,3 +68,72 @@ def strict_chain_count(elements, leq, length):
         if all(leq(chain[t], chain[t + 1]) for t in range(length - 1)):
             count += 1
     return count
+
+
+def _chain_sets(cid):
+    return [frozenset(int(v) for v in label.split(".")) for label in cid.split("<")]
+
+
+def scan_functors(k, d):
+    """Every simplicial functor rigidify(k) -> d by brute force, in the
+    order enumerate_functors promises.
+
+    Free cells are filled by scanning all target simplices and keeping
+    those whose faces match the values already chosen; forced cells are
+    split and renormalized afresh at every assignment."""
+    src = rigidify(k)
+    pairs = sorted(
+        ((i, j) for i in range(k + 1) for j in range(i + 1, k + 1)),
+        key=lambda ij: (ij[1] - ij[0], ij[0]),
+    )
+    slots = []
+    for i, j in pairs:
+        for m in range(j - i):
+            for cid in src.hom(i, j).nondegenerate(m):
+                interior = sorted(_chain_sets(cid)[0] - {i, j})
+                slots.append((i, j, cid, m, interior[0] if interior else None))
+    results = []
+    for objs in itertools.product(d.objects, repeat=k + 1):
+        assignments = {
+            (i, i): {chain_cell_id([frozenset({i})]): nondeg_ref(d.identities[objs[i]], 0)}
+            for i in range(k + 1)
+        }
+        for pair in pairs:
+            assignments[pair] = {}
+
+        def forced(i, j, cid, p):
+            sets = _chain_sets(cid)
+            upper = normalize_chain([s & frozenset(range(p, j + 1)) for s in sets])
+            lower = normalize_chain([s & frozenset(range(i, p + 1)) for s in sets])
+            fu = d.hom(objs[p], objs[j]).apply(assignments[(p, j)][upper.cell], upper.epi)
+            fl = d.hom(objs[i], objs[p]).apply(assignments[(i, p)][lower.cell], lower.epi)
+            return d.compose_refs(objs[i], objs[p], objs[j], fu, fl)
+
+        def faces_ok(i, j, cid, m, cand):
+            h = d.hom(objs[i], objs[j])
+            table = assignments[(i, j)]
+            return all(
+                h.apply(cand, face(m, t)) == table[src.hom(i, j).face_entry(cid, t).cell]
+                for t in range(m + 1)
+            )
+
+        def fill(s):
+            if s == len(slots):
+                results.append(SimplicialFunctor(k, d, objs, assignments))
+                return
+            i, j, cid, m, p = slots[s]
+            table = assignments[(i, j)]
+            if p is not None:
+                table[cid] = forced(i, j, cid, p)
+                fill(s + 1)
+                del table[cid]
+                return
+            for cand in d.hom(objs[i], objs[j]).simplices(m):
+                if m >= 1 and not faces_ok(i, j, cid, m, cand):
+                    continue
+                table[cid] = cand
+                fill(s + 1)
+                del table[cid]
+
+        fill(0)
+    return results

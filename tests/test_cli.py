@@ -451,6 +451,54 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nerve", "default"],
+        ["coslice", "{pt}", "--at", "pt"],
+        ["core", "{pt}"],
+        ["verify-prop", "default"],
+        ["export-dot", "{pt}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_dim_exits_two(tmp_path, capsys, argv):
+    path = write_json(tmp_path / "pt.json", point("pt", 1).to_json())
+    argv = [a.format(pt=path) for a in argv]
+    rc, out, err = run(capsys, *argv, "--dim", "-1")
+    assert rc == 2
+    assert "--dim" in err and "Traceback" not in err
+    assert out == ""
+
+
+def _colon_grade(blob):
+    blob["grades"]["elements"][1] = "a:b"
+    blob["grades"]["table"] = [
+        ["a:b" if x == "1" else x for x in row] for row in blob["grades"]["table"]
+    ]
+    blob["components"] = {"a:b": {"group": "Z/2"}, "2+": {"group": "Z/2"}}
+
+
+@pytest.mark.parametrize(
+    "edit, spot",
+    [
+        (lambda b: b["components"]["1"].update(group="Z/0"), "'Z/0'"),
+        (lambda b: b["grades"]["table"][1].pop(), "row '1'"),
+        (_colon_grade, "'a:b'"),
+    ],
+    ids=["zero-order-group", "ragged-table", "colon-in-grade"],
+)
+def test_malformed_spec_exits_two(tmp_path, capsys, edit, spot):
+    blob = monoid_spec_to_json(default_monoid_spec())
+    edit(blob)
+    spec = write_json(tmp_path / "spec.json", blob)
+    for argv in (["verify-prop", spec], ["check", spec]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert spot in err
+        assert out == ""
+
+
 def test_help_exits_zero(capsys):
     rc, out, _ = run(capsys, "--help")
     assert rc == 0

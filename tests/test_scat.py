@@ -1,10 +1,18 @@
+import functools
 import math
 
 import pytest
 
-from oracles import bar_nerve, strict_chain_count
+from oracles import bar_nerve, scan_functors, strict_chain_count
 
 from qckit.ordinals import MonotoneMap, all_maps, compose, degeneracy, face, identity
+from qckit.monoids import (
+    GradeMonoid,
+    MonoidSpec,
+    build_reference_monoid,
+    deloop,
+    saturating_grades,
+)
 from qckit.posets import mapping_poset
 from qckit.scat import (
     EdgeData,
@@ -51,6 +59,22 @@ def poset_category_012():
     return from_finite_category(
         objs, morphisms, comp, {x: f"{x}to{x}" for x in objs}, truncation=3
     )
+
+
+@functools.lru_cache(maxsize=None)
+def delooped(name):
+    """The delooped reference monoids: default Z/2, Z/3 components, and
+    the discrete spec with one idempotent grade."""
+    if name == "default":
+        return deloop(build_reference_monoid())
+    if name == "Z/3":
+        spec = MonoidSpec(saturating_grades(2), {"1": "Z/3", "2+": "Z/3"}, 3)
+        return deloop(build_reference_monoid(spec))
+    grades = GradeMonoid(
+        ("1", "a"), "1",
+        {("1", "1"): "1", ("1", "a"): "a", ("a", "1"): "a", ("a", "a"): "a"},
+    )
+    return deloop(build_reference_monoid(MonoidSpec(grades, {"a": "trivial"}, 3)))
 
 
 # -- rigidification ---------------------------------------------------
@@ -121,6 +145,44 @@ def test_precompose_functorial():
     for f in fs:
         for a, b in ops:
             assert precompose(precompose(f, a), b) == precompose(f, compose(a, b))
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [("default", k) for k in range(4)]
+    + [("idempotent", k) for k in range(4)]
+    + [("Z/3", k) for k in range(3)],
+)
+def test_enumeration_matches_brute_force_scan(name, k):
+    d = delooped(name)
+    fs = enumerate_functors(k, d)
+    expected = scan_functors(k, d)
+    assert len(fs) == len(expected)
+    for got, want in zip(fs, expected):
+        assert got.object_map == want.object_map
+        assert got.assignments == want.assignments
+
+
+def test_precompose_functorial_on_z2_deloop():
+    # chains collapse here, so the cached image chains meet degenerate values
+    d = delooped("default")
+    for f in enumerate_functors(2, d):
+        for m in range(4):
+            for a in all_maps(m, 2):
+                fa = precompose(f, a)
+                for l in range(3):
+                    for b in all_maps(l, m):
+                        assert precompose(fa, b) == precompose(f, compose(a, b))
+
+
+def test_normal_form_strips_degeneracy_on_z2_deloop():
+    n = simplicial_nerve(delooped("default"), 3)
+    for cid in n.nondegenerate(2):
+        f = n.functor_of[cid]
+        for i in range(3):
+            epi, g = functor_normal_form(precompose(f, degeneracy(2, i)))
+            assert epi == degeneracy(2, i)
+            assert g == f
 
 
 def test_rigidify_map_identity_and_validity():
