@@ -132,9 +132,16 @@ def _load_sset(path: str) -> FinSSet:
     if not (isinstance(blob, dict) and "cells" in blob and "truncation" in blob):
         raise UsageError(f"{path} is not a simplicial set file")
     try:
-        return FinSSet.from_json(blob)
+        x = FinSSet.from_json(blob)
     except (KeyError, TypeError, ValueError) as e:
         raise UsageError(f"{path}: malformed simplicial set: {e}")
+    report = validate(x)
+    if not report.ok:
+        raise UsageError(
+            f"{path}: invalid simplicial set ({len(report.problems)} "
+            f"problems), first: {report.problems[0]}"
+        )
+    return x
 
 
 def _load_spec(path: str):

@@ -357,22 +357,31 @@ def slice_sset(pres: SlicePresentation, dim: int) -> SliceSSet:
         for n in range(dim + 1)
     ]
 
+    # alpha -> the join map's image of each nondegenerate cell of the
+    # source shape, in cell order; built once per operator.
+    join_images: dict[MonotoneMap, list[tuple[str, SimplexRef]]] = {}
+
     def act(value: tuple, alpha: MonotoneMap) -> tuple:
-        n = alpha.target_arity
-        l = alpha.source_arity
-        amap = standard_map(alpha)
-        jm = (
-            join_of_maps(identity_map(k_set), amap, shapes[l], shapes[n])
-            if under
-            else join_of_maps(amap, identity_map(k_set), shapes[l], shapes[n])
-        )
+        images = join_images.get(alpha)
+        if images is None:
+            n = alpha.target_arity
+            l = alpha.source_arity
+            amap = standard_map(alpha)
+            jm = (
+                join_of_maps(identity_map(k_set), amap, shapes[l], shapes[n])
+                if under
+                else join_of_maps(amap, identity_map(k_set), shapes[l], shapes[n])
+            )
+            images = sorted(
+                (c, jm.assignment[c])
+                for d in range(shapes[l].truncation + 1)
+                for c in shapes[l].nondegenerate(d)
+            )
+            join_images[alpha] = images
         table = dict(value)
-        out = []
-        for d in range(shapes[l].truncation + 1):
-            for c in shapes[l].nondegenerate(d):
-                r = jm.assignment[c]
-                out.append((c, pres.base.apply(table[r.cell], r.epi)))
-        return tuple(sorted(out))
+        return tuple(
+            (c, pres.base.apply(table[r.cell], r.epi)) for c, r in images
+        )
 
     counter = [0]
 

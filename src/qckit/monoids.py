@@ -412,6 +412,11 @@ def build_reference_monoid(spec: MonoidSpec | None = None) -> GradedSimplicialMo
     levelwise through canonical homs.  Raises on any invalid spec, with
     the violating structure named."""
     spec = default_monoid_spec() if spec is None else spec
+    for g in spec.grades.elements:
+        if ":" in g:
+            raise ValueError(
+                f"grade name {g!r} contains ':', which cell tags reserve"
+            )
     grade_report = spec.grades.validate()
     if not grade_report.ok:
         raise ValueError(

@@ -64,11 +64,12 @@ def horn_compatibility(x: FinSSet, p: HornProblem) -> ValidationReport:
 
 
 def _face_index(x: FinSSet, n: int) -> dict:
-    """(face position, face value) -> simplices of level n."""
+    """(face position, face value) -> simplices of level n, read from
+    the face table."""
     idx: dict[tuple, list[SimplexRef]] = {}
-    for s in x.simplices(n):
-        for i in range(n + 1):
-            idx.setdefault((i, x.apply(s, face(n, i))), []).append(s)
+    for s, faces in x.face_table(n).items():
+        for i, f in enumerate(faces):
+            idx.setdefault((i, f), []).append(s)
     return idx
 
 
@@ -80,11 +81,12 @@ def find_filler(x: FinSSet, p: HornProblem, _index: dict | None = None):
             f"fillers at dimension {n} exceed truncation {x.truncation}"
         )
     idx = _face_index(x, n) if _index is None else _index
+    table = x.face_table(n)
     j0 = 0 if p.missing != 0 else 1
     for s in idx.get((j0, p.faces[j0]), ()):
+        faces = table[s]
         if all(
-            i == p.missing or x.apply(s, face(n, i)) == p.faces[i]
-            for i in range(n + 1)
+            i == p.missing or faces[i] == p.faces[i] for i in range(n + 1)
         ):
             return s
     return None
@@ -93,11 +95,8 @@ def find_filler(x: FinSSet, p: HornProblem, _index: dict | None = None):
 def horn_problems(x: FinSSet, n: int, k: int):
     """All compatible horn problems of this shape, by backtracking over
     the face slots with the simplicial identities as constraints."""
-    candidates = x.simplices(n - 1)
-    by_face: dict[tuple, list[SimplexRef]] = {}
-    for s in candidates:
-        for i in range(n):
-            by_face.setdefault((i, x.apply(s, face(n - 1, i))), []).append(s)
+    table = x.face_table(n - 1)
+    by_face = _face_index(x, n - 1)
     slots = [i for i in range(n + 1) if i != k]
     chosen: dict[int, SimplexRef] = {}
 
@@ -107,18 +106,16 @@ def horn_problems(x: FinSSet, n: int, k: int):
             yield HornProblem(n, k, faces)
             return
         i = slots[t]
-        prior = [j for j in slots[:t]]
+        prior = slots[:t]
+        # face i - 1 of each earlier slot j is what face j of slot i must be
+        wanted = [table[chosen[j]][i - 1] for j in prior]
         if prior:
-            j = prior[0]
-            pool = by_face.get((j, x.apply(chosen[j], face(n - 1, i - 1))), ())
+            pool = by_face.get((prior[0], wanted[0]), ())
         else:
-            pool = candidates
+            pool = table
         for cand in pool:
-            if all(
-                x.apply(cand, face(n - 1, j)) ==
-                x.apply(chosen[j], face(n - 1, i - 1))
-                for j in prior
-            ):
+            faces = table[cand]
+            if all(faces[j] == w for j, w in zip(prior, wanted)):
                 chosen[i] = cand
                 yield from fill(t + 1)
                 del chosen[i]
@@ -172,10 +169,7 @@ def _triangle_index(x: FinSSet) -> dict:
     idx: dict[tuple, set] = {}
     if x.truncation < 2:
         return idx
-    for s in x.simplices(2):
-        d0 = x.apply(s, face(2, 0))
-        d1 = x.apply(s, face(2, 1))
-        d2 = x.apply(s, face(2, 2))
+    for d0, d1, d2 in x.face_table(2).values():
         idx.setdefault((d2, d1), set()).add(d0)
     return idx
 
@@ -305,10 +299,7 @@ def pi1(x: FinSSet, basepoint: str) -> Pi1Result:
         raise TruncationError("fundamental group needs 2-simplices")
     b = nondeg_ref(basepoint, 0)
     id_b = x.apply(b, degeneracy(0, 0))
-    loops = [
-        r for r in x.simplices(1)
-        if x.apply(r, face(1, 0)) == b and x.apply(r, face(1, 1)) == b
-    ]
+    loops = [r for r, faces in x.face_table(1).items() if faces == (b, b)]
     index = {r: i for i, r in enumerate(loops)}
     parent = list(range(len(loops)))
 
@@ -324,10 +315,7 @@ def pi1(x: FinSSet, basepoint: str) -> Pi1Result:
             parent[ri] = rj
 
     compose_at: dict[tuple, list] = {}
-    for s in x.simplices(2):
-        d0 = x.apply(s, face(2, 0))
-        d1 = x.apply(s, face(2, 1))
-        d2 = x.apply(s, face(2, 2))
+    for d0, d1, d2 in x.face_table(2).values():
         if d0 in index and d1 in index and d2 in index:
             compose_at.setdefault((d0, d2), []).append(d1)
             if d0 == id_b:

@@ -10,6 +10,11 @@ arbitrary monotone map on a simplex reference, which refactors through
 the face tables until the normal form is restored.  Truncation is
 strict: asking for simplices above the truncation raises, it is never
 silently completed.
+
+Searches read faces through two per-instance caches built on first
+use: :meth:`FinSSet.face_table` maps each n-simplex to its normal-form
+faces, and :meth:`FinSSet.faces_index` is its inverse view, from face
+tuples to the simplices bearing them.
 """
 
 from __future__ import annotations
@@ -111,6 +116,7 @@ class FinSSet:
         for d in range(truncation + 1):
             for c in self._cells[d]:
                 self._dim_of.setdefault(c, d)
+        self._face_table: dict[int, dict] = {}
         self._faces_index: dict[int, dict] = {}
 
     # -- raw structure ------------------------------------------------
@@ -203,20 +209,36 @@ class FinSSet:
     def cell_count(self, dim: int) -> int:
         return len(self.nondegenerate(dim))
 
-    def faces_index(self, dim: int) -> dict[tuple, tuple[SimplexRef, ...]]:
-        """The dim-simplices (dim >= 1) keyed by their normal-form faces
-        (d_0 s, ..., d_dim s), each list in :meth:`simplices` order.
+    def face_table(self, dim: int) -> dict[SimplexRef, tuple[SimplexRef, ...]]:
+        """Each dim-simplex (dim >= 1), in :meth:`simplices` order, mapped
+        to its normal-form faces (d_0 s, ..., d_dim s).
 
         Built on first use and kept: cells and face tables are never
         mutated after construction."""
         if dim < 1:
-            raise ValueError("faces_index needs dimension >= 1")
+            raise ValueError("face_table needs dimension >= 1")
+        table = self._face_table.get(dim)
+        if table is None:
+            ops = [face(dim, i) for i in range(dim + 1)]
+            # one kept object per distinct face, not one per citation
+            faces: dict[SimplexRef, SimplexRef] = {}
+            table = {
+                s: tuple(
+                    faces.setdefault(f, f) for f in (self.apply(s, op) for op in ops)
+                )
+                for s in self.simplices(dim)
+            }
+            self._face_table[dim] = table
+        return table
+
+    def faces_index(self, dim: int) -> dict[tuple, tuple[SimplexRef, ...]]:
+        """The dim-simplices (dim >= 1) keyed by their normal-form faces
+        (d_0 s, ..., d_dim s), each list in :meth:`simplices` order; the
+        inverse view of :meth:`face_table`, built once and kept."""
         index = self._faces_index.get(dim)
         if index is None:
-            ops = [face(dim, i) for i in range(dim + 1)]
             buckets: dict[tuple, list[SimplexRef]] = {}
-            for s in self.simplices(dim):
-                key = tuple(self.apply(s, op) for op in ops)
+            for s, key in self.face_table(dim).items():
                 buckets.setdefault(key, []).append(s)
             index = {key: tuple(ss) for key, ss in buckets.items()}
             self._faces_index[dim] = index
@@ -240,6 +262,9 @@ class FinSSet:
         if isinstance(data, str):
             data = json.loads(data)
         truncation = data["truncation"]
+        for key in ("cells", "faces"):
+            if not isinstance(data.get(key, {}), dict):
+                raise ValueError(f"{key!r} must be an object")
         cells = {int(d): list(ids) for d, ids in data["cells"].items()}
         dim_of = {c: d for d, ids in cells.items() for c in ids}
         faces = {}
@@ -683,20 +708,24 @@ def iso_search(x: FinSSet, y: FinSSet, dim_cap: int) -> SimplicialMap | None:
             out.append(yc)
         return out
 
-    def assign(k: int) -> bool:
-        if k == len(order):
-            return True
-        d, c = order[k]
-        for yc in candidates(d, c):
-            mapping[c] = yc
-            used.add(yc)
-            if assign(k + 1):
-                return True
-            del mapping[c]
-            used.discard(yc)
-        return False
-
-    if not assign(0):
+    # Depth-first over ``order`` with an explicit stack of candidate
+    # iterators, so the depth is not bounded by Python's recursion limit.
+    # A level's candidates are listed when the search enters it, given the
+    # levels above; the map returned is the first in that order.
+    stack = [iter(candidates(*order[0]))] if order else []
+    while stack and len(mapping) < len(order):
+        _, c = order[len(stack) - 1]
+        if c in mapping:
+            used.discard(mapping.pop(c))
+        yc = next(stack[-1], None)
+        if yc is None:
+            stack.pop()
+            continue
+        mapping[c] = yc
+        used.add(yc)
+        if len(stack) < len(order):
+            stack.append(iter(candidates(*order[len(stack)])))
+    if len(mapping) < len(order):
         return None
     assignment = {c: nondeg_ref(yc, x.dim_of(c)) for c, yc in mapping.items()}
     return SimplicialMap(x, y, assignment)

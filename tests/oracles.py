@@ -4,6 +4,7 @@ import itertools
 
 from qckit.ordinals import MonotoneMap, face
 from qckit.posets import chain_cell_id, normalize_chain
+from qckit.quasicat import HornProblem
 from qckit.scat import SimplicialFunctor, rigidify
 from qckit.sset import FinSSet, SimplexRef, nondeg_ref
 
@@ -137,3 +138,62 @@ def scan_functors(k, d):
 
         fill(0)
     return results
+
+
+def scan_face_index(x, n):
+    """(face position, face value) -> simplices of level n, every face
+    computed afresh through ``FinSSet.apply``."""
+    idx = {}
+    for s in x.simplices(n):
+        for i in range(n + 1):
+            idx.setdefault((i, x.apply(s, face(n, i))), []).append(s)
+    return idx
+
+
+def scan_filler(x, p, index=None):
+    """A simplex matching every given face of the horn problem p, or
+    None: the first in ``simplices`` order, found through
+    ``scan_face_index`` with every face recomputed per candidate."""
+    n = p.dim
+    idx = scan_face_index(x, n) if index is None else index
+    j0 = 0 if p.missing != 0 else 1
+    for s in idx.get((j0, p.faces[j0]), ()):
+        if all(
+            i == p.missing or x.apply(s, face(n, i)) == p.faces[i]
+            for i in range(n + 1)
+        ):
+            return s
+    return None
+
+
+def scan_horn_problems(x, n, k):
+    """Every compatible (n, k) horn problem, in the order horn_problems
+    promises: backtracking over the face slots in index order, with each
+    candidate's faces recomputed through ``FinSSet.apply`` per test."""
+    by_face = scan_face_index(x, n - 1)
+    slots = [i for i in range(n + 1) if i != k]
+    chosen = {}
+    out = []
+
+    def fill(t):
+        if t == len(slots):
+            out.append(HornProblem(n, k, tuple(chosen.get(i) for i in range(n + 1))))
+            return
+        i = slots[t]
+        prior = slots[:t]
+        if prior:
+            j = prior[0]
+            pool = by_face.get((j, x.apply(chosen[j], face(n - 1, i - 1))), ())
+        else:
+            pool = x.simplices(n - 1)
+        for cand in pool:
+            if all(
+                x.apply(cand, face(n - 1, j)) == x.apply(chosen[j], face(n - 1, i - 1))
+                for j in prior
+            ):
+                chosen[i] = cand
+                fill(t + 1)
+                del chosen[i]
+
+    fill(0)
+    return out

@@ -92,6 +92,14 @@ def test_check_malformed_json_is_usage_error(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+def test_check_cells_not_an_object_is_usage_error(tmp_path, capsys):
+    path = write_json(tmp_path / "list.json", {"cells": [], "truncation": 0})
+    rc, out, err = run(capsys, "check", path)
+    assert rc == 2
+    assert "'cells'" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_check_missing_file(capsys):
     rc, _, err = run(capsys, "check", "/nonexistent/x.json")
     assert rc == 2
@@ -242,6 +250,29 @@ def test_coslice_needs_room_above_dim(tmp_path, capsys):
     path = write_json(tmp_path / "pt.json", point("pt", 1).to_json())
     rc, _, err = run(capsys, "coslice", path, "--at", "pt", "--dim", "1")
     assert rc == 1
+
+
+def _self_citing(n):
+    # face 0 of the top cell of the n-simplex names the top cell itself
+    blob = standard_simplex(n).to_json()
+    top = "-".join(str(v) for v in range(n + 1))
+    blob["faces"][top][0]["cell"] = top
+    return blob, top
+
+
+@pytest.mark.parametrize(
+    "n, argv",
+    [(1, ["coslice", "{path}", "--at", "0", "--dim", "0"]),
+     (2, ["core", "{path}"])],
+    ids=["coslice", "core"],
+)
+def test_self_citing_input_exits_two(tmp_path, capsys, n, argv):
+    blob, top = _self_citing(n)
+    path = write_json(tmp_path / "self.json", blob)
+    rc, out, err = run(capsys, *[a.format(path=path) for a in argv])
+    assert rc == 2
+    assert f"{top!r}" in err and "Traceback" not in err
+    assert out == ""
 
 
 def test_core_of_group_nerve_is_itself(tmp_path, capsys):

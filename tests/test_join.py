@@ -21,6 +21,7 @@ from qckit.join import (
     triple_from_join_simplex,
     vertex_anchor,
 )
+from qckit.monoids import build_reference_monoid, deloop
 from qckit.ordinals import degeneracy
 from qckit.scat import from_finite_category, simplicial_nerve
 from qckit.sset import (
@@ -171,6 +172,17 @@ def test_generic_slice_matches_fastpath_on_simplex():
     assert validate(generic).ok
     for d in range(3):
         assert fast.cell_count(d) == generic.cell_count(d)
+
+
+def test_generic_slice_matches_fastpath_on_default_nerve():
+    nerve = simplicial_nerve(deloop(build_reference_monoid()), 3)
+    (star,) = nerve.nondegenerate(0)
+    report, fast, generic = cross_validate_coslice(nerve, star, 2)
+    assert report.ok, report.problems
+    assert validate(generic).ok
+    assert [generic.cell_count(d) for d in range(3)] == [
+        fast.cell_count(d) for d in range(3)
+    ]
 
 
 def test_generic_slice_projection():

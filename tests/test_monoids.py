@@ -137,6 +137,16 @@ def test_spec_missing_component_group():
         )
 
 
+def test_colon_in_grade_name_is_rejected():
+    # cell tags are "grade:cell"; a built spec must refuse what the JSON
+    # loader refuses, or verify_proposition fails far from the cause
+    es = ("1", "a:b")
+    mult = {(x, y): "1" if x == y == "1" else "a:b" for x in es for y in es}
+    spec = MonoidSpec(GradeMonoid(es, "1", mult), {"a:b": "Z/2"}, 3)
+    with pytest.raises(ValueError, match="'a:b'"):
+        build_reference_monoid(spec)
+
+
 def test_monoid_spec_json_round_trip():
     spec = default_monoid_spec()
     blob = monoid_spec_to_json(spec)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from oracles import scan_face_index, scan_filler, scan_horn_problems
+from qckit.monoids import build_reference_monoid, deloop
 from qckit.ordinals import degeneracy, face
 from qckit.quasicat import (
     HornProblem,
@@ -61,6 +63,24 @@ def b_absorbing():
     return simplicial_nerve(absorbing_category(), 3)
 
 
+@pytest.fixture(scope="module")
+def default_nerve():
+    return simplicial_nerve(deloop(build_reference_monoid()), 3)
+
+
+# the default Z/2 nerve, every horn and every simplex up to dimension 3
+ORACLE_FIXTURES = ["default-nerve"] + [
+    f"horn({n},{k})" for n in range(1, 4) for k in range(n + 1)
+] + [f"simplex({n})" for n in range(1, 4)]
+
+
+def oracle_fixture(name, request):
+    if name == "default-nerve":
+        return request.getfixturevalue("default_nerve")
+    n, *k = (int(v) for v in name[name.index("(") + 1 : -1].split(","))
+    return horn(n, *k) if k else standard_simplex(n)
+
+
 def test_horn_problem_shape_checks():
     with pytest.raises(ValueError):
         HornProblem(2, 3, (None, None, None))
@@ -109,6 +129,28 @@ def test_horn_problem_enumeration_counts_on_simplex():
     problems = list(horn_problems(x, 2, 1))
     assert all(horn_compatibility(x, p).ok for p in problems)
     assert len(problems) == len(x.simplices(2))
+
+
+@pytest.mark.parametrize("name", ORACLE_FIXTURES)
+def test_face_table_matches_apply(name, request):
+    x = oracle_fixture(name, request)
+    for n in range(1, x.truncation + 1):
+        table = x.face_table(n)
+        assert list(table) == x.simplices(n)
+        for s, faces in table.items():
+            assert faces == tuple(x.apply(s, face(n, i)) for i in range(n + 1))
+
+
+@pytest.mark.parametrize("name", ORACLE_FIXTURES)
+def test_horn_search_matches_the_apply_scan(name, request):
+    x = oracle_fixture(name, request)
+    for n in range(2, x.truncation + 1):
+        index = scan_face_index(x, n)
+        for k in range(n + 1):
+            problems = list(horn_problems(x, n, k))
+            assert problems == scan_horn_problems(x, n, k)
+            for p in problems:
+                assert find_filler(x, p) == scan_filler(x, p, index)
 
 
 def test_simplex_is_a_quasicategory_but_not_kan():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -10,6 +11,7 @@ from qckit.sset import (
     UnknownCellError,
     boundary,
     horn,
+    identity_map,
     iso_search,
     nondeg_ref,
     point,
@@ -147,6 +149,15 @@ def test_iso_search_distinguishes_orientation():
     convergent = two_edges(True)
     assert iso_search(path, path, 1) is not None
     assert iso_search(path, convergent, 1) is None
+
+
+def test_iso_search_deeper_than_the_recursion_limit():
+    # one backtracking level per nondegenerate cell: 1023 of them
+    x = standard_simplex(9)
+    assert sum(x.cell_count(d) for d in range(10)) > sys.getrecursionlimit()
+    found = iso_search(x, x, 9)
+    assert found is not None
+    assert found.assignment == identity_map(x).assignment
 
 
 def test_iso_search_count_mismatch():
