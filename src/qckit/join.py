@@ -303,6 +303,10 @@ def _enumerate_anchored_maps(shape: JoinSSet, base: FinSSet, fixed: dict) -> lis
     results: list[tuple] = []
 
     def image_of(ref: SimplexRef) -> SimplexRef:
+        # assigned values are normal forms, so a nondegenerate face is
+        # its cell's value as it stands
+        if ref.epi.is_identity:
+            return assignment[ref.cell]
         return base.apply(assignment[ref.cell], ref.epi)
 
     def fill(k: int) -> None:
@@ -358,8 +362,9 @@ def slice_sset(pres: SlicePresentation, dim: int) -> SliceSSet:
     ]
 
     # alpha -> the join map's image of each nondegenerate cell of the
-    # source shape, in cell order; built once per operator.
-    join_images: dict[MonotoneMap, list[tuple[str, SimplexRef]]] = {}
+    # source shape, in cell order, as (cell, image cell, image epi or None
+    # when it is the identity); built once per operator.
+    join_images: dict[MonotoneMap, list[tuple]] = {}
 
     def act(value: tuple, alpha: MonotoneMap) -> tuple:
         images = join_images.get(alpha)
@@ -372,15 +377,20 @@ def slice_sset(pres: SlicePresentation, dim: int) -> SliceSSet:
                 if under
                 else join_of_maps(amap, identity_map(k_set), shapes[l], shapes[n])
             )
-            images = sorted(
-                (c, jm.assignment[c])
-                for d in range(shapes[l].truncation + 1)
-                for c in shapes[l].nondegenerate(d)
-            )
+            images = [
+                (c, r.cell, None if r.epi.is_identity else r.epi)
+                for c, r in sorted(
+                    (c, jm.assignment[c])
+                    for d in range(shapes[l].truncation + 1)
+                    for c in shapes[l].nondegenerate(d)
+                )
+            ]
             join_images[alpha] = images
         table = dict(value)
+        # values are normal forms, so an identity epi leaves one as it is
         return tuple(
-            (c, pres.base.apply(table[r.cell], r.epi)) for c, r in images
+            (c, table[cell] if epi is None else pres.base.apply(table[cell], epi))
+            for c, cell, epi in images
         )
 
     counter = [0]

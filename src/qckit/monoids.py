@@ -302,20 +302,26 @@ def validate_monoid(m: GradedSimplicialMonoid) -> ValidationReport:
         )
     if report.problems:
         return report
+    # Both law sweeps compare positions in the product tables, which
+    # validate_bilevel has built: every value is a simplex of its target.
     unit = m.grades.unit
     for g in m.grades.elements:
-        comp = m.component(g)
+        right = m.product[(g, unit)]
+        left = m.product[(unit, g)]
         for level in range(m.truncation + 1):
             u = SimplexRef(
                 MonotoneMap(level, 0, (0,) * (level + 1)), m.unit_vertex
             )
-            for a in comp.simplices(level):
-                if m.product[(g, unit)].apply(level, a, u) != a:
+            ju = m.component(unit).simplices(level).index(u)
+            r_rows = right.table(level)
+            l_row = left.table(level)[ju]
+            for i, row in enumerate(r_rows):
+                if row[ju] != i:
                     report.problems.append(
                         f"right unit fails at grade {g!r} level {level}"
                     )
                     break
-                if m.product[(unit, g)].apply(level, u, a) != a:
+                if l_row[i] != i:
                     report.problems.append(
                         f"left unit fails at grade {g!r} level {level}"
                     )
@@ -324,19 +330,19 @@ def validate_monoid(m: GradedSimplicialMonoid) -> ValidationReport:
         gh = m.grades.product(g, h)
         hk = m.grades.product(h, k)
         for level in range(m.truncation + 1):
-            for a in m.component(g).simplices(level):
-                for b in m.component(h).simplices(level):
-                    ab = m.product[(g, h)].apply(level, a, b)
-                    for c in m.component(k).simplices(level):
-                        bc = m.product[(h, k)].apply(level, b, c)
-                        if m.product[(gh, k)].apply(level, ab, c) != (
-                            m.product[(g, hk)].apply(level, a, bc)
-                        ):
-                            report.problems.append(
-                                f"associativity fails at grades "
-                                f"({g!r}, {h!r}, {k!r}) level {level}"
-                            )
-                            return report
+            t_gh = m.product[(g, h)].table(level)
+            t_hk = m.product[(h, k)].table(level)
+            lhs = m.product[(gh, k)].table(level)
+            rhs = m.product[(g, hk)].table(level)
+            # (ab)c against a(bc), a whole row of c at a time
+            for row_ab, r_a in zip(t_gh, rhs):
+                for ab, bcs in zip(row_ab, t_hk):
+                    if lhs[ab] != [r_a[bc] for bc in bcs]:
+                        report.problems.append(
+                            f"associativity fails at grades "
+                            f"({g!r}, {h!r}, {k!r}) level {level}"
+                        )
+                        return report
     return report
 
 

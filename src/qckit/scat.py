@@ -40,6 +40,7 @@ from .posets import (
 from .sset import (
     BilevelMap,
     FinSSet,
+    OffTargetError,
     SimplexRef,
     SimplicialMap,
     TruncationError,
@@ -83,8 +84,9 @@ class SCat:
 
 
 def validate_scat(d: SCat, max_level: int | None = None) -> ValidationReport:
-    """Hom validity, unit vertices, bilevel naturality of composition,
-    strict unit and associativity laws checked levelwise on the tables."""
+    """Hom validity, unit vertices, composition on the right homs,
+    bilevel naturality of composition, strict unit and associativity
+    laws checked levelwise on the composition tables."""
     report = ValidationReport("SCat")
     cap = d.level_cap if max_level is None else min(max_level, d.level_cap)
     for (x, y), h in d.homs.items():
@@ -94,6 +96,16 @@ def validate_scat(d: SCat, max_level: int | None = None) -> ValidationReport:
         v = d.identities.get(x)
         if v is None or not d.hom(x, x).has_cell(v) or d.hom(x, x).dim_of(v) != 0:
             report.problems.append(f"identity of {x!r} is not a vertex")
+    for x, y, z in itertools.product(d.objects, repeat=3):
+        bm = d.comp.get((x, y, z))
+        if bm is None:
+            report.problems.append(f"comp({x!r},{y!r},{z!r}) is missing")
+        elif not (
+            bm.x is d.homs.get((y, z))
+            and bm.y is d.homs.get((x, y))
+            and bm.target is d.homs.get((x, z))
+        ):
+            report.problems.append(f"comp({x!r},{y!r},{z!r}) has wrong ends")
     if report.problems:
         return report
     for (x, y, z), bm in d.comp.items():
@@ -101,19 +113,30 @@ def validate_scat(d: SCat, max_level: int | None = None) -> ValidationReport:
         report.problems.extend(
             f"comp({x!r},{y!r},{z!r}): {p}" for p in sub.problems
         )
+    # The law sweeps compare positions in the composition tables; a
+    # value off its hom has no position, and validate_bilevel named it.
+    try:
+        tables = {
+            key: [bm.table(m) for m in range(cap + 1)]
+            for key, bm in d.comp.items()
+        }
+    except OffTargetError:
+        return report
     for x in d.objects:
         for y in d.objects:
             h = d.hom(x, y)
             for m in range(cap + 1):
-                for f in h.simplices(m):
-                    left = d.compose_refs(x, y, y, d.identity_ref(y, m), f)
-                    right = d.compose_refs(x, x, y, f, d.identity_ref(x, m))
-                    if left != f:
+                jx = d.hom(x, x).simplices(m).index(d.identity_ref(x, m))
+                jy = d.hom(y, y).simplices(m).index(d.identity_ref(y, m))
+                left = tables[(x, y, y)][m][jy]
+                right = tables[(x, x, y)][m]
+                for i, f in enumerate(h.simplices(m)):
+                    if left[i] != i:
                         report.problems.append(
                             f"left unit law fails at level {m} on "
                             f"({x!r},{y!r}): {f.cell!r}"
                         )
-                    if right != f:
+                    if right[i][jx] != i:
                         report.problems.append(
                             f"right unit law fails at level {m} on "
                             f"({x!r},{y!r}): {f.cell!r}"
@@ -123,19 +146,22 @@ def validate_scat(d: SCat, max_level: int | None = None) -> ValidationReport:
             for y in d.objects:
                 for z in d.objects:
                     for m in range(cap + 1):
-                        for a in d.hom(y, z).simplices(m):
-                            for b in d.hom(x, y).simplices(m):
-                                ab = d.compose_refs(x, y, z, a, b)
-                                for c in d.hom(w, x).simplices(m):
-                                    lhs = d.compose_refs(w, x, z, ab, c)
-                                    rhs = d.compose_refs(
-                                        w, y, z, a, d.compose_refs(w, x, y, b, c)
+                        t_ab = tables[(x, y, z)][m]
+                        t_bc = tables[(w, x, y)][m]
+                        lhs = tables[(w, x, z)][m]
+                        rhs = tables[(w, y, z)][m]
+                        # (ab)c against a(bc), a whole row of c at a time
+                        for row_ab, r_a in zip(t_ab, rhs):
+                            for ab, bcs in zip(row_ab, t_bc):
+                                l_row = lhs[ab]
+                                r_row = [r_a[bc] for bc in bcs]
+                                if l_row != r_row:
+                                    report.problems.extend(
+                                        f"associativity fails at level {m} on "
+                                        f"({w!r},{x!r},{y!r},{z!r})"
+                                        for lc, rc in zip(l_row, r_row)
+                                        if lc != rc
                                     )
-                                    if lhs != rhs:
-                                        report.problems.append(
-                                            f"associativity fails at level {m} on "
-                                            f"({w!r},{x!r},{y!r},{z!r})"
-                                        )
     return report
 
 

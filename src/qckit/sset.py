@@ -552,10 +552,20 @@ def validate_map(f: SimplicialMap) -> ValidationReport:
 # -- bilevel maps -----------------------------------------------------
 
 
+class OffTargetError(ValueError):
+    """Raised when a bilevel map sends a pair to something that is not a
+    simplex of its target at that level."""
+
+
 class BilevelMap:
     """A levelwise map X_k x Y_k -> Z_k commuting with simultaneous
     operators.  Stored as a function on normal-form pairs; use
-    :func:`validate_bilevel` to check the commutation on a range."""
+    :func:`validate_bilevel` to check the commutation on a range.
+
+    :meth:`table` evaluates the function once per pair of a level and
+    keeps the result as integer positions.  The cache is sound because
+    neither the function nor the three simplicial sets change after
+    construction, and it is sized by the level, |X_k| x |Y_k|."""
 
     def __init__(self, x: FinSSet, y: FinSSet, target: FinSSet,
                  fn: Callable[[int, SimplexRef, SimplexRef], SimplexRef]):
@@ -563,6 +573,7 @@ class BilevelMap:
         self.y = y
         self.target = target
         self.fn = fn
+        self._tables: dict[int, list[list[int]]] = {}
 
     def apply(self, level: int, a: SimplexRef, b: SimplexRef) -> SimplexRef:
         if a.dim != level or b.dim != level:
@@ -571,36 +582,81 @@ class BilevelMap:
             )
         return self.fn(level, a, b)
 
+    def table(self, level: int) -> list[list[int]]:
+        """``rows[i][j]`` is the position in ``target.simplices(level)``
+        of the value at (x_i, y_j), both in :meth:`FinSSet.simplices`
+        order.  Built on first use and kept; raises
+        :class:`OffTargetError`, naming the pair, if a value is not a
+        simplex of the target."""
+        rows = self._tables.get(level)
+        if rows is None:
+            pos = {s: t for t, s in enumerate(self.target.simplices(level))}
+            ys = self.y.simplices(level)
+            rows = []
+            for a in self.x.simplices(level):
+                row = []
+                for b in ys:
+                    out = self.apply(level, a, b)
+                    t = pos.get(out)
+                    if t is None:
+                        raise OffTargetError(
+                            f"level {level}: value at ({a.cell!r}."
+                            f"{a.epi.values}, {b.cell!r}.{b.epi.values}) is "
+                            f"not a {level}-simplex of the target: {out!r}"
+                        )
+                    row.append(t)
+                rows.append(row)
+            self._tables[level] = rows
+        return rows
+
     def level_table(self, level: int) -> list[tuple[SimplexRef, SimplexRef, SimplexRef]]:
+        zs = self.target.simplices(level)
         return [
-            (a, b, self.apply(level, a, b))
-            for a in self.x.simplices(level)
-            for b in self.y.simplices(level)
+            (a, b, zs[t])
+            for a, row in zip(self.x.simplices(level), self.table(level))
+            for b, t in zip(self.y.simplices(level), row)
         ]
 
 
+def _action_table(x: FinSSet, op: MonotoneMap) -> list[int]:
+    """Position in ``x.simplices(op.source_arity)`` of each simplex of
+    ``x.simplices(op.target_arity)`` acted on by op."""
+    pos = {s: t for t, s in enumerate(x.simplices(op.source_arity))}
+    return [pos[x.apply(s, op)] for s in x.simplices(op.target_arity)]
+
+
 def validate_bilevel(bm: BilevelMap, max_dim: int) -> ValidationReport:
+    """Every value is a simplex of the target, and every face and
+    degeneracy operator commutes with the map on every pair: checked
+    on the level tables, pairs outer and operators inner."""
     report = ValidationReport("BilevelMap")
     bound = min(max_dim, bm.x.truncation, bm.y.truncation, bm.target.truncation)
+    try:
+        tables = [bm.table(k) for k in range(bound + 1)]
+    except OffTargetError as e:
+        report.problems.append(str(e))
+        return report
     for k in range(bound + 1):
-        pairs = [(a, b) for a in bm.x.simplices(k) for b in bm.y.simplices(k)]
         ops: list[MonotoneMap] = []
         if k >= 1:
             ops.extend(face(k, i) for i in range(k + 1))
         if k + 1 <= bound:
             ops.extend(degeneracy(k, i) for i in range(k + 1))
-        for a, b in pairs:
-            out = bm.apply(k, a, b)
-            for op in ops:
-                lhs = bm.target.apply(out, op)
-                rhs = bm.apply(
-                    op.source_arity, bm.x.apply(a, op), bm.y.apply(b, op)
-                )
-                if lhs != rhs:
-                    report.problems.append(
-                        f"level {k}: operator {op.values} not respected at "
-                        f"({a.cell!r}.{a.epi.values}, {b.cell!r}.{b.epi.values})"
-                    )
+        # (op, act on x, act on y, act on the target, table at op's source)
+        checks = [
+            (op, _action_table(bm.x, op), _action_table(bm.y, op),
+             _action_table(bm.target, op), tables[op.source_arity])
+            for op in ops
+        ]
+        ys = bm.y.simplices(k)
+        for i, (a, row) in enumerate(zip(bm.x.simplices(k), tables[k])):
+            for j, (b, t) in enumerate(zip(ys, row)):
+                for op, act_x, act_y, act_z, lower in checks:
+                    if act_z[t] != lower[act_x[i]][act_y[j]]:
+                        report.problems.append(
+                            f"level {k}: operator {op.values} not respected at "
+                            f"({a.cell!r}.{a.epi.values}, {b.cell!r}.{b.epi.values})"
+                        )
     return report
 
 

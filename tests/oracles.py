@@ -2,7 +2,7 @@
 
 import itertools
 
-from qckit.ordinals import MonotoneMap, face
+from qckit.ordinals import MonotoneMap, degeneracy, face
 from qckit.posets import chain_cell_id, normalize_chain
 from qckit.quasicat import HornProblem
 from qckit.scat import SimplicialFunctor, rigidify
@@ -197,3 +197,101 @@ def scan_horn_problems(x, n, k):
 
     fill(0)
     return out
+
+
+def scan_bilevel(bm, max_dim):
+    """validate_bilevel's problems, in its order, with every value and
+    both sides of every commutation recomputed through ``apply``."""
+    problems = []
+    bound = min(max_dim, bm.x.truncation, bm.y.truncation, bm.target.truncation)
+    for k in range(bound + 1):
+        ops = []
+        if k >= 1:
+            ops.extend(face(k, i) for i in range(k + 1))
+        if k + 1 <= bound:
+            ops.extend(degeneracy(k, i) for i in range(k + 1))
+        for a in bm.x.simplices(k):
+            for b in bm.y.simplices(k):
+                out = bm.apply(k, a, b)
+                for op in ops:
+                    lhs = bm.target.apply(out, op)
+                    rhs = bm.apply(
+                        op.source_arity, bm.x.apply(a, op), bm.y.apply(b, op)
+                    )
+                    if lhs != rhs:
+                        problems.append(
+                            f"level {k}: operator {op.values} not respected at "
+                            f"({a.cell!r}.{a.epi.values}, {b.cell!r}.{b.epi.values})"
+                        )
+    return problems
+
+
+def scan_monoid_laws(m):
+    """The unit and associativity problems of validate_monoid, in its
+    order, comparing simplices computed through ``BilevelMap.apply`` on
+    every (grades, level, a, b, c); stops at the first associativity
+    failure."""
+    problems = []
+    unit = m.grades.unit
+    for g in m.grades.elements:
+        comp = m.component(g)
+        for level in range(m.truncation + 1):
+            u = SimplexRef(MonotoneMap(level, 0, (0,) * (level + 1)), m.unit_vertex)
+            for a in comp.simplices(level):
+                if m.product[(g, unit)].apply(level, a, u) != a:
+                    problems.append(f"right unit fails at grade {g!r} level {level}")
+                    break
+                if m.product[(unit, g)].apply(level, u, a) != a:
+                    problems.append(f"left unit fails at grade {g!r} level {level}")
+                    break
+    for g, h, k in itertools.product(m.grades.elements, repeat=3):
+        gh = m.grades.product(g, h)
+        hk = m.grades.product(h, k)
+        for level in range(m.truncation + 1):
+            for a in m.component(g).simplices(level):
+                for b in m.component(h).simplices(level):
+                    ab = m.product[(g, h)].apply(level, a, b)
+                    for c in m.component(k).simplices(level):
+                        bc = m.product[(h, k)].apply(level, b, c)
+                        if m.product[(gh, k)].apply(level, ab, c) != (
+                            m.product[(g, hk)].apply(level, a, bc)
+                        ):
+                            problems.append(
+                                f"associativity fails at grades "
+                                f"({g!r}, {h!r}, {k!r}) level {level}"
+                            )
+                            return problems
+    return problems
+
+
+def scan_scat_laws(d, cap):
+    """The unit and associativity problems of validate_scat up to level
+    cap, in its order, one per failing simplex or triple, composing
+    through ``SCat.compose_refs``."""
+    problems = []
+    for x in d.objects:
+        for y in d.objects:
+            for m in range(cap + 1):
+                for f in d.hom(x, y).simplices(m):
+                    if d.compose_refs(x, y, y, d.identity_ref(y, m), f) != f:
+                        problems.append(
+                            f"left unit law fails at level {m} on ({x!r},{y!r}): {f.cell!r}"
+                        )
+                    if d.compose_refs(x, x, y, f, d.identity_ref(x, m)) != f:
+                        problems.append(
+                            f"right unit law fails at level {m} on ({x!r},{y!r}): {f.cell!r}"
+                        )
+    for w, x, y, z in itertools.product(d.objects, repeat=4):
+        for m in range(cap + 1):
+            for a in d.hom(y, z).simplices(m):
+                for b in d.hom(x, y).simplices(m):
+                    ab = d.compose_refs(x, y, z, a, b)
+                    for c in d.hom(w, x).simplices(m):
+                        lhs = d.compose_refs(w, x, z, ab, c)
+                        rhs = d.compose_refs(w, y, z, a, d.compose_refs(w, x, y, b, c))
+                        if lhs != rhs:
+                            problems.append(
+                                f"associativity fails at level {m} on "
+                                f"({w!r},{x!r},{y!r},{z!r})"
+                            )
+    return problems

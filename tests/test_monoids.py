@@ -1,5 +1,7 @@
 """Graded monoids, the delooping pipeline, and exact rational sums."""
 
+import collections
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bar_nerve
+from oracles import bar_nerve, scan_bilevel, scan_monoid_laws, scan_scat_laws
+from qckit import monoids
 from qckit.monoids import (
     GradeMonoid,
     MonoidSpec,
@@ -39,7 +42,8 @@ from qckit.monoids import (
 )
 from qckit.quasicat import is_kan_up_to
 from qckit.scat import simplicial_nerve, validate_scat
-from qckit.sset import iso_search, validate
+from qckit.ordinals import MonotoneMap
+from qckit.sset import BilevelMap, SimplexRef, iso_search, validate, validate_bilevel
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +164,136 @@ def test_group_from_name():
     assert group_from_name("trivial").elements == ("0",)
     with pytest.raises(ValueError):
         group_from_name("S3")
+
+
+# -- monoid validation against the apply-based scans ------------------
+
+
+Z3_SPEC = MonoidSpec(saturating_grades(2), {"1": "Z/3", "2+": "Z/3"}, 3)
+FOUR_SPEC = MonoidSpec(
+    saturating_grades(3), {"1": "Z/2", "2": "Z/2", "3+": "Z/2"}, 3
+)
+
+
+@pytest.fixture(scope="module")
+def z3_monoid():
+    return build_reference_monoid(Z3_SPEC)
+
+
+def with_product(m, key, fn):
+    """m with the product at key replaced by fn, on the same ends."""
+    bm = m.product[key]
+    return dataclasses.replace(
+        m, product={**m.product, key: BilevelMap(bm.x, bm.y, bm.target, fn)}
+    )
+
+
+def scanned_problems(m):
+    """validate_monoid's problems, with the bilevel and law sweeps taken
+    from the apply-based scans (grades and components are lawful)."""
+    problems = [
+        f"product at ({g!r}, {h!r}): {p}"
+        for (g, h), bm in m.product.items()
+        for p in scan_bilevel(bm, m.truncation)
+    ]
+    return problems or scan_monoid_laws(m)
+
+
+def nonnatural(fn):
+    return lambda level, a, b: fn(level, b, b) if level == 2 else fn(level, a, b)
+
+
+def twisted(fn):
+    # x + 2y on Z/3: natural, but not associative with the other products
+    return lambda level, a, b: fn(level, a, fn(level, b, b))
+
+
+def doubling(fn):
+    # (a, unit) -> 2a on Z/3: natural, but not unital
+    return lambda level, a, b: fn(level, a, a)
+
+
+@pytest.mark.parametrize("spec", [default_monoid_spec(), Z3_SPEC, FOUR_SPEC],
+                         ids=["default", "Z/3", "four-grades"])
+def test_monoid_validation_matches_the_apply_scan(spec):
+    m = build_reference_monoid(spec)
+    for bm in m.product.values():
+        assert validate_bilevel(bm, m.truncation).problems == scan_bilevel(bm, m.truncation)
+    assert validate_monoid(m).problems == scanned_problems(m) == []
+
+
+@pytest.mark.parametrize("broken", ["non-natural", "twisted", "right-unit"])
+def test_broken_product_problems_match_the_apply_scan(z3_monoid, broken):
+    m = z3_monoid
+    if broken == "non-natural":
+        bad = with_product(m, ("1", "2+"), nonnatural(m.product[("1", "2+")].fn))
+    elif broken == "twisted":
+        bad = with_product(m, ("1", "1"), twisted(m.product[("1", "1")].fn))
+    else:
+        bad = with_product(m, ("1", "0"), doubling(m.product[("1", "1")].fn))
+    problems = validate_monoid(bad).problems
+    assert problems == scanned_problems(bad)
+    expected = {
+        "non-natural": "product at ('1', '2+'): level 1: operator",
+        "twisted": "associativity fails at grades ('1', '1', '1') level 1",
+        "right-unit": "right unit fails at grade '1' level 1",
+    }[broken]
+    assert problems[0].startswith(expected)
+
+
+def test_off_target_product_is_a_named_problem(z3_monoid):
+    def ghost(level, a, b):
+        return SimplexRef(MonotoneMap(level, 0, (0,) * (level + 1)), "ghost")
+
+    bad = with_product(z3_monoid, ("1", "1"), ghost)
+    problems = validate_monoid(bad).problems
+    assert len(problems) == 1
+    assert problems[0].startswith("product at ('1', '1'): level 0: value at ")
+    assert "not a 0-simplex of the target" in problems[0]
+
+
+def scanned_scat_problems(d, cap):
+    """validate_scat's problems on lawful homs, from the apply-based scans."""
+    return [
+        f"comp({x!r},{y!r},{z!r}): {p}"
+        for (x, y, z), bm in d.comp.items()
+        for p in scan_bilevel(bm, cap)
+    ] + scan_scat_laws(d, cap)
+
+
+@pytest.mark.parametrize("broken", ["twisted", "right-unit"])
+def test_delooped_broken_product_matches_the_apply_scan(z3_monoid, broken):
+    m = z3_monoid
+    if broken == "twisted":
+        bad = with_product(m, ("1", "1"), twisted(m.product[("1", "1")].fn))
+    else:
+        bad = with_product(m, ("1", "0"), doubling(m.product[("1", "1")].fn))
+    d = deloop(bad)
+    problems = validate_scat(d, max_level=2).problems
+    assert problems and problems == scanned_scat_problems(d, 2)
+
+
+def test_each_product_is_evaluated_once_per_pair(monkeypatch):
+    counters = []
+
+    class CountingBilevelMap(BilevelMap):
+        def __init__(self, x, y, target, fn):
+            calls = collections.Counter()
+
+            def counted(level, a, b):
+                calls[level, a, b] += 1
+                return fn(level, a, b)
+
+            counters.append((x, y, calls))
+            super().__init__(x, y, target, counted)
+
+    monkeypatch.setattr(monoids, "BilevelMap", CountingBilevelMap)
+    m = build_reference_monoid(Z3_SPEC)
+    assert len(counters) == len(m.product) == 9
+    for x, y, calls in counters:
+        pairs = sum(len(x.simplices(k)) * len(y.simplices(k)) for k in range(4))
+        assert len(calls) == pairs
+        assert max(calls.values()) == 1
 
 
 # -- delooping and the nerve ------------------------------------------

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from oracles import bar_nerve, scan_functors, strict_chain_count
+from oracles import bar_nerve, scan_bilevel, scan_functors, scan_scat_laws, strict_chain_count
 
 from qckit.ordinals import MonotoneMap, all_maps, compose, degeneracy, face, identity
 from qckit.monoids import (
@@ -33,7 +33,7 @@ from qckit.scat import (
     validate_functor,
     validate_scat,
 )
-from qckit.sset import TruncationError, iso_search, standard_simplex, validate
+from qckit.sset import BilevelMap, FinSSet, TruncationError, iso_search, standard_simplex, validate
 
 
 def discrete_two_element_monoid():
@@ -252,6 +252,64 @@ def test_classification_shapes():
     # gamma runs from V02 to V12 . V01; in a discrete hom it is constant
     for t in twos:
         assert t.gamma.is_degenerate
+
+
+# -- validation against the apply-based scans -------------------------
+
+
+def broken_unit_category():
+    """One object, morphisms 1 and a, where 1 is no unit: 1.a = a.1 = 1."""
+
+    def comp(x, y, z, later, earlier):
+        return "a" if later == earlier == "a" else "1"
+
+    return from_finite_category(
+        ["*"], {("*", "*"): ["1", "a"]}, comp, {"*": "1"}, truncation=2
+    )
+
+
+@pytest.mark.parametrize("name", ["rigidify-2", "rigidify-3", "discrete", "poset012", "broken-unit"])
+def test_scat_validation_matches_the_apply_scan(name):
+    d = {
+        "rigidify-2": lambda: rigidify(2),
+        "rigidify-3": lambda: rigidify(3),
+        "discrete": discrete_two_element_monoid,
+        "poset012": poset_category_012,
+        "broken-unit": broken_unit_category,
+    }[name]()
+    expected = [
+        f"comp({x!r},{y!r},{z!r}): {p}"
+        for (x, y, z), bm in d.comp.items()
+        for p in scan_bilevel(bm, d.level_cap)
+    ] + scan_scat_laws(d, d.level_cap)
+    assert validate_scat(d).problems == expected
+    assert bool(expected) == (name == "broken-unit")
+
+
+def test_off_hom_composite_is_a_named_problem():
+    d = from_finite_category(
+        ["*"], {("*", "*"): ["1"]}, lambda *args: "ghost", {"*": "1"},
+        truncation=1,
+    )
+    problems = validate_scat(d).problems
+    assert problems == [
+        "comp('*','*','*'): level 0: value at ('1'.(0,), '1'.(0,)) is not "
+        "a 0-simplex of the target: SimplexRef(epi=MonotoneMap("
+        "source_arity=0, target_arity=0, values=(0,)), cell='ghost')"
+    ]
+
+
+def test_composition_on_other_homs_is_named():
+    # the law sweeps compare positions, which only the hom objects
+    # themselves give
+    d = discrete_two_element_monoid()
+    (key, bm), = d.comp.items()
+    copy = FinSSet.from_json(bm.target.to_json())
+    moved = SCat(d.objects, d.homs, d.identities,
+                 {key: BilevelMap(bm.x, bm.y, copy, bm.fn)})
+    assert validate_scat(moved).problems == ["comp('*','*','*') has wrong ends"]
+    missing = SCat(d.objects, d.homs, d.identities, {})
+    assert validate_scat(missing).problems == ["comp('*','*','*') is missing"]
 
 
 # -- serialization ----------------------------------------------------
