@@ -399,17 +399,8 @@ def slice_sset(pres: SlicePresentation, dim: int) -> SliceSSet:
         counter[0] += 1
         return f"m{n}_{counter[0] - 1}"
 
-    built, value_of, _ = materialize_presheaf(levels, act, id_fn)
-    return SliceSSet(
-        built.truncation,
-        {d: built.nondegenerate(d) for d in range(built.truncation + 1)},
-        {c: built.face_entries(c)
-         for d in range(1, built.truncation + 1)
-         for c in built.nondegenerate(d)},
-        {c: v for c, v in value_of.items()},
-        pres,
-        shapes,
-    )
+    cells, faces, value_of = materialize_presheaf(levels, act, id_fn)
+    return SliceSSet(dim, cells, faces, value_of, pres, shapes)
 
 
 def slice_projection(s: SliceSSet) -> SimplicialMap:
@@ -479,17 +470,8 @@ def coslice_fastpath(base: FinSSet, vertex: str, dim: int) -> CosliceSSet:
             return f"c:{value.cell}"
         return f"c:s0:{value.cell}"
 
-    built, value_of, _ = materialize_presheaf(levels, act, id_fn)
-    return CosliceSSet(
-        built.truncation,
-        {d: built.nondegenerate(d) for d in range(built.truncation + 1)},
-        {c: built.face_entries(c)
-         for d in range(1, built.truncation + 1)
-         for c in built.nondegenerate(d)},
-        dict(value_of),
-        base,
-        vertex,
-    )
+    cells, faces, value_of = materialize_presheaf(levels, act, id_fn)
+    return CosliceSSet(dim, cells, faces, value_of, base, vertex)
 
 
 def coslice_projection(c: CosliceSSet) -> SimplicialMap:

@@ -403,14 +403,26 @@ def monoid_spec_from_json(blob: dict) -> MonoidSpec:
         for j, b in enumerate(es)
     }
     grades = GradeMonoid(es, g["unit"], table)
+    if not isinstance(blob["components"], dict):
+        raise ValueError("'components' must be an object")
     components = {}
     for grade, entry in blob["components"].items():
         try:
+            if not isinstance(entry["group"], str):
+                raise ValueError(
+                    f"'group' must be a string, got {entry['group']!r}"
+                )
             group_from_name(entry["group"])
         except ValueError as e:
             raise ValueError(f"component of grade {grade!r}: {e}")
         components[grade] = entry["group"]
-    return MonoidSpec(grades, components, blob.get("truncation", 3))
+    truncation = blob.get("truncation", 3)
+    if (isinstance(truncation, bool) or not isinstance(truncation, int)
+            or truncation < 0):
+        raise ValueError(
+            f"'truncation' must be an integer >= 0, got {truncation!r}"
+        )
+    return MonoidSpec(grades, components, truncation)
 
 
 def build_reference_monoid(spec: MonoidSpec | None = None) -> GradedSimplicialMonoid:

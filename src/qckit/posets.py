@@ -196,18 +196,23 @@ def denormalize_chain(ref: SimplexRef) -> list[str]:
     return [labels[ref.epi(t)] for t in range(ref.dim + 1)]
 
 
-def _labelled_sets(ref: SimplexRef) -> list[frozenset]:
-    out = []
-    for label in denormalize_chain(ref):
-        out.append(frozenset(int(v) for v in label.split(".")))
-    return out
+@lru_cache(maxsize=None)
+def chain_sets(cell_id: str) -> tuple[frozenset, ...]:
+    """The subsets of a mapping-poset chain cell, read back from its id
+    ``"0.2<0.1.2"``; the one parser of chain labels, cached per id."""
+    return tuple(
+        frozenset(int(v) for v in label.split("."))
+        for label in cell_id.split("<")
+    )
 
 
 def union_chains(level: int, a: SimplexRef, b: SimplexRef) -> SimplexRef:
     """Levelwise union of two (possibly degenerate) nerve simplices."""
-    ups = _labelled_sets(a)
-    los = _labelled_sets(b)
-    return normalize_chain([u | l for u, l in zip(ups, los)])
+    ups = chain_sets(a.cell)
+    los = chain_sets(b.cell)
+    return normalize_chain(
+        [ups[s] | los[t] for s, t in zip(a.epi.values, b.epi.values)]
+    )
 
 
 def union_compose(i: int, j: int, p: int, k: int,
@@ -242,6 +247,5 @@ def induced_nerve_map(f: MonotoneMap, i: int, j: int) -> SimplicialMap:
     assignment = {}
     for d in range(source.truncation + 1):
         for cid in source.nondegenerate(d):
-            sets = [frozenset(int(v) for v in lab.split(".")) for lab in cid.split("<")]
-            assignment[cid] = normalize_chain([img(s) for s in sets])
+            assignment[cid] = normalize_chain([img(s) for s in chain_sets(cid)])
     return SimplicialMap(source, target, assignment)

@@ -6,7 +6,9 @@ chains.  A ``SimplicialFunctor`` out of it into a target ``SCat`` is
 determined by a small amount of free data; :func:`enumerate_functors`
 backtracks over exactly that free data, so every functor is produced
 once.  The homotopy-coherent nerve :func:`simplicial_nerve` lists the
-functors levelwise and normalizes their faces.
+functors levelwise, sorted by signature, and hands them with
+:func:`precompose` as the action to :func:`sset.materialize_presheaf`,
+the one path that strips degeneracies and normalizes faces.
 
 Free versus forced cells: a nondegenerate chain of P(i,j) whose least
 element is the bottom {i, j} is free; any other chain has an interior
@@ -29,9 +31,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Mapping
 
-from .ordinals import MonotoneMap, compose, degeneracy, face, identity
+from .ordinals import MonotoneMap, face
 from .posets import (
     chain_cell_id,
+    chain_sets,
     mapping_poset,
     nerve,
     normalize_chain,
@@ -45,6 +48,7 @@ from .sset import (
     SimplicialMap,
     TruncationError,
     ValidationReport,
+    materialize_presheaf,
     nondeg_ref,
     validate,
     validate_bilevel,
@@ -192,14 +196,6 @@ def rigidify(k: int) -> SCat:
 
 
 @lru_cache(maxsize=None)
-def _chain_sets(cell_id: str) -> tuple[frozenset, ...]:
-    return tuple(
-        frozenset(int(v) for v in label.split("."))
-        for label in cell_id.split("<")
-    )
-
-
-@lru_cache(maxsize=None)
 def _hom_slots(k: int, i: int, j: int) -> tuple[tuple, ...]:
     """Cells of N P(i,j) in fill order: (cell, dim, faces, split).
 
@@ -212,7 +208,7 @@ def _hom_slots(k: int, i: int, j: int) -> tuple[tuple, ...]:
     out = []
     for m in range(j - i):
         for cid in src.nondegenerate(m):
-            sets = _chain_sets(cid)
+            sets = chain_sets(cid)
             interior = sorted(sets[0] - {i, j})
             if interior:
                 p = interior[0]
@@ -374,7 +370,7 @@ def _image_chains(op: MonotoneMap) -> tuple:
         for j in range(i, l + 1):
             images = tuple(
                 (cid, normalize_chain([frozenset(op(v) for v in s)
-                                       for s in _chain_sets(cid)]))
+                                       for s in chain_sets(cid)]))
                 for m in range(max(j - i, 1))
                 for cid in src.hom(i, j).nondegenerate(m)
             )
@@ -446,22 +442,6 @@ def validate_functor(f: SimplicialFunctor) -> ValidationReport:
 # -- the homotopy-coherent nerve --------------------------------------
 
 
-def functor_normal_form(f: SimplicialFunctor) -> tuple[MonotoneMap, SimplicialFunctor]:
-    """Strip degeneracies: returns (epi, g) with f = g . rigidified epi."""
-    epi = identity(f.arity)
-    cur = f
-    while True:
-        n = cur.arity
-        for i in range(n):
-            dropped = precompose(cur, face(n, i))
-            if precompose(dropped, degeneracy(n - 1, i)) == cur:
-                cur = dropped
-                epi = compose(degeneracy(n - 1, i), epi)
-                break
-        else:
-            return epi, cur
-
-
 class NerveSSet(FinSSet):
     """The coherent nerve with its catalogue of cell functors attached."""
 
@@ -476,7 +456,10 @@ class NerveSSet(FinSSet):
 def simplicial_nerve(d: SCat, dim: int) -> NerveSSet:
     """Level k cells are the k-functors; faces precompose with cofaces.
 
-    Requires the homs of d to be truncated at least at dim - 1.
+    The functors of each level, sorted by signature, go through
+    :func:`materialize_presheaf`, which names the nondegenerate ones
+    ``n{k}c{idx}`` in that order and normalizes every face.  Requires
+    the homs of d to be truncated at least at dim - 1.
     """
     if dim < 0:
         raise ValueError("dim must be >= 0")
@@ -484,36 +467,14 @@ def simplicial_nerve(d: SCat, dim: int) -> NerveSSet:
         raise TruncationError(
             f"homs truncated at {d.level_cap} cannot support a dim-{dim} nerve"
         )
-    by_level: list[list[SimplicialFunctor]] = [
-        enumerate_functors(k, d) for k in range(dim + 1)
+    levels = [
+        sorted(enumerate_functors(k, d), key=SimplicialFunctor.signature)
+        for k in range(dim + 1)
     ]
-    cells: dict[int, list[str]] = {}
-    ids: dict[tuple, str] = {}
-    functor_of: dict[str, SimplicialFunctor] = {}
-    for k, fs in enumerate(by_level):
-        nondeg = []
-        for f in fs:
-            if all(
-                precompose(precompose(f, face(k, i)), degeneracy(k - 1, i)) != f
-                for i in range(k)
-            ):
-                nondeg.append(f)
-        nondeg.sort(key=lambda f: f.signature())
-        cells[k] = []
-        for idx, f in enumerate(nondeg):
-            cid = f"n{k}c{idx}"
-            cells[k].append(cid)
-            ids[f.signature()] = cid
-            functor_of[cid] = f
-    faces: dict[str, list[SimplexRef]] = {}
-    for k in range(1, dim + 1):
-        for cid in cells[k]:
-            f = functor_of[cid]
-            entries = []
-            for i in range(k + 1):
-                epi, g = functor_normal_form(precompose(f, face(k, i)))
-                entries.append(SimplexRef(epi, ids[g.signature()]))
-            faces[cid] = entries
+    counters = [itertools.count() for _ in levels]
+    cells, faces, functor_of = materialize_presheaf(
+        levels, precompose, lambda k, f: f"n{k}c{next(counters[k])}"
+    )
     return NerveSSet(dim, cells, faces, functor_of)
 
 

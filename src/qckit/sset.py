@@ -262,9 +262,14 @@ class FinSSet:
         if isinstance(data, str):
             data = json.loads(data)
         truncation = data["truncation"]
+        if isinstance(truncation, bool) or not isinstance(truncation, int):
+            raise ValueError(f"'truncation' must be an integer, got {truncation!r}")
         for key in ("cells", "faces"):
             if not isinstance(data.get(key, {}), dict):
                 raise ValueError(f"{key!r} must be an object")
+        for d, ids in data["cells"].items():
+            if not (isinstance(ids, list) and all(isinstance(c, str) for c in ids)):
+                raise ValueError(f"'cells' entry {d!r} must be a list of strings")
         cells = {int(d): list(ids) for d, ids in data["cells"].items()}
         dim_of = {c: d for d, ids in cells.items() for c in ids}
         faces = {}
@@ -664,13 +669,18 @@ def validate_bilevel(bm: BilevelMap, max_dim: int) -> ValidationReport:
 
 
 def materialize_presheaf(levels, act, id_fn):
-    """Build a FinSSet from levelwise values and an operator action.
+    """Normalize levelwise values and an operator action into cells.
 
     ``levels[n]`` lists hashable values for the n-simplices; ``act(v, a)``
     applies a monotone operator; ``id_fn(n, v)`` names nondegenerate
-    values.  Degeneracy of v is detected by v == (v . d_i) . s_i, and the
-    normal form accumulates the collapsing surjection.  Returns the
-    simplicial set plus both directions of the value dictionary.
+    values, called in level order.  Degeneracy of v is detected by
+    v == (v . d_i) . s_i, and the normal form accumulates the collapsing
+    surjection.  This is the one normal-form path: the coherent nerve,
+    the generic slice and the coslice fastpath all build through it.
+
+    Returns ``(cells, faces, value_of)``: the nondegenerate cell ids per
+    dimension 0..len(levels)-1, each positive-dimensional cell's
+    normal-form faces, and the value behind each cell id.
     """
     top = len(levels) - 1
     cells: dict[int, list[str]] = {d: [] for d in range(top + 1)}
@@ -700,7 +710,7 @@ def materialize_presheaf(levels, act, id_fn):
         for cid in cells[n]:
             v = value_of[cid]
             faces[cid] = [normal[act(v, face(n, i))] for i in range(n + 1)]
-    return FinSSet(top, cells, faces), value_of, normal
+    return cells, faces, value_of
 
 
 # -- isomorphism search ----------------------------------------------

@@ -2,11 +2,17 @@
 
 import itertools
 
-from qckit.ordinals import MonotoneMap, degeneracy, face
+from qckit.ordinals import MonotoneMap, compose, degeneracy, face, identity
 from qckit.posets import chain_cell_id, normalize_chain
 from qckit.quasicat import HornProblem
-from qckit.scat import SimplicialFunctor, rigidify
-from qckit.sset import FinSSet, SimplexRef, nondeg_ref
+from qckit.scat import (
+    NerveSSet,
+    SimplicialFunctor,
+    enumerate_functors,
+    precompose,
+    rigidify,
+)
+from qckit.sset import FinSSet, SimplexRef, TruncationError, nondeg_ref
 
 
 def bar_cell_id(entries):
@@ -295,3 +301,63 @@ def scan_scat_laws(d, cap):
                                 f"({w!r},{x!r},{y!r},{z!r})"
                             )
     return problems
+
+
+def functor_normal_form(f: SimplicialFunctor) -> tuple[MonotoneMap, SimplicialFunctor]:
+    """Strip degeneracies: returns (epi, g) with f = g . rigidified epi."""
+    epi = identity(f.arity)
+    cur = f
+    while True:
+        n = cur.arity
+        for i in range(n):
+            dropped = precompose(cur, face(n, i))
+            if precompose(dropped, degeneracy(n - 1, i)) == cur:
+                cur = dropped
+                epi = compose(degeneracy(n - 1, i), epi)
+                break
+        else:
+            return epi, cur
+
+
+def scan_nerve(d, dim: int) -> NerveSSet:
+    """The coherent nerve built by its own route: each functor is tested
+    for degeneracy by a double precompose per face, the nondegenerate
+    ones are sorted by signature, and every face is normalized afresh by
+    ``functor_normal_form``."""
+    if dim < 0:
+        raise ValueError("dim must be >= 0")
+    if dim - 1 > d.level_cap:
+        raise TruncationError(
+            f"homs truncated at {d.level_cap} cannot support a dim-{dim} nerve"
+        )
+    by_level: list[list[SimplicialFunctor]] = [
+        enumerate_functors(k, d) for k in range(dim + 1)
+    ]
+    cells: dict[int, list[str]] = {}
+    ids: dict[tuple, str] = {}
+    functor_of: dict[str, SimplicialFunctor] = {}
+    for k, fs in enumerate(by_level):
+        nondeg = []
+        for f in fs:
+            if all(
+                precompose(precompose(f, face(k, i)), degeneracy(k - 1, i)) != f
+                for i in range(k)
+            ):
+                nondeg.append(f)
+        nondeg.sort(key=lambda f: f.signature())
+        cells[k] = []
+        for idx, f in enumerate(nondeg):
+            cid = f"n{k}c{idx}"
+            cells[k].append(cid)
+            ids[f.signature()] = cid
+            functor_of[cid] = f
+    faces: dict[str, list[SimplexRef]] = {}
+    for k in range(1, dim + 1):
+        for cid in cells[k]:
+            f = functor_of[cid]
+            entries = []
+            for i in range(k + 1):
+                epi, g = functor_normal_form(precompose(f, face(k, i)))
+                entries.append(SimplexRef(epi, ids[g.signature()]))
+            faces[cid] = entries
+    return NerveSSet(dim, cells, faces, functor_of)

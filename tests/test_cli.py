@@ -1,8 +1,15 @@
 """Exit codes, report round trips, and determinism of the command line."""
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qckit.cli import main
 from qckit.monoids import (
@@ -92,11 +99,20 @@ def test_check_malformed_json_is_usage_error(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
-def test_check_cells_not_an_object_is_usage_error(tmp_path, capsys):
-    path = write_json(tmp_path / "list.json", {"cells": [], "truncation": 0})
+@pytest.mark.parametrize(
+    "blob, spot",
+    [
+        ({"cells": [], "truncation": 0}, "'cells'"),
+        ({"cells": {"0": "ab"}, "truncation": 0}, "'cells'"),
+        ({"cells": {"0": ["a"]}, "truncation": True}, "'truncation'"),
+    ],
+    ids=["cells-list", "cells-string", "truncation-bool"],
+)
+def test_check_cells_not_an_object_is_usage_error(tmp_path, capsys, blob, spot):
+    path = write_json(tmp_path / "list.json", blob)
     rc, out, err = run(capsys, "check", path)
     assert rc == 2
-    assert "'cells'" in err and "Traceback" not in err
+    assert spot in err and "Traceback" not in err
     assert out == ""
 
 
@@ -516,14 +532,20 @@ def _colon_grade(blob):
         (lambda b: b["components"]["1"].update(group="Z/0"), "'Z/0'"),
         (lambda b: b["grades"]["table"][1].pop(), "row '1'"),
         (_colon_grade, "'a:b'"),
+        (lambda b: b.update(truncation="3"), "'truncation'"),
+        (lambda b: b.update(truncation=2.5), "'truncation'"),
+        (lambda b: b.update(truncation=True), "'truncation'"),
+        (lambda b: b.update(truncation=-1), "'truncation'"),
     ],
-    ids=["zero-order-group", "ragged-table", "colon-in-grade"],
+    ids=["zero-order-group", "ragged-table", "colon-in-grade",
+         "truncation-string", "truncation-float", "truncation-bool",
+         "truncation-negative"],
 )
 def test_malformed_spec_exits_two(tmp_path, capsys, edit, spot):
     blob = monoid_spec_to_json(default_monoid_spec())
     edit(blob)
     spec = write_json(tmp_path / "spec.json", blob)
-    for argv in (["verify-prop", spec], ["check", spec]):
+    for argv in (["verify-prop", spec], ["check", spec], ["nerve", spec]):
         rc, out, err = run(capsys, *argv)
         assert rc == 2
         assert spot in err
@@ -534,3 +556,74 @@ def test_help_exits_zero(capsys):
     rc, out, _ = run(capsys, "--help")
     assert rc == 0
     assert "verify-prop" in out
+
+
+# -- mutated artifacts at the boundary --------------------------------
+
+FUZZ_ARTIFACTS = {
+    "spec": monoid_spec_to_json(default_monoid_spec()),
+    "simplex": standard_simplex(2).to_json(),
+}
+FUZZ_VALUES = [None, "x", -1, 2.5, True, [], {}]
+
+
+def _json_paths(node, prefix=()):
+    """Every position in a JSON tree, as a tuple of keys and indices."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _json_paths(value, prefix + (index,))
+
+
+def _at(blob, path):
+    for key in path:
+        blob = blob[key]
+    return blob
+
+
+@st.composite
+def mutated_artifacts(draw):
+    """(kind, blob): a valid artifact with one or two keys dropped,
+    values swapped for a wrongly typed or out-of-range one, or face
+    entries pointed at a missing cell or at the cell itself."""
+    kind = draw(st.sampled_from(sorted(FUZZ_ARTIFACTS)))
+    blob = copy.deepcopy(FUZZ_ARTIFACTS[kind])
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_json_paths(blob))[1:]
+        entries = [
+            p for p in paths
+            if len(p) == 3 and p[0] == "faces" and isinstance(_at(blob, p), dict)
+        ]
+        how = draw(st.sampled_from(["drop", "swap", "face"] if entries else ["drop", "swap"]))
+        if how == "face":
+            path = draw(st.sampled_from(entries))
+            _at(blob, path)["cell"] = draw(st.sampled_from(["missing", path[1]]))
+            continue
+        path = draw(st.sampled_from(paths))
+        parent = _at(blob, path[:-1])
+        if how == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+    return kind, blob
+
+
+@given(mutated_artifacts())
+@settings(max_examples=1200, deadline=None, derandomize=True)
+def test_mutated_artifacts_end_in_an_exit_code(artifact):
+    kind, blob = artifact
+    commands = [["check"]] if kind == "spec" else [["check"], ["core"], ["pi"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "artifact.json")
+        with open(path, "w") as fh:
+            json.dump(blob, fh)
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = main(argv + [path])
+            assert rc in (0, 1, 2), (argv, blob)
+            assert "Traceback" not in err.getvalue()

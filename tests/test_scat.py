@@ -3,7 +3,15 @@ import math
 
 import pytest
 
-from oracles import bar_nerve, scan_bilevel, scan_functors, scan_scat_laws, strict_chain_count
+from oracles import (
+    bar_nerve,
+    functor_normal_form,
+    scan_bilevel,
+    scan_functors,
+    scan_nerve,
+    scan_scat_laws,
+    strict_chain_count,
+)
 
 from qckit.ordinals import MonotoneMap, all_maps, compose, degeneracy, face, identity
 from qckit.monoids import (
@@ -22,7 +30,6 @@ from qckit.scat import (
     classify_low_simplices,
     enumerate_functors,
     from_finite_category,
-    functor_normal_form,
     functor_to_classification,
     precompose,
     rigidify,
@@ -223,6 +230,32 @@ def test_nerve_face_degeneracy_bookkeeping():
     epi, g = functor_normal_form(precompose(f, degeneracy(2, 1)))
     assert epi.values == (0, 1, 1, 2)
     assert g == f
+
+
+NERVE_TARGETS = {
+    "default": lambda: delooped("default"),
+    "Z/3": lambda: delooped("Z/3"),
+    "idempotent": lambda: delooped("idempotent"),
+    "discrete-two-element": discrete_two_element_monoid,
+    "poset-012": poset_category_012,
+}
+
+
+@pytest.mark.parametrize("name", list(NERVE_TARGETS))
+def test_nerve_matches_the_precompose_scan(name):
+    d = NERVE_TARGETS[name]()
+    n = simplicial_nerve(d, 3)
+    ref = scan_nerve(d, 3)
+    for k in range(4):
+        assert n.nondegenerate(k) == ref.nondegenerate(k)
+    assert n.functor_of == ref.functor_of
+    for k in range(1, 4):
+        for c in n.nondegenerate(k):
+            assert n.face_entries(c) == ref.face_entries(c)
+            for i in range(k + 1):
+                assert n.functor_of_ref(n.face_entry(c, i)) == precompose(
+                    n.functor_of[c], face(k, i)
+                )
 
 
 # -- classification ---------------------------------------------------
