@@ -213,7 +213,7 @@ def cmd_check(args) -> int:
         kind = "enriched category"
         try:
             report = validate_scat(scat_from_manifest(args.path))
-        except (KeyError, TypeError, ValueError, FileNotFoundError) as e:
+        except (KeyError, TypeError, ValueError, OSError) as e:
             raise UsageError(f"{args.path}: malformed manifest: {e}")
     else:
         raise UsageError(

@@ -274,19 +274,10 @@ class SliceSSet(FinSSet):
     """Slice cells are anchored maps; the assignment of each nondegenerate
     cell is retained for projections and anatomy."""
 
-    def __init__(self, truncation, cells, faces, cell_assignments, presentation,
-                 shapes):
+    def __init__(self, truncation, cells, faces, cell_assignments, presentation):
         super().__init__(truncation, cells, faces)
         self.cell_assignments: dict[str, tuple] = cell_assignments
         self.presentation: SlicePresentation = presentation
-        self.shapes: list[JoinSSet] = shapes
-
-    def cell_map(self, cell: str) -> SimplicialMap:
-        n = self.dim_of(cell)
-        return SimplicialMap(
-            self.shapes[n], self.presentation.base,
-            dict(self.cell_assignments[cell]),
-        )
 
 
 def _enumerate_anchored_maps(shape: JoinSSet, base: FinSSet, fixed: dict) -> list[tuple]:
@@ -400,7 +391,7 @@ def slice_sset(pres: SlicePresentation, dim: int) -> SliceSSet:
         return f"m{n}_{counter[0] - 1}"
 
     cells, faces, value_of = materialize_presheaf(levels, act, id_fn)
-    return SliceSSet(dim, cells, faces, value_of, pres, shapes)
+    return SliceSSet(dim, cells, faces, value_of, pres)
 
 
 def slice_projection(s: SliceSSet) -> SimplicialMap:

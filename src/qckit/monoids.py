@@ -16,9 +16,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ordinals import MonotoneMap, degeneracy, face
+from .ordinals import MonotoneMap, degeneracy
 from .quasicat import (
-    _triangle_index,
     core,
     is_invertible_edge,
     is_kan_up_to,
@@ -38,7 +37,6 @@ from .sset import (
     SimplexRef,
     ValidationReport,
     iso_search,
-    nondeg_ref,
     validate,
     validate_bilevel,
 )
@@ -621,11 +619,10 @@ def verify_proposition(m: GradedSimplicialMonoid, dims: int = 2) -> PropositionR
 
     # (c) invertibility is exactly unit middle grade, both directions
     c_check = CheckOutcome("c", True)
-    idx = _triangle_index(cos)
     edges = cos.simplices(1)
     inv_flags = {}
     for e in edges:
-        inv = is_invertible_edge(cos, e, idx)
+        inv = is_invertible_edge(cos, e)
         inv_flags[e] = inv
         middle_grade = untag(edge_data(e).v12)[0]
         if inv != (middle_grade == m.grades.unit):
@@ -645,13 +642,13 @@ def verify_proposition(m: GradedSimplicialMonoid, dims: int = 2) -> PropositionR
     # (d) invertible edges correspond to monoid edges, orientation reversed
     d_check = CheckOutcome("d", True)
     gammas = []
+    ends = total.face_table(1)
     for e in edges:
         if not inv_flags[e]:
             continue
         data = edge_data(e)
         gammas.append(data.gamma)
-        src = total.apply(data.gamma, face(1, 1)).cell
-        tgt = total.apply(data.gamma, face(1, 0)).cell
+        tgt, src = (r.cell for r in ends[data.gamma])
         if src != data.v02 or tgt != data.v01:
             d_check.verdict = False
             d_check.details.append(

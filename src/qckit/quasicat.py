@@ -2,9 +2,11 @@
 
 Everything here is exhaustive search over a finite truncated simplicial
 set: horn problems are enumerated with pairwise face compatibility as
-the constraint, fillers are looked up through face indexes, and edge
-invertibility asks for a single two-sided witness pair sharing one
-candidate inverse.
+the constraint, and edge invertibility asks for a single two-sided
+witness pair sharing one candidate inverse.  Every "which simplices
+have these faces" question, the horn slots, the fillers, the witness
+triangles and the loop composites, is one lookup in
+:meth:`FinSSet.faces_index` ``(n, at)``.
 """
 
 from __future__ import annotations
@@ -39,10 +41,6 @@ class HornProblem:
         if self.faces[self.missing] is not None:
             raise ValueError("the missing face must be left as None")
 
-    @property
-    def is_inner(self) -> bool:
-        return 0 < self.missing < self.dim
-
 
 def horn_compatibility(x: FinSSet, p: HornProblem) -> ValidationReport:
     """Pairwise face agreement: face j of face j' must equal face j'-1
@@ -63,41 +61,26 @@ def horn_compatibility(x: FinSSet, p: HornProblem) -> ValidationReport:
     return report
 
 
-def _face_index(x: FinSSet, n: int) -> dict:
-    """(face position, face value) -> simplices of level n, read from
-    the face table."""
-    idx: dict[tuple, list[SimplexRef]] = {}
-    for s, faces in x.face_table(n).items():
-        for i, f in enumerate(faces):
-            idx.setdefault((i, f), []).append(s)
-    return idx
-
-
-def find_filler(x: FinSSet, p: HornProblem, _index: dict | None = None):
-    """A simplex matching every given face, or None."""
+def find_filler(x: FinSSet, p: HornProblem):
+    """The first simplex, in ``simplices`` order, matching every given
+    face, or None."""
     n = p.dim
     if n > x.truncation:
         raise TruncationError(
             f"fillers at dimension {n} exceed truncation {x.truncation}"
         )
-    idx = _face_index(x, n) if _index is None else _index
-    table = x.face_table(n)
-    j0 = 0 if p.missing != 0 else 1
-    for s in idx.get((j0, p.faces[j0]), ()):
-        faces = table[s]
-        if all(
-            i == p.missing or faces[i] == p.faces[i] for i in range(n + 1)
-        ):
-            return s
-    return None
+    at = tuple(i for i in range(n + 1) if i != p.missing)
+    pool = x.faces_index(n, at).get(tuple(p.faces[i] for i in at), ())
+    return pool[0] if pool else None
 
 
 def horn_problems(x: FinSSet, n: int, k: int):
     """All compatible horn problems of this shape, by backtracking over
     the face slots with the simplicial identities as constraints."""
     table = x.face_table(n - 1)
-    by_face = _face_index(x, n - 1)
     slots = [i for i in range(n + 1) if i != k]
+    # the slots before slot t fix its faces at their own positions
+    pools = [x.faces_index(n - 1, slots[:t]) for t in range(len(slots))]
     chosen: dict[int, SimplexRef] = {}
 
     def fill(t: int):
@@ -108,17 +91,11 @@ def horn_problems(x: FinSSet, n: int, k: int):
         i = slots[t]
         prior = slots[:t]
         # face i - 1 of each earlier slot j is what face j of slot i must be
-        wanted = [table[chosen[j]][i - 1] for j in prior]
-        if prior:
-            pool = by_face.get((prior[0], wanted[0]), ())
-        else:
-            pool = table
-        for cand in pool:
-            faces = table[cand]
-            if all(faces[j] == w for j, w in zip(prior, wanted)):
-                chosen[i] = cand
-                yield from fill(t + 1)
-                del chosen[i]
+        wanted = tuple(table[chosen[j]][i - 1] for j in prior)
+        for cand in pools[t].get(wanted, ()):
+            chosen[i] = cand
+            yield from fill(t + 1)
+            del chosen[i]
 
     yield from fill(0)
 
@@ -131,13 +108,12 @@ def _filler_survey(x: FinSSet, max_dim: int, inner_only: bool) -> ValidationRepo
             f"cannot check dimension {max_dim} at truncation {x.truncation}"
         )
     for n in range(2, max_dim + 1):
-        idx = _face_index(x, n)
         ks = range(1, n) if inner_only else range(n + 1)
         for k in ks:
             unfilled = 0
             first = None
             for p in horn_problems(x, n, k):
-                if find_filler(x, p, idx) is None:
+                if find_filler(x, p) is None:
                     unfilled += 1
                     if first is None:
                         first = p
@@ -164,43 +140,35 @@ def is_kan_up_to(x: FinSSet, max_dim: int) -> ValidationReport:
 # -- invertible edges and the core ------------------------------------
 
 
-def _triangle_index(x: FinSSet) -> dict:
-    """(long edge 02 side witness) lookup: (d2, d1) -> set of d0."""
-    idx: dict[tuple, set] = {}
-    if x.truncation < 2:
-        return idx
-    for d0, d1, d2 in x.face_table(2).values():
-        idx.setdefault((d2, d1), set()).add(d0)
-    return idx
-
-
-def is_invertible_edge(x: FinSSet, e: SimplexRef, _index=None) -> bool:
+def is_invertible_edge(x: FinSSet, e: SimplexRef) -> bool:
     """One candidate inverse g must witness both composites: a triangle
     g . e = identity at the source and a triangle e . g = identity at
     the target.  Degenerate edges carry their doubly degenerate witness
-    in any simplicial set."""
+    in any simplicial set; below truncation 2 there are no witnesses."""
     if e.dim != 1:
         raise ValueError("invertibility applies to edges")
     if e.is_degenerate:
         return True
-    idx = _triangle_index(x) if _index is None else _index
-    src = x.apply(e, face(1, 1))
-    tgt = x.apply(e, face(1, 0))
+    if x.truncation < 2:
+        return False
+    tgt, src = x.face_table(1)[e]
     id_src = x.apply(src, degeneracy(0, 0))
     id_tgt = x.apply(tgt, degeneracy(0, 0))
-    for g in idx.get((e, id_src), ()):
-        if e in idx.get((g, id_tgt), ()):
-            return True
-    return False
+    # (d0, d1, d2) = (g, id_src, e) witnesses g . e, (e, id_tgt, g) e . g
+    table = x.face_table(2)
+    both = x.faces_index(2)
+    return any(
+        (e, id_tgt, table[t][0]) in both
+        for t in x.faces_index(2, (1, 2)).get((id_src, e), ())
+    )
 
 
 def invertible_edge_cells(x: FinSSet) -> tuple[str, ...]:
     if x.truncation < 1:
         return ()
-    idx = _triangle_index(x)
     return tuple(
         c for c in x.nondegenerate(1)
-        if is_invertible_edge(x, nondeg_ref(c, 1), idx)
+        if is_invertible_edge(x, nondeg_ref(c, 1))
     )
 
 
@@ -257,9 +225,10 @@ def pi0(x: FinSSet) -> tuple[tuple[str, ...], ...]:
         return v
 
     if x.truncation >= 1:
+        table = x.face_table(1)
         for e in x.nondegenerate(1):
-            a = find(x.apply(nondeg_ref(e, 1), face(1, 1)).cell)
-            b = find(x.apply(nondeg_ref(e, 1), face(1, 0)).cell)
+            tgt, src = table[nondeg_ref(e, 1)]
+            a, b = find(src.cell), find(tgt.cell)
             if a != b:
                 parent[a] = b
     comps: dict[str, list[str]] = {}
@@ -314,10 +283,9 @@ def pi1(x: FinSSet, basepoint: str) -> Pi1Result:
         if ri != rj:
             parent[ri] = rj
 
-    compose_at: dict[tuple, list] = {}
-    for d0, d1, d2 in x.face_table(2).values():
+    triangles = x.face_table(2)
+    for d0, d1, d2 in triangles.values():
         if d0 in index and d1 in index and d2 in index:
-            compose_at.setdefault((d0, d2), []).append(d1)
             if d0 == id_b:
                 union(index[d2], index[d1])
             if d2 == id_b:
@@ -335,12 +303,14 @@ def pi1(x: FinSSet, basepoint: str) -> Pi1Result:
         basepoint, classes, root_pos[find(index[id_b])]
     )
 
+    # a triangle with loops e, f as d0, d2 has a loop as d1: e after f
+    composites = x.faces_index(2, (0, 2))
     for i, j in itertools.product(range(len(classes)), repeat=2):
         values = set()
         for e in classes[i]:
             for f in classes[j]:
-                for g in compose_at.get((e, f), ()):
-                    values.add(root_pos[find(index[g])])
+                for t in composites.get((e, f), ()):
+                    values.add(root_pos[find(index[triangles[t][1]])])
         if not values:
             result.problems.append(f"no composite for classes ({i}, {j})")
         elif len(values) > 1:

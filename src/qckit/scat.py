@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Mapping
 
-from .ordinals import MonotoneMap, face
+from .ordinals import MonotoneMap
 from .posets import (
     chain_cell_id,
     chain_sets,
@@ -514,10 +514,6 @@ def _the_object(d: SCat):
     return d.objects[0]
 
 
-def _vertex(ref: SimplexRef) -> str:
-    return ref.cell
-
-
 def classify_low_simplices(k: int, d: SCat) -> list:
     """Independent parametrizations of the k-cells, k <= 3, over a
     one-object target: vertices, connecting paths, and filling triangles,
@@ -528,19 +524,17 @@ def classify_low_simplices(k: int, d: SCat) -> list:
     verts = [nondeg_ref(v, 0) for v in h.nondegenerate(0)]
     if k == 1:
         return [EdgeData(v.cell) for v in verts]
-    edges = h.simplices(1)
-    d0 = {e: h.apply(e, face(1, 0)) for e in edges}
-    d1 = {e: h.apply(e, face(1, 1)) for e in edges}
+    ends = h.face_table(1)  # edge -> (target, source)
+    by_target = h.faces_index(1, (0,))
+    by_ends = h.faces_index(1)
     if k == 2:
         out = []
         for v01 in verts:
             for v12 in verts:
-                target = mul(v12, v01)
-                for g in edges:
-                    if d0[g] == target:
-                        out.append(
-                            TriangleData(v01.cell, v12.cell, d1[g].cell, g)
-                        )
+                for g in by_target.get((mul(v12, v01),), ()):
+                    out.append(
+                        TriangleData(v01.cell, v12.cell, ends[g][1].cell, g)
+                    )
         return out
     if k != 3:
         raise ValueError("classification covers k in {1, 2, 3}")
@@ -552,29 +546,19 @@ def classify_low_simplices(k: int, d: SCat) -> list:
                 v012 = mul(v12, v01)
                 v123 = mul(v23, v12)
                 v0123 = mul(v23, v012)
-                for g02 in edges:
-                    if d0[g02] != v012:
-                        continue
+                for g02 in by_target.get((v012,), ()):
                     s0v23 = h.degenerate(v23, 0)
                     f2 = mul(s0v23, g02)
-                    for g13 in edges:
-                        if d0[g13] != v123:
-                            continue
+                    for g13 in by_target.get((v123,), ()):
                         s0v01 = h.degenerate(v01, 0)
                         f1 = mul(g13, s0v01)
-                        v013 = mul(d1[g13], v01)
-                        v023 = mul(v23, d1[g02])
-                        for e3 in edges:
-                            if d0[e3] != v0123:
-                                continue
-                            v03 = d1[e3]
-                            for e1 in edges:
-                                if d0[e1] != v013 or d1[e1] != v03:
-                                    continue
+                        v013 = mul(ends[g13][1], v01)
+                        v023 = mul(v23, ends[g02][1])
+                        for e3 in by_target.get((v0123,), ()):
+                            v03 = ends[e3][1]
+                            for e1 in by_ends.get((v013, v03), ()):
                                 for tl in tri_by_faces.get((f1, e3, e1), ()):
-                                    for e2 in edges:
-                                        if d0[e2] != v023 or d1[e2] != v03:
-                                            continue
+                                    for e2 in by_ends.get((v023, v03), ()):
                                         for tr in tri_by_faces.get((f2, e3, e2), ()):
                                             out.append(TetrahedronData(
                                                 v01.cell, v12.cell, v23.cell,
@@ -596,15 +580,16 @@ def classification_to_functor(k: int, d: SCat, data) -> SimplicialFunctor:
     if k == 1:
         assignments[(0, 1)] = {bottom(0, 1): nondeg_ref(data.v01, 0)}
         return SimplicialFunctor(1, d, objs, assignments)
+    ends = h.face_table(1)  # edge -> (target, source)
     if k == 2:
         assignments[(0, 1)] = {bottom(0, 1): nondeg_ref(data.v01, 0)}
         assignments[(1, 2)] = {bottom(1, 2): nondeg_ref(data.v12, 0)}
         table = {
-            bottom(0, 2): h.apply(data.gamma, face(1, 1)),
+            bottom(0, 2): ends[data.gamma][1],
             chain_cell_id([frozenset({0, 2}), frozenset({0, 1, 2})]): data.gamma,
         }
         v012 = chain_cell_id([frozenset({0, 1, 2})])
-        table[v012] = h.apply(data.gamma, face(1, 0))
+        table[v012] = ends[data.gamma][0]
         assignments[(0, 2)] = table
         return SimplicialFunctor(2, d, objs, assignments)
     if k != 3:
@@ -614,15 +599,15 @@ def classification_to_functor(k: int, d: SCat, data) -> SimplicialFunctor:
         (1, 2): {bottom(1, 2): nondeg_ref(data.v12, 0)},
         (2, 3): {bottom(2, 3): nondeg_ref(data.v23, 0)},
         (0, 2): {
-            bottom(0, 2): h.apply(data.gamma02, face(1, 1)),
+            bottom(0, 2): ends[data.gamma02][1],
             chain_cell_id([frozenset({0, 2}), frozenset({0, 1, 2})]): data.gamma02,
         },
         (1, 3): {
-            bottom(1, 3): h.apply(data.gamma13, face(1, 1)),
+            bottom(1, 3): ends[data.gamma13][1],
             chain_cell_id([frozenset({1, 3}), frozenset({1, 2, 3})]): data.gamma13,
         },
         (0, 3): {
-            bottom(0, 3): h.apply(data.edge3, face(1, 1)),
+            bottom(0, 3): ends[data.edge3][1],
             chain_cell_id([frozenset({0, 3}), frozenset({0, 1, 3})]): data.edge1,
             chain_cell_id([frozenset({0, 3}), frozenset({0, 2, 3})]): data.edge2,
             chain_cell_id([frozenset({0, 3}), frozenset({0, 1, 2, 3})]): data.edge3,
@@ -762,6 +747,9 @@ def scat_from_manifest(path: str) -> SCat:
         manifest = json.load(fh)
     directory = os.path.dirname(path)
     objects = manifest["objects"]
+    for key in ("homs", "comp", "identities"):
+        if not isinstance(manifest[key], dict):
+            raise ValueError(f"{key!r} must be an object")
     homs = {}
     for key, fname in manifest["homs"].items():
         x, y = key.split("|")
@@ -775,6 +763,8 @@ def scat_from_manifest(path: str) -> SCat:
 
     comp = {}
     for key, levels in manifest["comp"].items():
+        if not isinstance(levels, dict):
+            raise ValueError(f"'comp' entry {key!r} must be an object")
         x, y, z = key.split("|")
         table = {}
         for m_str, rows in levels.items():
@@ -792,5 +782,5 @@ def scat_from_manifest(path: str) -> SCat:
         comp[(x, y, z)] = BilevelMap(
             homs[(y, z)], homs[(x, y)], homs[(x, z)], make_fn(table)
         )
-    identities = dict(manifest["identities"].items())
+    identities = dict(manifest["identities"])
     return SCat(objects, homs, identities, comp)

@@ -13,12 +13,16 @@ silently completed.
 
 Searches read faces through two per-instance caches built on first
 use: :meth:`FinSSet.face_table` maps each n-simplex to its normal-form
-faces, and :meth:`FinSSet.faces_index` is its inverse view, from face
-tuples to the simplices bearing them.
+faces, and :meth:`FinSSet.faces_index` ``(n, at)`` is its inverse view,
+from the faces at the positions ``at`` (all of them by default) to the
+n-simplices bearing them.  It is the one face lookup: fillers, horn
+problems, invertibility witnesses, nerve enumeration and the slice all
+ask it which simplices have given faces.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
@@ -117,7 +121,7 @@ class FinSSet:
             for c in self._cells[d]:
                 self._dim_of.setdefault(c, d)
         self._face_table: dict[int, dict] = {}
-        self._faces_index: dict[int, dict] = {}
+        self._faces_index: dict[tuple, dict] = {}
 
     # -- raw structure ------------------------------------------------
 
@@ -231,17 +235,22 @@ class FinSSet:
             self._face_table[dim] = table
         return table
 
-    def faces_index(self, dim: int) -> dict[tuple, tuple[SimplexRef, ...]]:
+    def faces_index(
+        self, dim: int, at: Iterable[int] | None = None
+    ) -> dict[tuple, tuple[SimplexRef, ...]]:
         """The dim-simplices (dim >= 1) keyed by their normal-form faces
-        (d_0 s, ..., d_dim s), each list in :meth:`simplices` order; the
-        inverse view of :meth:`face_table`, built once and kept."""
-        index = self._faces_index.get(dim)
+        at the positions ``at`` (default: all, d_0 s, ..., d_dim s), the
+        key listing them in the order of ``at``; each tuple of simplices
+        is in :meth:`simplices` order.  The inverse view of
+        :meth:`face_table`, built once per (dim, at) and kept."""
+        at = tuple(range(dim + 1)) if at is None else tuple(at)
+        index = self._faces_index.get((dim, at))
         if index is None:
             buckets: dict[tuple, list[SimplexRef]] = {}
-            for s, key in self.face_table(dim).items():
-                buckets.setdefault(key, []).append(s)
+            for s, faces in self.face_table(dim).items():
+                buckets.setdefault(tuple(faces[i] for i in at), []).append(s)
             index = {key: tuple(ss) for key, ss in buckets.items()}
-            self._faces_index[dim] = index
+            self._faces_index[(dim, at)] = index
         return index
 
     # -- serialization ------------------------------------------------
@@ -267,20 +276,40 @@ class FinSSet:
         for key in ("cells", "faces"):
             if not isinstance(data.get(key, {}), dict):
                 raise ValueError(f"{key!r} must be an object")
+        cells = {}
         for d, ids in data["cells"].items():
             if not (isinstance(ids, list) and all(isinstance(c, str) for c in ids)):
                 raise ValueError(f"'cells' entry {d!r} must be a list of strings")
-        cells = {int(d): list(ids) for d, ids in data["cells"].items()}
+            try:
+                cells[int(d)] = list(ids)
+            except ValueError:
+                raise ValueError(f"'cells' key {d!r} is not a dimension")
         dim_of = {c: d for d, ids in cells.items() for c in ids}
         faces = {}
         for c, entries in data.get("faces", {}).items():
+            if not isinstance(entries, list):
+                raise ValueError(f"the faces of cell {c!r} must be a list")
             out = []
-            for e in entries:
-                vals = tuple(e["epi"])
+            for i, e in enumerate(entries):
+                vals = e.get("epi") if isinstance(e, dict) else None
+                if not (
+                    isinstance(vals, list)
+                    and isinstance(e.get("cell"), str)
+                    and all(type(v) is int for v in vals)
+                ):
+                    raise ValueError(
+                        f"cell {c!r} face {i} must be an object with a string "
+                        f"'cell' and a list of integers 'epi'"
+                    )
+                vals = tuple(vals)
                 # Unknown cells get the smallest consistent arity so the
                 # breakage surfaces in validate() instead of here.
                 target = dim_of.get(e["cell"], max(vals, default=0))
-                out.append(SimplexRef(MonotoneMap(len(vals) - 1, target, vals), e["cell"]))
+                try:
+                    epi = MonotoneMap(len(vals) - 1, target, vals)
+                except ValueError as exc:
+                    raise ValueError(f"cell {c!r} face {i}: {exc}")
+                out.append(SimplexRef(epi, e["cell"]))
             faces[c] = tuple(out)
         return cls(truncation, cells, faces)
 
@@ -313,32 +342,18 @@ def simplex_cell_id(values: Iterable[int]) -> str:
 
 def standard_simplex(n: int, truncation: int | None = None) -> FinSSet:
     """The n-simplex: nondegenerate m-cells are the injections [m] -> [n]."""
+    return _simplex_subcomplex(n, lambda vals: True, truncation)
+
+
+def _simplex_subcomplex(n: int, keep: Callable[[tuple[int, ...]], bool],
+                        truncation: int | None = None) -> FinSSet:
+    """The faces of the n-simplex that ``keep`` accepts, truncated at the
+    ambient n unless told otherwise, so missing-filler questions stay
+    posable."""
     if truncation is None:
         truncation = n
     if truncation < n:
         raise TruncationError("truncation below the top cell")
-    import itertools
-
-    cells: dict[int, list[str]] = {d: [] for d in range(truncation + 1)}
-    faces: dict[str, list[SimplexRef]] = {}
-    for m in range(n + 1):
-        for vals in itertools.combinations(range(n + 1), m + 1):
-            cid = simplex_cell_id(vals)
-            cells[m].append(cid)
-            if m >= 1:
-                faces[cid] = [
-                    nondeg_ref(
-                        simplex_cell_id(vals[:i] + vals[i + 1 :]), m - 1
-                    )
-                    for i in range(m + 1)
-                ]
-    return FinSSet(truncation, cells, faces)
-
-
-def _simplex_subcomplex(n: int, keep: Callable[[tuple[int, ...]], bool]) -> FinSSet:
-    # truncated at the ambient n, so missing-filler questions stay posable
-    import itertools
-
     cells: dict[int, list[str]] = {}
     faces: dict[str, list[SimplexRef]] = {}
     for m in range(n + 1):
@@ -352,7 +367,7 @@ def _simplex_subcomplex(n: int, keep: Callable[[tuple[int, ...]], bool]) -> FinS
                     nondeg_ref(simplex_cell_id(vals[:i] + vals[i + 1 :]), m - 1)
                     for i in range(m + 1)
                 ]
-    return FinSSet(n, cells, faces)
+    return FinSSet(truncation, cells, faces)
 
 
 def boundary(n: int) -> FinSSet:
@@ -392,9 +407,6 @@ class SimplicialMap:
             raise UnknownCellError(ref.cell)
         return self.target.apply(self.assignment[ref.cell], ref.epi)
 
-    def vertex_image(self, cell: str) -> str:
-        return self.assignment[cell].cell
-
     def compose_with(self, other: "SimplicialMap") -> "SimplicialMap":
         """self after other."""
         assignment = {
@@ -423,8 +435,6 @@ def identity_map(x: FinSSet) -> SimplicialMap:
 
 def standard_map(alpha: MonotoneMap, source: FinSSet | None = None, target: FinSSet | None = None) -> SimplicialMap:
     """The map of standard simplices induced by alpha: [m] -> [n]."""
-    import itertools
-
     m, n = alpha.source_arity, alpha.target_arity
     src = source if source is not None else standard_simplex(m)
     tgt = target if target is not None else standard_simplex(n)

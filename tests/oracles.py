@@ -156,6 +156,34 @@ def scan_face_index(x, n):
     return idx
 
 
+def scan_faces_index(x, n, at):
+    """The n-simplices keyed by their faces at the positions ``at``, in
+    that order, each tuple in ``simplices`` order, every face computed
+    afresh through ``FinSSet.apply``."""
+    idx = {}
+    for s in x.simplices(n):
+        key = tuple(x.apply(s, face(n, i)) for i in at)
+        idx.setdefault(key, []).append(s)
+    return {key: tuple(ss) for key, ss in idx.items()}
+
+
+def scan_invertible_edge(x, e):
+    """Edge invertibility through a (d2, d1) -> {d0} lookup over every
+    triangle, all faces and ends computed through ``FinSSet.apply``: some
+    g with a triangle g . e = id at the source must also have a triangle
+    e . g = id at the target."""
+    if e.is_degenerate:
+        return True
+    idx = {}
+    if x.truncation >= 2:
+        for t in x.simplices(2):
+            d0, d1, d2 = (x.apply(t, face(2, i)) for i in range(3))
+            idx.setdefault((d2, d1), set()).add(d0)
+    id_src = x.apply(x.apply(e, face(1, 1)), degeneracy(0, 0))
+    id_tgt = x.apply(x.apply(e, face(1, 0)), degeneracy(0, 0))
+    return any(e in idx.get((g, id_tgt), ()) for g in idx.get((e, id_src), ()))
+
+
 def scan_filler(x, p, index=None):
     """A simplex matching every given face of the horn problem p, or
     None: the first in ``simplices`` order, found through

@@ -105,8 +105,26 @@ def test_check_malformed_json_is_usage_error(tmp_path, capsys):
         ({"cells": [], "truncation": 0}, "'cells'"),
         ({"cells": {"0": "ab"}, "truncation": 0}, "'cells'"),
         ({"cells": {"0": ["a"]}, "truncation": True}, "'truncation'"),
+        ({"cells": {"x": ["a"]}, "truncation": 0}, "'cells'"),
+        (
+            {"cells": {"0": ["a"], "1": ["e"]}, "truncation": 1,
+             "faces": {"e": [{"cell": "a", "epi": ["q"]},
+                             {"cell": "a", "epi": [0]}]}},
+            "cell 'e' face 0",
+        ),
+        (
+            {"cells": {"0": ["a"], "1": ["e"]}, "truncation": 1,
+             "faces": {"e": [{"cell": "a", "epi": [0]}, {"cell": "a"}]}},
+            "cell 'e' face 1",
+        ),
+        (
+            {"cells": {"0": ["a", "b"], "1": ["e"]}, "truncation": 1,
+             "faces": {"e": "ab"}},
+            "cell 'e'",
+        ),
     ],
-    ids=["cells-list", "cells-string", "truncation-bool"],
+    ids=["cells-list", "cells-string", "truncation-bool", "cells-key-not-a-dim",
+         "epi-string", "epi-missing", "faces-string"],
 )
 def test_check_cells_not_an_object_is_usage_error(tmp_path, capsys, blob, spot):
     path = write_json(tmp_path / "list.json", blob)
@@ -158,6 +176,37 @@ def test_check_scat_manifest(tmp_path, capsys):
     rc, env = run_json(capsys, "check", manifest)
     assert rc == 0
     assert env["kind"] == "enriched category"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("homs", []), ("comp", []), ("comp", {"*|*|*": []}), ("identities", "1"),
+     ("homs", None)],
+    ids=["homs-list", "comp-list", "comp-entry-list", "identities-string",
+         "hom-file-is-a-directory"],
+)
+def test_malformed_manifest_exits_two(tmp_path, capsys, key, value):
+    def comp(x, y, z, later, earlier):
+        return "1"
+
+    cat = from_finite_category(
+        ["*"], {("*", "*"): ["1"]}, comp, {"*": "1"}, truncation=2
+    )
+    path = scat_to_manifest(cat, str(tmp_path))
+    with open(path) as fh:
+        manifest = json.load(fh)
+    if value is None:
+        (tmp_path / "sub").mkdir()
+        manifest["homs"] = {"*|*": "sub"}
+        spot = str(tmp_path / "sub")
+    else:
+        manifest[key] = value
+        spot = f"{key!r}"
+    write_json(tmp_path / os.path.basename(path), manifest)
+    rc, out, err = run(capsys, "check", path)
+    assert rc == 2
+    assert spot in err and "Traceback" not in err
+    assert out == ""
 
 
 # -- nerve ------------------------------------------------------------
@@ -316,6 +365,15 @@ def test_core_of_coslice_lists_invertible_edges(
     # 5 invertible 1-simplices total: 3 degenerate plus these 2 cells
     assert len(env["invertible_edges"]) == 2
     assert env["counts"]["nondegenerate"][0] == 3
+
+
+def test_core_at_dim_one_has_no_witnesses(tmp_path, capsys):
+    # truncated to edges, no triangle can witness an inverse
+    path = write_json(tmp_path / "d2.json", standard_simplex(2).to_json())
+    rc, env = run_json(capsys, "core", path, "--dim", "1")
+    assert rc == 0
+    assert env["invertible_edges"] == []
+    assert env["counts"]["nondegenerate"] == [3, 0]
 
 
 def test_core_dim_flag_truncates_first(tmp_path, capsys):

@@ -1,8 +1,17 @@
 """Horn filling, invertibility, core, and homotopy invariants."""
 
+import itertools
+
 import pytest
 
-from oracles import scan_face_index, scan_filler, scan_horn_problems
+from oracles import (
+    scan_face_index,
+    scan_faces_index,
+    scan_filler,
+    scan_horn_problems,
+    scan_invertible_edge,
+)
+from qckit.join import coslice_fastpath
 from qckit.monoids import build_reference_monoid, deloop
 from qckit.ordinals import degeneracy, face
 from qckit.quasicat import (
@@ -27,6 +36,7 @@ from qckit.sset import (
     horn,
     nondeg_ref,
     standard_simplex,
+    truncate,
 )
 
 
@@ -139,6 +149,36 @@ def test_face_table_matches_apply(name, request):
         assert list(table) == x.simplices(n)
         for s, faces in table.items():
             assert faces == tuple(x.apply(s, face(n, i)) for i in range(n + 1))
+
+
+@pytest.mark.parametrize("name", ORACLE_FIXTURES)
+def test_faces_index_matches_the_apply_scan(name, request):
+    x = oracle_fixture(name, request)
+    for n in range(1, x.truncation + 1):
+        for r in range(n + 2):
+            for at in itertools.combinations(range(n + 1), r):
+                assert x.faces_index(n, at) == scan_faces_index(x, n, at)
+        assert x.faces_index(n) == x.faces_index(n, range(n + 1))
+
+
+@pytest.mark.parametrize("name", ["b_z2", "b_absorbing", "default_coslice"])
+def test_invertible_edge_matches_the_apply_scan(name, request):
+    if name == "default_coslice":
+        nerve = request.getfixturevalue("default_nerve")
+        x = coslice_fastpath(nerve, nerve.nondegenerate(0)[0], 2)
+    else:
+        x = request.getfixturevalue(name)
+    verdicts = [is_invertible_edge(x, e) for e in x.simplices(1)]
+    assert verdicts == [scan_invertible_edge(x, e) for e in x.simplices(1)]
+    assert any(verdicts) and (name == "b_z2" or not all(verdicts))
+
+
+def test_no_invertible_edge_without_triangles():
+    x = truncate(standard_simplex(2), 1)
+    for e in x.simplices(1):
+        assert is_invertible_edge(x, e) == e.is_degenerate
+        assert scan_invertible_edge(x, e) == e.is_degenerate
+    assert invertible_edge_cells(x) == ()
 
 
 @pytest.mark.parametrize("name", ORACLE_FIXTURES)
