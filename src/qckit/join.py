@@ -293,13 +293,6 @@ def _enumerate_anchored_maps(shape: JoinSSet, base: FinSSet, fixed: dict) -> lis
     assignment = dict(fixed)
     results: list[tuple] = []
 
-    def image_of(ref: SimplexRef) -> SimplexRef:
-        # assigned values are normal forms, so a nondegenerate face is
-        # its cell's value as it stands
-        if ref.epi.is_identity:
-            return assignment[ref.cell]
-        return base.apply(assignment[ref.cell], ref.epi)
-
     def fill(k: int) -> None:
         if k == len(order):
             results.append(tuple(sorted(assignment.items())))
@@ -308,7 +301,8 @@ def _enumerate_anchored_maps(shape: JoinSSet, base: FinSSet, fixed: dict) -> lis
         if d == 0:
             pool = base.simplices(0)
         else:
-            key = tuple(image_of(shape.face_entry(c, i)) for i in range(d + 1))
+            key = tuple(base.apply(assignment[r.cell], r.epi)
+                        for r in shape.face_entries(c))
             pool = base.faces_index(d).get(key, ())
         for cand in pool:
             assignment[c] = cand
@@ -353,8 +347,7 @@ def slice_sset(pres: SlicePresentation, dim: int) -> SliceSSet:
     ]
 
     # alpha -> the join map's image of each nondegenerate cell of the
-    # source shape, in cell order, as (cell, image cell, image epi or None
-    # when it is the identity); built once per operator.
+    # source shape, in cell order, as (cell, image); built once per operator.
     join_images: dict[MonotoneMap, list[tuple]] = {}
 
     def act(value: tuple, alpha: MonotoneMap) -> tuple:
@@ -368,20 +361,15 @@ def slice_sset(pres: SlicePresentation, dim: int) -> SliceSSet:
                 if under
                 else join_of_maps(amap, identity_map(k_set), shapes[l], shapes[n])
             )
-            images = [
-                (c, r.cell, None if r.epi.is_identity else r.epi)
-                for c, r in sorted(
-                    (c, jm.assignment[c])
-                    for d in range(shapes[l].truncation + 1)
-                    for c in shapes[l].nondegenerate(d)
-                )
-            ]
+            images = sorted(
+                (c, jm.assignment[c])
+                for d in range(shapes[l].truncation + 1)
+                for c in shapes[l].nondegenerate(d)
+            )
             join_images[alpha] = images
         table = dict(value)
-        # values are normal forms, so an identity epi leaves one as it is
         return tuple(
-            (c, table[cell] if epi is None else pres.base.apply(table[cell], epi))
-            for c, cell, epi in images
+            (c, pres.base.apply(table[r.cell], r.epi)) for c, r in images
         )
 
     counter = [0]

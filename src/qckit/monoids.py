@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ordinals import MonotoneMap, degeneracy
+from .ordinals import MonotoneMap, degeneracy, epis_onto
 from .quasicat import (
     core,
     is_invertible_edge,
@@ -307,10 +307,8 @@ def validate_monoid(m: GradedSimplicialMonoid) -> ValidationReport:
         right = m.product[(g, unit)]
         left = m.product[(unit, g)]
         for level in range(m.truncation + 1):
-            u = SimplexRef(
-                MonotoneMap(level, 0, (0,) * (level + 1)), m.unit_vertex
-            )
-            ju = m.component(unit).simplices(level).index(u)
+            u = SimplexRef(epis_onto(level, 0)[0], m.unit_vertex)
+            ju = m.component(unit).position(level)[u]
             r_rows = right.table(level)
             l_row = left.table(level)[ju]
             for i, row in enumerate(r_rows):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Mapping
 
-from .ordinals import MonotoneMap
+from .ordinals import MonotoneMap, degeneracy
 from .posets import (
     chain_cell_id,
     chain_sets,
@@ -130,8 +130,8 @@ def validate_scat(d: SCat, max_level: int | None = None) -> ValidationReport:
         for y in d.objects:
             h = d.hom(x, y)
             for m in range(cap + 1):
-                jx = d.hom(x, x).simplices(m).index(d.identity_ref(x, m))
-                jy = d.hom(y, y).simplices(m).index(d.identity_ref(y, m))
+                jx = d.hom(x, x).position(m)[d.identity_ref(x, m)]
+                jy = d.hom(y, y).position(m)[d.identity_ref(y, m)]
                 left = tables[(x, y, y)][m][jy]
                 right = tables[(x, x, y)][m]
                 for i, f in enumerate(h.simplices(m)):
@@ -547,10 +547,10 @@ def classify_low_simplices(k: int, d: SCat) -> list:
                 v123 = mul(v23, v12)
                 v0123 = mul(v23, v012)
                 for g02 in by_target.get((v012,), ()):
-                    s0v23 = h.degenerate(v23, 0)
+                    s0v23 = h.apply(v23, degeneracy(0, 0))
                     f2 = mul(s0v23, g02)
                     for g13 in by_target.get((v123,), ()):
-                        s0v01 = h.degenerate(v01, 0)
+                        s0v01 = h.apply(v01, degeneracy(0, 0))
                         f1 = mul(g13, s0v01)
                         v013 = mul(ends[g13][1], v01)
                         v023 = mul(v23, ends[g02][1])
@@ -742,36 +742,65 @@ def scat_to_manifest(d: SCat, directory: str, stem: str = "scat") -> str:
     return path
 
 
+def _manifest_key(section: str, key: str, parts: int) -> list[str]:
+    names = key.split("|")
+    if len(names) != parts:
+        raise ValueError(
+            f"{section!r} key {key!r} must be {parts} objects joined by '|'"
+        )
+    return names
+
+
 def scat_from_manifest(path: str) -> SCat:
     with open(path) as fh:
         manifest = json.load(fh)
     directory = os.path.dirname(path)
     objects = manifest["objects"]
+    if not isinstance(objects, list):
+        raise ValueError("'objects' must be a list")
     for key in ("homs", "comp", "identities"):
         if not isinstance(manifest[key], dict):
             raise ValueError(f"{key!r} must be an object")
     homs = {}
+    dims = {}  # each hom's cell dimensions, to read the table entries
     for key, fname in manifest["homs"].items():
-        x, y = key.split("|")
+        x, y = _manifest_key("homs", key, 2)
         with open(os.path.join(directory, fname)) as fh:
-            homs[(x, y)] = FinSSet.from_json(fh.read())
+            h = homs[(x, y)] = FinSSet.from_json(fh.read())
+        dims[h] = {c: d for d in range(h.truncation + 1) for c in h.nondegenerate(d)}
 
-    def ref_from(blob, hom_set):
-        vals = tuple(blob["epi"])
-        target = hom_set.dim_of(blob["cell"])
-        return SimplexRef(MonotoneMap(len(vals) - 1, target, vals), blob["cell"])
+    def ref_from(blob, hom_set, where):
+        ref = SimplexRef.from_json(blob, dims[hom_set], f"{where}: entry {blob!r}")
+        if ref.cell not in dims[hom_set]:
+            raise ValueError(f"{where}: unknown cell {ref.cell!r}")
+        return ref
 
     comp = {}
     for key, levels in manifest["comp"].items():
         if not isinstance(levels, dict):
             raise ValueError(f"'comp' entry {key!r} must be an object")
-        x, y, z = key.split("|")
+        x, y, z = _manifest_key("comp", key, 3)
+        for pair in ((y, z), (x, y), (x, z)):
+            if pair not in homs:
+                raise ValueError(
+                    f"'comp' key {key!r} needs the hom {'|'.join(pair)!r}, "
+                    f"which 'homs' does not list"
+                )
+        ends = (homs[(y, z)], homs[(x, y)], homs[(x, z)])
         table = {}
         for m_str, rows in levels.items():
-            m = int(m_str)
-            for a, b, out in rows:
-                table[(m, ref_from(a, homs[(y, z)]).sort_key(),
-                       ref_from(b, homs[(x, y)]).sort_key())] = ref_from(out, homs[(x, z)])
+            where = f"'comp' entry {key!r} level {m_str!r}"
+            try:
+                m = int(m_str)
+            except ValueError:
+                raise ValueError(f"{where}: the level is not a dimension")
+            if not isinstance(rows, list):
+                raise ValueError(f"{where} must be a list of rows")
+            for row in rows:
+                if not (isinstance(row, list) and len(row) == 3):
+                    raise ValueError(f"{where}: row {row!r} is not a triple")
+                a, b, out = (ref_from(e, h, where) for e, h in zip(row, ends))
+                table[(m, a.sort_key(), b.sort_key())] = out
 
         def make_fn(tbl):
             def fn(level, a, b):
@@ -779,8 +808,6 @@ def scat_from_manifest(path: str) -> SCat:
 
             return fn
 
-        comp[(x, y, z)] = BilevelMap(
-            homs[(y, z)], homs[(x, y)], homs[(x, z)], make_fn(table)
-        )
+        comp[(x, y, z)] = BilevelMap(*ends, make_fn(table))
     identities = dict(manifest["identities"])
     return SCat(objects, homs, identities, comp)

@@ -7,9 +7,10 @@ together with a nondegenerate cell, the unique epi-mono normal form.
 
 The centrepiece is :meth:`FinSSet.apply`, the contravariant action of an
 arbitrary monotone map on a simplex reference, which refactors through
-the face tables until the normal form is restored.  Truncation is
-strict: asking for simplices above the truncation raises, it is never
-silently completed.
+the face tables until the normal form is restored; an identity
+operator returns the reference itself, so callers need no shortcut of
+their own.  Truncation is strict: asking for simplices above the
+truncation raises, it is never silently completed.
 
 Searches read faces through two per-instance caches built on first
 use: :meth:`FinSSet.face_table` maps each n-simplex to its normal-form
@@ -17,7 +18,9 @@ faces, and :meth:`FinSSet.faces_index` ``(n, at)`` is its inverse view,
 from the faces at the positions ``at`` (all of them by default) to the
 n-simplices bearing them.  It is the one face lookup: fillers, horn
 problems, invertibility witnesses, nerve enumeration and the slice all
-ask it which simplices have given faces.
+ask it which simplices have given faces.  :meth:`FinSSet.position` is
+the one simplex-to-position lookup; :class:`BilevelMap` answers from
+its kept level tables.
 """
 
 from __future__ import annotations
@@ -68,6 +71,29 @@ class SimplexRef:
 
     def to_json(self) -> dict:
         return {"cell": self.cell, "epi": list(self.epi.values)}
+
+    @staticmethod
+    def from_json(blob, dim_of: Mapping[str, int], where: str) -> "SimplexRef":
+        """Reads a :meth:`to_json` object back; a malformed one raises a
+        ValueError naming ``where``.  The epi lands in ``dim_of[cell]``,
+        or for a cell missing there in the smallest consistent arity, so
+        the breakage surfaces in :func:`validate` instead of here."""
+        vals = blob.get("epi") if isinstance(blob, dict) else None
+        if not (
+            isinstance(vals, list)
+            and isinstance(blob.get("cell"), str)
+            and all(type(v) is int for v in vals)
+        ):
+            raise ValueError(
+                f"{where} must be an object with a string 'cell' and a "
+                f"list of integers 'epi'"
+            )
+        target = dim_of.get(blob["cell"], max(vals, default=0))
+        try:
+            epi = MonotoneMap(len(vals) - 1, target, tuple(vals))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}")
+        return SimplexRef(epi, blob["cell"])
 
 
 def nondeg_ref(cell: str, dim: int) -> SimplexRef:
@@ -120,6 +146,7 @@ class FinSSet:
         for d in range(truncation + 1):
             for c in self._cells[d]:
                 self._dim_of.setdefault(c, d)
+        self._position: dict[int, dict] = {}
         self._face_table: dict[int, dict] = {}
         self._faces_index: dict[tuple, dict] = {}
 
@@ -170,6 +197,9 @@ class FinSSet:
                 f"operator into [{alpha.target_arity}] applied to a "
                 f"{ref.dim}-simplex"
             )
+        if alpha.is_identity:
+            # refs are normal forms, so the identity leaves one as it is
+            return ref
         return self._act(ref.cell, compose(ref.epi, alpha))
 
     def _act(self, cell: str, beta: MonotoneMap) -> SimplexRef:
@@ -187,12 +217,6 @@ class FinSSet:
         fr = self.face_entry(cell, i)
         res = self._act(fr.cell, compose(fr.epi, mu2))
         return SimplexRef(compose(res.epi, epi), res.cell)
-
-    def face(self, ref: SimplexRef, i: int) -> SimplexRef:
-        return self.apply(ref, face(ref.dim, i))
-
-    def degenerate(self, ref: SimplexRef, i: int) -> SimplexRef:
-        return self.apply(ref, degeneracy(ref.dim, i))
 
     def simplices(self, dim: int) -> list[SimplexRef]:
         """All dim-simplices, degenerate included, in canonical order.
@@ -212,6 +236,14 @@ class FinSSet:
 
     def cell_count(self, dim: int) -> int:
         return len(self.nondegenerate(dim))
+
+    def position(self, dim: int) -> dict[SimplexRef, int]:
+        """Each dim-simplex mapped to its :meth:`simplices` position; kept."""
+        pos = self._position.get(dim)
+        if pos is None:
+            pos = {s: t for t, s in enumerate(self.simplices(dim))}
+            self._position[dim] = pos
+        return pos
 
     def face_table(self, dim: int) -> dict[SimplexRef, tuple[SimplexRef, ...]]:
         """Each dim-simplex (dim >= 1), in :meth:`simplices` order, mapped
@@ -289,28 +321,10 @@ class FinSSet:
         for c, entries in data.get("faces", {}).items():
             if not isinstance(entries, list):
                 raise ValueError(f"the faces of cell {c!r} must be a list")
-            out = []
-            for i, e in enumerate(entries):
-                vals = e.get("epi") if isinstance(e, dict) else None
-                if not (
-                    isinstance(vals, list)
-                    and isinstance(e.get("cell"), str)
-                    and all(type(v) is int for v in vals)
-                ):
-                    raise ValueError(
-                        f"cell {c!r} face {i} must be an object with a string "
-                        f"'cell' and a list of integers 'epi'"
-                    )
-                vals = tuple(vals)
-                # Unknown cells get the smallest consistent arity so the
-                # breakage surfaces in validate() instead of here.
-                target = dim_of.get(e["cell"], max(vals, default=0))
-                try:
-                    epi = MonotoneMap(len(vals) - 1, target, vals)
-                except ValueError as exc:
-                    raise ValueError(f"cell {c!r} face {i}: {exc}")
-                out.append(SimplexRef(epi, e["cell"]))
-            faces[c] = tuple(out)
+            faces[c] = tuple(
+                SimplexRef.from_json(e, dim_of, f"cell {c!r} face {i}")
+                for i, e in enumerate(entries)
+            )
         return cls(truncation, cells, faces)
 
 
@@ -574,13 +588,13 @@ class OffTargetError(ValueError):
 
 class BilevelMap:
     """A levelwise map X_k x Y_k -> Z_k commuting with simultaneous
-    operators.  Stored as a function on normal-form pairs; use
+    operators.  Given by a function on normal-form pairs; use
     :func:`validate_bilevel` to check the commutation on a range.
 
     :meth:`table` evaluates the function once per pair of a level and
-    keeps the result as integer positions.  The cache is sound because
-    neither the function nor the three simplicial sets change after
-    construction, and it is sized by the level, |X_k| x |Y_k|."""
+    keeps the result as integer positions; :meth:`apply` answers from it.
+    Sound because neither the function nor the three simplicial sets
+    change after construction; sized by the level, |X_k| x |Y_k|."""
 
     def __init__(self, x: FinSSet, y: FinSSet, target: FinSSet,
                  fn: Callable[[int, SimplexRef, SimplexRef], SimplexRef]):
@@ -589,13 +603,15 @@ class BilevelMap:
         self.target = target
         self.fn = fn
         self._tables: dict[int, list[list[int]]] = {}
+        self._values: dict[int, list[SimplexRef]] = {}
 
     def apply(self, level: int, a: SimplexRef, b: SimplexRef) -> SimplexRef:
         if a.dim != level or b.dim != level:
             raise ArityError(
                 f"level {level} application to dims {a.dim}, {b.dim}"
             )
-        return self.fn(level, a, b)
+        row = self.table(level)[self.x.position(level)[a]]
+        return self._values[level][row[self.y.position(level)[b]]]
 
     def table(self, level: int) -> list[list[int]]:
         """``rows[i][j]`` is the position in ``target.simplices(level)``
@@ -605,13 +621,13 @@ class BilevelMap:
         simplex of the target."""
         rows = self._tables.get(level)
         if rows is None:
-            pos = {s: t for t, s in enumerate(self.target.simplices(level))}
+            pos = self.target.position(level)
             ys = self.y.simplices(level)
             rows = []
             for a in self.x.simplices(level):
                 row = []
                 for b in ys:
-                    out = self.apply(level, a, b)
+                    out = self.fn(level, a, b)
                     t = pos.get(out)
                     if t is None:
                         raise OffTargetError(
@@ -622,6 +638,7 @@ class BilevelMap:
                     row.append(t)
                 rows.append(row)
             self._tables[level] = rows
+            self._values[level] = list(pos)
         return rows
 
     def level_table(self, level: int) -> list[tuple[SimplexRef, SimplexRef, SimplexRef]]:
@@ -636,7 +653,7 @@ class BilevelMap:
 def _action_table(x: FinSSet, op: MonotoneMap) -> list[int]:
     """Position in ``x.simplices(op.source_arity)`` of each simplex of
     ``x.simplices(op.target_arity)`` acted on by op."""
-    pos = {s: t for t, s in enumerate(x.simplices(op.source_arity))}
+    pos = x.position(op.source_arity)
     return [pos[x.apply(s, op)] for s in x.simplices(op.target_arity)]
 
 
@@ -692,8 +709,7 @@ def materialize_presheaf(levels, act, id_fn):
     dimension 0..len(levels)-1, each positive-dimensional cell's
     normal-form faces, and the value behind each cell id.
     """
-    top = len(levels) - 1
-    cells: dict[int, list[str]] = {d: [] for d in range(top + 1)}
+    cells: dict[int, list[str]] = {d: [] for d in range(len(levels))}
     faces: dict[str, list[SimplexRef]] = {}
     normal: dict = {}
     value_of: dict[str, object] = {}
@@ -702,6 +718,7 @@ def materialize_presheaf(levels, act, id_fn):
             if v in normal:
                 continue
             ref = None
+            dropped_faces = []
             for i in range(n):
                 dropped = act(v, face(n, i))
                 if act(dropped, degeneracy(n - 1, i)) == v:
@@ -710,16 +727,17 @@ def materialize_presheaf(levels, act, id_fn):
                         compose(base.epi, degeneracy(n - 1, i)), base.cell
                     )
                     break
+                dropped_faces.append(dropped)
             if ref is None:
                 cid = id_fn(n, v)
                 cells[n].append(cid)
                 value_of[cid] = v
                 ref = nondeg_ref(cid, n)
+                if n:
+                    # the test computed faces 0..n-1; only face n is new
+                    dropped_faces.append(act(v, face(n, n)))
+                    faces[cid] = [normal[w] for w in dropped_faces]
             normal[v] = ref
-    for n in range(1, top + 1):
-        for cid in cells[n]:
-            v = value_of[cid]
-            faces[cid] = [normal[act(v, face(n, i))] for i in range(n + 1)]
     return cells, faces, value_of
 
 

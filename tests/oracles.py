@@ -2,7 +2,14 @@
 
 import itertools
 
-from qckit.ordinals import MonotoneMap, compose, degeneracy, face, identity
+from qckit.ordinals import (
+    MonotoneMap,
+    compose,
+    degeneracy,
+    epi_mono_factor,
+    face,
+    identity,
+)
 from qckit.posets import chain_cell_id, normalize_chain
 from qckit.quasicat import HornProblem
 from qckit.scat import (
@@ -87,7 +94,8 @@ def scan_functors(k, d):
 
     Free cells are filled by scanning all target simplices and keeping
     those whose faces match the values already chosen; forced cells are
-    split and renormalized afresh at every assignment."""
+    split and renormalized afresh at every assignment, and composed
+    through the composition's ``fn``."""
     src = rigidify(k)
     pairs = sorted(
         ((i, j) for i in range(k + 1) for j in range(i + 1, k + 1)),
@@ -114,7 +122,7 @@ def scan_functors(k, d):
             lower = normalize_chain([s & frozenset(range(i, p + 1)) for s in sets])
             fu = d.hom(objs[p], objs[j]).apply(assignments[(p, j)][upper.cell], upper.epi)
             fl = d.hom(objs[i], objs[p]).apply(assignments[(i, p)][lower.cell], lower.epi)
-            return d.compose_refs(objs[i], objs[p], objs[j], fu, fl)
+            return d.comp[(objs[i], objs[p], objs[j])].fn(fu.dim, fu, fl)
 
         def faces_ok(i, j, cid, m, cand):
             h = d.hom(objs[i], objs[j])
@@ -144,6 +152,32 @@ def scan_functors(k, d):
 
         fill(0)
     return results
+
+
+def scan_apply(x, ref, alpha):
+    """The normal form of ref . alpha, with no identity shortcut: refactor
+    the composite epi-mono and walk the face entries down the mono, one
+    missing vertex at a time."""
+    if alpha.target_arity != ref.dim:
+        raise ValueError(f"operator into [{alpha.target_arity}] on a {ref.dim}-simplex")
+    cell, beta = ref.cell, compose(ref.epi, alpha)
+    epis = []
+    while True:
+        epi, mono = epi_mono_factor(beta)
+        epis.append(epi)
+        if mono.is_identity:
+            break
+        m = mono.target_arity
+        i = max(set(range(m + 1)) - set(mono.values))
+        rest = MonotoneMap(
+            mono.source_arity, m - 1, tuple(v if v < i else v - 1 for v in mono.values)
+        )
+        entry = x.face_entry(cell, i)
+        cell, beta = entry.cell, compose(entry.epi, rest)
+    total = epis.pop()
+    while epis:
+        total = compose(total, epis.pop())
+    return SimplexRef(total, cell)
 
 
 def scan_face_index(x, n):
@@ -235,7 +269,8 @@ def scan_horn_problems(x, n, k):
 
 def scan_bilevel(bm, max_dim):
     """validate_bilevel's problems, in its order, with every value and
-    both sides of every commutation recomputed through ``apply``."""
+    both sides of every commutation recomputed through ``bm.fn`` and
+    ``FinSSet.apply``, never read from ``bm.table``."""
     problems = []
     bound = min(max_dim, bm.x.truncation, bm.y.truncation, bm.target.truncation)
     for k in range(bound + 1):
@@ -246,10 +281,10 @@ def scan_bilevel(bm, max_dim):
             ops.extend(degeneracy(k, i) for i in range(k + 1))
         for a in bm.x.simplices(k):
             for b in bm.y.simplices(k):
-                out = bm.apply(k, a, b)
+                out = bm.fn(k, a, b)
                 for op in ops:
                     lhs = bm.target.apply(out, op)
-                    rhs = bm.apply(
+                    rhs = bm.fn(
                         op.source_arity, bm.x.apply(a, op), bm.y.apply(b, op)
                     )
                     if lhs != rhs:
@@ -262,20 +297,21 @@ def scan_bilevel(bm, max_dim):
 
 def scan_monoid_laws(m):
     """The unit and associativity problems of validate_monoid, in its
-    order, comparing simplices computed through ``BilevelMap.apply`` on
+    order, comparing simplices computed through each product's ``fn`` on
     every (grades, level, a, b, c); stops at the first associativity
     failure."""
     problems = []
+    mul = {key: bm.fn for key, bm in m.product.items()}
     unit = m.grades.unit
     for g in m.grades.elements:
         comp = m.component(g)
         for level in range(m.truncation + 1):
             u = SimplexRef(MonotoneMap(level, 0, (0,) * (level + 1)), m.unit_vertex)
             for a in comp.simplices(level):
-                if m.product[(g, unit)].apply(level, a, u) != a:
+                if mul[(g, unit)](level, a, u) != a:
                     problems.append(f"right unit fails at grade {g!r} level {level}")
                     break
-                if m.product[(unit, g)].apply(level, u, a) != a:
+                if mul[(unit, g)](level, u, a) != a:
                     problems.append(f"left unit fails at grade {g!r} level {level}")
                     break
     for g, h, k in itertools.product(m.grades.elements, repeat=3):
@@ -284,12 +320,10 @@ def scan_monoid_laws(m):
         for level in range(m.truncation + 1):
             for a in m.component(g).simplices(level):
                 for b in m.component(h).simplices(level):
-                    ab = m.product[(g, h)].apply(level, a, b)
+                    ab = mul[(g, h)](level, a, b)
                     for c in m.component(k).simplices(level):
-                        bc = m.product[(h, k)].apply(level, b, c)
-                        if m.product[(gh, k)].apply(level, ab, c) != (
-                            m.product[(g, hk)].apply(level, a, bc)
-                        ):
+                        bc = mul[(h, k)](level, b, c)
+                        if mul[(gh, k)](level, ab, c) != mul[(g, hk)](level, a, bc):
                             problems.append(
                                 f"associativity fails at grades "
                                 f"({g!r}, {h!r}, {k!r}) level {level}"
@@ -301,17 +335,21 @@ def scan_monoid_laws(m):
 def scan_scat_laws(d, cap):
     """The unit and associativity problems of validate_scat up to level
     cap, in its order, one per failing simplex or triple, composing
-    through ``SCat.compose_refs``."""
+    through each composition's ``fn``."""
     problems = []
+
+    def compose_refs(x, y, z, later, earlier):
+        return d.comp[(x, y, z)].fn(later.dim, later, earlier)
+
     for x in d.objects:
         for y in d.objects:
             for m in range(cap + 1):
                 for f in d.hom(x, y).simplices(m):
-                    if d.compose_refs(x, y, y, d.identity_ref(y, m), f) != f:
+                    if compose_refs(x, y, y, d.identity_ref(y, m), f) != f:
                         problems.append(
                             f"left unit law fails at level {m} on ({x!r},{y!r}): {f.cell!r}"
                         )
-                    if d.compose_refs(x, x, y, f, d.identity_ref(x, m)) != f:
+                    if compose_refs(x, x, y, f, d.identity_ref(x, m)) != f:
                         problems.append(
                             f"right unit law fails at level {m} on ({x!r},{y!r}): {f.cell!r}"
                         )
@@ -319,10 +357,10 @@ def scan_scat_laws(d, cap):
         for m in range(cap + 1):
             for a in d.hom(y, z).simplices(m):
                 for b in d.hom(x, y).simplices(m):
-                    ab = d.compose_refs(x, y, z, a, b)
+                    ab = compose_refs(x, y, z, a, b)
                     for c in d.hom(w, x).simplices(m):
-                        lhs = d.compose_refs(w, x, z, ab, c)
-                        rhs = d.compose_refs(w, y, z, a, d.compose_refs(w, x, y, b, c))
+                        lhs = compose_refs(w, x, z, ab, c)
+                        rhs = compose_refs(w, y, z, a, compose_refs(w, x, y, b, c))
                         if lhs != rhs:
                             problems.append(
                                 f"associativity fails at level {m} on "

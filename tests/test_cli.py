@@ -5,12 +5,15 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qckit
 from qckit.cli import main
 from qckit.monoids import (
     GradeMonoid,
@@ -181,9 +184,16 @@ def test_check_scat_manifest(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value",
     [("homs", []), ("comp", []), ("comp", {"*|*|*": []}), ("identities", "1"),
-     ("homs", None)],
+     ("homs", None), ("homs", {"**": "scat_hom_*_*.json"}),
+     ("comp", {"*|*|*": {"0": [[{"cell": "1", "epi": [0]}]]}}),
+     ("comp", {"*|*|*": {"x": []}}), ("comp", {"*|*|*": {"0": [["1", "1", "1"]]}}),
+     ("objects", 5), ("comp", {"*|*|q": {}}),
+     ("comp", {"*|*|*": {"0": [[{"cell": "ghost", "epi": [0]}] * 3]}}),
+     ("comp", {"*|*|*": {"0": [[{"cell": "1", "epi": [3]}] * 3]}})],
     ids=["homs-list", "comp-list", "comp-entry-list", "identities-string",
-         "hom-file-is-a-directory"],
+         "hom-file-is-a-directory", "homs-key-without-bar", "comp-row-not-triple",
+         "comp-level-not-a-dimension", "comp-entry-string", "objects-int",
+         "comp-key-without-hom", "comp-entry-unknown-cell", "comp-entry-bad-epi"],
 )
 def test_malformed_manifest_exits_two(tmp_path, capsys, key, value):
     def comp(x, y, z, later, earlier):
@@ -614,6 +624,29 @@ def test_help_exits_zero(capsys):
     rc, out, _ = run(capsys, "--help")
     assert rc == 0
     assert "verify-prop" in out
+
+
+def test_runtime_loads_only_the_standard_library():
+    # isolated (-I) and without site-packages (-S): every qckit module
+    # must import, and nothing outside the standard library may load
+    src = os.path.dirname(os.path.dirname(qckit.__file__))
+    code = (
+        "import json, pkgutil, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import qckit\n"
+        "for info in pkgutil.iter_modules(qckit.__path__):\n"
+        "    __import__('qckit.' + info.name)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code],
+        capture_output=True, text=True, check=True,
+    )
+    loaded = json.loads(done.stdout)
+    assert "qckit.cli" in loaded and "qckit.monoids" in loaded
+    stdlib = set(sys.stdlib_module_names) | set(sys.builtin_module_names)
+    tops = {name.split(".")[0] for name in loaded}
+    assert tops - stdlib - {"qckit", "__main__"} == set()
 
 
 # -- mutated artifacts at the boundary --------------------------------

@@ -294,6 +294,12 @@ def test_each_product_is_evaluated_once_per_pair(monkeypatch):
         pairs = sum(len(x.simplices(k)) * len(y.simplices(k)) for k in range(4))
         assert len(calls) == pairs
         assert max(calls.values()) == 1
+    # the nerve composes through the tables too: deloop's composition,
+    # and the products behind it, run at most once per (level, pair)
+    simplicial_nerve(deloop(m), 3)
+    assert len(counters) == 10
+    for _, _, calls in counters:
+        assert calls and max(calls.values()) == 1
 
 
 # -- delooping and the nerve ------------------------------------------

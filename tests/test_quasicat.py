@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from oracles import (
+    scan_apply,
     scan_face_index,
     scan_faces_index,
     scan_filler,
@@ -13,7 +14,7 @@ from oracles import (
 )
 from qckit.join import coslice_fastpath
 from qckit.monoids import build_reference_monoid, deloop
-from qckit.ordinals import degeneracy, face
+from qckit.ordinals import all_maps, degeneracy, face
 from qckit.quasicat import (
     HornProblem,
     core,
@@ -139,6 +140,16 @@ def test_horn_problem_enumeration_counts_on_simplex():
     problems = list(horn_problems(x, 2, 1))
     assert all(horn_compatibility(x, p).ok for p in problems)
     assert len(problems) == len(x.simplices(2))
+
+
+@pytest.mark.parametrize("name", ORACLE_FIXTURES)
+def test_apply_matches_the_face_walk(name, request):
+    x = oracle_fixture(name, request)
+    for n in range(x.truncation + 1):
+        for s in x.simplices(n):
+            for m in range(x.truncation + 1):
+                for op in all_maps(m, n):
+                    assert x.apply(s, op) == scan_apply(x, s, op)
 
 
 @pytest.mark.parametrize("name", ORACLE_FIXTURES)
