@@ -423,10 +423,6 @@ class CosliceSSet(FinSSet):
         return self.base.apply(u, cone_operator(ref.epi))
 
 
-def first_vertex(base: FinSSet, ref: SimplexRef) -> str:
-    return base.apply(ref, MonotoneMap(0, ref.dim, (0,))).cell
-
-
 def coslice_fastpath(base: FinSSet, vertex: str, dim: int) -> CosliceSSet:
     """The under-slice at a vertex, one dimension shift down the base."""
     if dim + 1 > base.truncation:
@@ -436,8 +432,16 @@ def coslice_fastpath(base: FinSSet, vertex: str, dim: int) -> CosliceSSet:
         )
     if not base.has_cell(vertex) or base.dim_of(vertex) != 0:
         raise UnknownCellError(f"{vertex!r} is not a vertex")
+    # vertex 0 of every (n+1)-simplex, read off the kept table of [0] -> [n+1]
+    anchor = base.position(0)[nondeg_ref(vertex, 0)]
     levels = [
-        [s for s in base.simplices(n + 1) if first_vertex(base, s) == vertex]
+        [
+            s
+            for s, v in zip(
+                base.simplices(n + 1), base.action(MonotoneMap(0, n + 1, (0,)))
+            )
+            if v == anchor
+        ]
         for n in range(dim + 1)
     ]
 

@@ -44,6 +44,11 @@ class MonotoneMap:
                 raise ArityError(f"values {self.values} are not monotone")
             prev = v
 
+    def __hash__(self) -> int:
+        # the values determine the map up to its target arity; hashing
+        # them alone spares the generated hash its tuple of fields
+        return hash(self.values)
+
     def __call__(self, i: int) -> int:
         return self.values[i]
 

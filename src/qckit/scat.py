@@ -756,8 +756,8 @@ def scat_from_manifest(path: str) -> SCat:
         manifest = json.load(fh)
     directory = os.path.dirname(path)
     objects = manifest["objects"]
-    if not isinstance(objects, list):
-        raise ValueError("'objects' must be a list")
+    if not (isinstance(objects, list) and all(isinstance(x, str) for x in objects)):
+        raise ValueError("'objects' must be a list of strings")
     for key in ("homs", "comp", "identities"):
         if not isinstance(manifest[key], dict):
             raise ValueError(f"{key!r} must be an object")
@@ -765,6 +765,8 @@ def scat_from_manifest(path: str) -> SCat:
     dims = {}  # each hom's cell dimensions, to read the table entries
     for key, fname in manifest["homs"].items():
         x, y = _manifest_key("homs", key, 2)
+        if not isinstance(fname, str):
+            raise ValueError(f"'homs' entry {key!r} must be a file name")
         with open(os.path.join(directory, fname)) as fh:
             h = homs[(x, y)] = FinSSet.from_json(fh.read())
         dims[h] = {c: d for d in range(h.truncation + 1) for c in h.nondegenerate(d)}
@@ -775,6 +777,8 @@ def scat_from_manifest(path: str) -> SCat:
             raise ValueError(f"{where}: unknown cell {ref.cell!r}")
         return ref
 
+    # every level SCat keeps must list every pair
+    level_cap = min((h.truncation for h in homs.values()), default=0)
     comp = {}
     for key, levels in manifest["comp"].items():
         if not isinstance(levels, dict):
@@ -801,6 +805,13 @@ def scat_from_manifest(path: str) -> SCat:
                     raise ValueError(f"{where}: row {row!r} is not a triple")
                 a, b, out = (ref_from(e, h, where) for e, h in zip(row, ends))
                 table[(m, a.sort_key(), b.sort_key())] = out
+        for m in range(level_cap + 1):
+            for a, b in itertools.product(ends[0].simplices(m), ends[1].simplices(m)):
+                if (m, a.sort_key(), b.sort_key()) not in table:
+                    raise ValueError(
+                        f"'comp' entry {key!r} level {m} has no row for "
+                        f"({a.cell!r}.{a.epi.values}, {b.cell!r}.{b.epi.values})"
+                    )
 
         def make_fn(tbl):
             def fn(level, a, b):

@@ -6,21 +6,30 @@ simplex is referred to by a ``SimplexRef``: a surjective reindexing map
 together with a nondegenerate cell, the unique epi-mono normal form.
 
 The centrepiece is :meth:`FinSSet.apply`, the contravariant action of an
-arbitrary monotone map on a simplex reference, which refactors through
-the face tables until the normal form is restored; an identity
-operator returns the reference itself, so callers need no shortcut of
-their own.  Truncation is strict: asking for simplices above the
-truncation raises, it is never silently completed.
+arbitrary monotone map on a simplex reference.  Each set keeps one
+action table per operator alpha: [m] -> [n] within the truncation, of
+integer positions: entry p is the position in ``simplices(m)`` of
+``simplices(n)[p]`` acted on by alpha.  ``apply`` answers from it.  On
+a miss it walks: it acts by the face entry for one vertex the operator
+misses, hands the rest of the operator to the tables again, and records
+the position, so each (simplex, operator) is walked once.  The tables
+are sound because cells and face entries never change after
+construction, so an entry, once walked, holds for the life of the set.
+They hold integers, not simplices, so they cost a list slot per entry.
+An identity operator returns the reference itself, so callers need no
+shortcut of their own.  Truncation is strict: asking for simplices
+above the truncation raises, it is never silently completed.
 
 Searches read faces through two per-instance caches built on first
 use: :meth:`FinSSet.face_table` maps each n-simplex to its normal-form
-faces, and :meth:`FinSSet.faces_index` ``(n, at)`` is its inverse view,
-from the faces at the positions ``at`` (all of them by default) to the
+faces, read off the face operators' action tables, and
+:meth:`FinSSet.faces_index` ``(n, at)`` is its inverse view, from the
+faces at the positions ``at`` (all of them by default) to the
 n-simplices bearing them.  It is the one face lookup: fillers, horn
 problems, invertibility witnesses, nerve enumeration and the slice all
-ask it which simplices have given faces.  :meth:`FinSSet.position` is
-the one simplex-to-position lookup; :class:`BilevelMap` answers from
-its kept level tables.
+ask it which simplices have given faces.  :meth:`FinSSet.simplices` and
+:meth:`FinSSet.position` are kept per dimension; :class:`BilevelMap`
+answers from its kept level tables.
 """
 
 from __future__ import annotations
@@ -57,6 +66,11 @@ class SimplexRef:
 
     epi: MonotoneMap
     cell: str
+
+    def __hash__(self) -> int:
+        # every action-table lookup hashes a ref: one flat tuple, not the
+        # generated hash's call into MonotoneMap.__hash__
+        return hash((self.cell, self.epi.values))
 
     @property
     def dim(self) -> int:
@@ -146,7 +160,10 @@ class FinSSet:
         for d in range(truncation + 1):
             for c in self._cells[d]:
                 self._dim_of.setdefault(c, d)
+        self._simplices: dict[int, list[SimplexRef]] = {}
         self._position: dict[int, dict] = {}
+        # alpha -> (table, position at n, position at m, simplices at m)
+        self._actions: dict[MonotoneMap, tuple] = {}
         self._face_table: dict[int, dict] = {}
         self._faces_index: dict[tuple, dict] = {}
 
@@ -191,7 +208,12 @@ class FinSSet:
 
     def apply(self, ref: SimplexRef, alpha: MonotoneMap) -> SimplexRef:
         """Normal form of ref . alpha for any monotone alpha into ref's
-        dimension.  Functorial: apply(apply(r, a), b) == apply(r, a . b)."""
+        dimension.  Functorial: apply(apply(r, a), b) == apply(r, a . b).
+
+        Answered from alpha's kept action table; a miss walks the face
+        entries once and records the position.  A ref without a position
+        (malformed input) or an operator reaching above the truncation
+        is walked every time, and a walk's error propagates unchanged."""
         if alpha.target_arity != ref.dim:
             raise ArityError(
                 f"operator into [{alpha.target_arity}] applied to a "
@@ -200,38 +222,88 @@ class FinSSet:
         if alpha.is_identity:
             # refs are normal forms, so the identity leaves one as it is
             return ref
-        return self._act(ref.cell, compose(ref.epi, alpha))
+        return self._lookup(ref, alpha)
 
-    def _act(self, cell: str, beta: MonotoneMap) -> SimplexRef:
-        epi, mono = epi_mono_factor(beta)
+    def _lookup(self, ref: SimplexRef, alpha: MonotoneMap) -> SimplexRef:
+        """ref . alpha from alpha's kept table, walking on a miss."""
+        kept = self._actions.get(alpha)
+        if kept is None:
+            if max(alpha.source_arity, alpha.target_arity) > self.truncation:
+                return self._act(ref, alpha)
+            kept = self._kept_action(alpha)
+        table, here, there, values = kept
+        p = here.get(ref)
+        if p is None:
+            return self._act(ref, alpha)
+        q = table[p]
+        if q is None:
+            out = self._act(ref, alpha)
+            q = there.get(out)
+            if q is None:
+                return out
+            table[p] = q
+        return values[q]
+
+    def action(self, alpha: MonotoneMap) -> list[int]:
+        """The kept action table of alpha: [m] -> [n], both within the
+        truncation: entry p is the position in :meth:`simplices` ``(m)``
+        of ``simplices(n)[p]`` acted on by alpha.  Completed through
+        :meth:`apply` on first use; a value that is not an m-simplex of
+        the set (a malformed set) raises KeyError."""
+        table, _, there, _ = self._kept_action(alpha)
+        if None in table:
+            for p, s in enumerate(self.simplices(alpha.target_arity)):
+                if table[p] is None:
+                    table[p] = there[self.apply(s, alpha)]
+        return table
+
+    def _kept_action(self, alpha: MonotoneMap) -> tuple:
+        kept = self._actions.get(alpha)
+        if kept is None:
+            here = self.position(alpha.target_arity)
+            m = alpha.source_arity
+            kept = ([None] * len(here), here, self.position(m), self.simplices(m))
+            self._actions[alpha] = kept
+        return kept
+
+    def _act(self, ref: SimplexRef, alpha: MonotoneMap) -> SimplexRef:
+        """The face walk behind :meth:`apply`: factor ref.epi . alpha as
+        mono . epi and act by the face entry for the last vertex the mono
+        misses; the rest of the mono acts on that entry through the kept
+        tables, so each step is walked once too."""
+        epi, mono = epi_mono_factor(compose(ref.epi, alpha))
         if mono.is_identity:
-            return SimplexRef(epi, cell)
+            return SimplexRef(epi, ref.cell)
         m = mono.target_arity
         i = max(set(range(m + 1)) - set(mono.values))
-        # mono = face(m, i) . mu2, so act by the face table first.
+        # mono = face(m, i) . mu2, so act by the face entry first.
         mu2 = MonotoneMap(
             mono.source_arity,
             m - 1,
             tuple(v if v < i else v - 1 for v in mono.values),
         )
-        fr = self.face_entry(cell, i)
-        res = self._act(fr.cell, compose(fr.epi, mu2))
+        res = self._lookup(self.face_entry(ref.cell, i), mu2)
         return SimplexRef(compose(res.epi, epi), res.cell)
 
     def simplices(self, dim: int) -> list[SimplexRef]:
         """All dim-simplices, degenerate included, in canonical order.
-        Empty below dimension 0; error above the truncation."""
+        Empty below dimension 0; error above the truncation.  Built on
+        first use and kept: callers must not mutate the list."""
         if dim < 0:
             return []
-        if dim > self.truncation:
-            raise TruncationError(
-                f"dimension {dim} above truncation {self.truncation}"
-            )
-        out: list[SimplexRef] = []
-        for m in range(dim + 1):
-            for c in self._cells[m]:
-                for epi in epis_onto(dim, m):
-                    out.append(SimplexRef(epi, c))
+        out = self._simplices.get(dim)
+        if out is None:
+            if dim > self.truncation:
+                raise TruncationError(
+                    f"dimension {dim} above truncation {self.truncation}"
+                )
+            out = [
+                SimplexRef(epi, c)
+                for m in range(dim + 1)
+                for c in self._cells[m]
+                for epi in epis_onto(dim, m)
+            ]
+            self._simplices[dim] = out
         return out
 
     def cell_count(self, dim: int) -> int:
@@ -249,20 +321,17 @@ class FinSSet:
         """Each dim-simplex (dim >= 1), in :meth:`simplices` order, mapped
         to its normal-form faces (d_0 s, ..., d_dim s).
 
-        Built on first use and kept: cells and face tables are never
-        mutated after construction."""
+        Read off the face operators' action tables on first use and
+        kept; its faces are the kept ``simplices(dim - 1)`` objects."""
         if dim < 1:
             raise ValueError("face_table needs dimension >= 1")
         table = self._face_table.get(dim)
         if table is None:
-            ops = [face(dim, i) for i in range(dim + 1)]
-            # one kept object per distinct face, not one per citation
-            faces: dict[SimplexRef, SimplexRef] = {}
+            acts = [self.action(face(dim, i)) for i in range(dim + 1)]
+            lower = self.simplices(dim - 1)
             table = {
-                s: tuple(
-                    faces.setdefault(f, f) for f in (self.apply(s, op) for op in ops)
-                )
-                for s in self.simplices(dim)
+                s: tuple(lower[act[p]] for act in acts)
+                for p, s in enumerate(self.simplices(dim))
             }
             self._face_table[dim] = table
         return table
@@ -603,7 +672,6 @@ class BilevelMap:
         self.target = target
         self.fn = fn
         self._tables: dict[int, list[list[int]]] = {}
-        self._values: dict[int, list[SimplexRef]] = {}
 
     def apply(self, level: int, a: SimplexRef, b: SimplexRef) -> SimplexRef:
         if a.dim != level or b.dim != level:
@@ -611,7 +679,7 @@ class BilevelMap:
                 f"level {level} application to dims {a.dim}, {b.dim}"
             )
         row = self.table(level)[self.x.position(level)[a]]
-        return self._values[level][row[self.y.position(level)[b]]]
+        return self.target.simplices(level)[row[self.y.position(level)[b]]]
 
     def table(self, level: int) -> list[list[int]]:
         """``rows[i][j]`` is the position in ``target.simplices(level)``
@@ -638,7 +706,6 @@ class BilevelMap:
                     row.append(t)
                 rows.append(row)
             self._tables[level] = rows
-            self._values[level] = list(pos)
         return rows
 
     def level_table(self, level: int) -> list[tuple[SimplexRef, SimplexRef, SimplexRef]]:
@@ -650,17 +717,11 @@ class BilevelMap:
         ]
 
 
-def _action_table(x: FinSSet, op: MonotoneMap) -> list[int]:
-    """Position in ``x.simplices(op.source_arity)`` of each simplex of
-    ``x.simplices(op.target_arity)`` acted on by op."""
-    pos = x.position(op.source_arity)
-    return [pos[x.apply(s, op)] for s in x.simplices(op.target_arity)]
-
-
 def validate_bilevel(bm: BilevelMap, max_dim: int) -> ValidationReport:
     """Every value is a simplex of the target, and every face and
     degeneracy operator commutes with the map on every pair: checked
-    on the level tables, pairs outer and operators inner."""
+    on the level tables and the three sets' kept action tables, pairs
+    outer and operators inner."""
     report = ValidationReport("BilevelMap")
     bound = min(max_dim, bm.x.truncation, bm.y.truncation, bm.target.truncation)
     try:
@@ -676,8 +737,8 @@ def validate_bilevel(bm: BilevelMap, max_dim: int) -> ValidationReport:
             ops.extend(degeneracy(k, i) for i in range(k + 1))
         # (op, act on x, act on y, act on the target, table at op's source)
         checks = [
-            (op, _action_table(bm.x, op), _action_table(bm.y, op),
-             _action_table(bm.target, op), tables[op.source_arity])
+            (op, bm.x.action(op), bm.y.action(op), bm.target.action(op),
+             tables[op.source_arity])
             for op in ops
         ]
         ys = bm.y.simplices(k)

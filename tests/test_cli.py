@@ -189,11 +189,16 @@ def test_check_scat_manifest(tmp_path, capsys):
      ("comp", {"*|*|*": {"x": []}}), ("comp", {"*|*|*": {"0": [["1", "1", "1"]]}}),
      ("objects", 5), ("comp", {"*|*|q": {}}),
      ("comp", {"*|*|*": {"0": [[{"cell": "ghost", "epi": [0]}] * 3]}}),
-     ("comp", {"*|*|*": {"0": [[{"cell": "1", "epi": [3]}] * 3]}})],
+     ("comp", {"*|*|*": {"0": [[{"cell": "1", "epi": [3]}] * 3]}}),
+     ("comp", {"*|*|*": {"0": [[{"cell": "1", "epi": [0]}] * 3],
+                         "1": [[{"cell": "1", "epi": [0, 0]}] * 3]}}),
+     ("homs", {"*|*": 5}), ("objects", [["*"]])],
     ids=["homs-list", "comp-list", "comp-entry-list", "identities-string",
          "hom-file-is-a-directory", "homs-key-without-bar", "comp-row-not-triple",
          "comp-level-not-a-dimension", "comp-entry-string", "objects-int",
-         "comp-key-without-hom", "comp-entry-unknown-cell", "comp-entry-bad-epi"],
+         "comp-key-without-hom", "comp-entry-unknown-cell", "comp-entry-bad-epi",
+         "comp-level-missing-a-pair", "hom-file-name-not-a-string",
+         "object-is-a-list"],
 )
 def test_malformed_manifest_exits_two(tmp_path, capsys, key, value):
     def comp(x, y, z, later, earlier):

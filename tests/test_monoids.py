@@ -43,7 +43,14 @@ from qckit.monoids import (
 from qckit.quasicat import is_kan_up_to
 from qckit.scat import simplicial_nerve, validate_scat
 from qckit.ordinals import MonotoneMap
-from qckit.sset import BilevelMap, SimplexRef, iso_search, validate, validate_bilevel
+from qckit.sset import (
+    BilevelMap,
+    FinSSet,
+    SimplexRef,
+    iso_search,
+    validate,
+    validate_bilevel,
+)
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +307,25 @@ def test_each_product_is_evaluated_once_per_pair(monkeypatch):
     assert len(counters) == 10
     for _, _, calls in counters:
         assert calls and max(calls.values()) == 1
+
+
+def test_each_face_walk_runs_once_per_simplex_and_operator(monkeypatch):
+    # FinSSet.apply keeps what a walk finds, and a walk's own steps read
+    # the kept tables: across the Z/3 build and the whole proposition, no
+    # (set, simplex, operator) is walked twice
+    walks = collections.Counter()
+    walk = FinSSet._act
+
+    def counted(self, *args):
+        walks[(self, *args)] += 1
+        return walk(self, *args)
+
+    monkeypatch.setattr(FinSSet, "_act", counted)
+    m = build_reference_monoid(Z3_SPEC)
+    assert walks and max(walks.values()) == 1
+    built = len(walks)
+    assert verify_proposition(m, 2).ok
+    assert len(walks) > built and max(walks.values()) == 1
 
 
 # -- delooping and the nerve ------------------------------------------

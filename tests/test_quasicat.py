@@ -1,5 +1,6 @@
 """Horn filling, invertibility, core, and homotopy invariants."""
 
+import collections
 import itertools
 
 import pytest
@@ -14,7 +15,7 @@ from oracles import (
 )
 from qckit.join import coslice_fastpath
 from qckit.monoids import build_reference_monoid, deloop
-from qckit.ordinals import all_maps, degeneracy, face
+from qckit.ordinals import MonotoneMap, all_maps, degeneracy, face
 from qckit.quasicat import (
     HornProblem,
     core,
@@ -33,6 +34,7 @@ from qckit.quasicat import (
 from qckit.scat import from_finite_category, simplicial_nerve
 from qckit.sset import (
     FinSSet,
+    SimplexRef,
     TruncationError,
     horn,
     nondeg_ref,
@@ -142,14 +144,68 @@ def test_horn_problem_enumeration_counts_on_simplex():
     assert len(problems) == len(x.simplices(2))
 
 
-@pytest.mark.parametrize("name", ORACLE_FIXTURES)
-def test_apply_matches_the_face_walk(name, request):
-    x = oracle_fixture(name, request)
-    for n in range(x.truncation + 1):
-        for s in x.simplices(n):
-            for m in range(x.truncation + 1):
-                for op in all_maps(m, n):
-                    assert x.apply(s, op) == scan_apply(x, s, op)
+def self_citing_set():
+    """A malformed set: the edge e has one face entry, which cites e
+    itself, so every walk that needs a face of e ends at its missing
+    face 1."""
+    return FinSSet(1, {1: ["e"]}, {"e": [SimplexRef(MonotoneMap(0, 1, (0,)), "e")]})
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+def count_walks(monkeypatch, x):
+    """The outermost face walks x runs from now on, by (ref, operator)."""
+    walks = collections.Counter()
+    depth = [0]
+    walk = x._act
+
+    def counted(ref, alpha):
+        if not depth[0]:
+            walks[ref, alpha] += 1
+        depth[0] += 1
+        try:
+            return walk(ref, alpha)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(x, "_act", counted)
+    return walks
+
+
+@pytest.mark.parametrize("name", ORACLE_FIXTURES + ["self-citing"])
+def test_apply_matches_the_face_walk(name, request, monkeypatch):
+    x = self_citing_set() if name == "self-citing" else oracle_fixture(name, request)
+    top = x.truncation
+    # operators from [top + 1] are degenerate and start above the truncation
+    calls = [
+        (s, op)
+        for n in range(top + 1)
+        for s in x.simplices(n)
+        for m in range(top + 2)
+        for op in all_maps(m, n)
+    ]
+    first = [outcome(x.apply, s, op) for s, op in calls]
+    assert first == [outcome(scan_apply, x, s, op) for s, op in calls]
+    # The second pass is answered from the kept action tables.  A call
+    # that raised, or whose operator starts above the truncation, stored
+    # nothing, so it is walked again, once.
+    walks = count_walks(monkeypatch, x)
+    assert [outcome(x.apply, s, op) for s, op in calls] == first
+    again = {
+        (s, op)
+        for (s, op), got in zip(calls, first)
+        if got[0] == "raised" or op.source_arity > top
+    }
+    assert set(walks) == again
+    assert max(walks.values(), default=1) == 1
+    if name == "self-citing":
+        assert all(got[0] == "raised" for (_, op), got in zip(calls, first)
+                   if not op.is_surjective)
 
 
 @pytest.mark.parametrize("name", ORACLE_FIXTURES)
