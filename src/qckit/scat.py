@@ -55,6 +55,11 @@ from .sset import (
 )
 
 
+def shared_level_cap(homs: Iterable[FinSSet]) -> int:
+    """The highest level every hom reaches: the levels an SCat keeps."""
+    return min((h.truncation for h in homs), default=0)
+
+
 class SCat:
     """Objects, hom simplicial sets, identity vertices, and a levelwise
     composition table per object triple.  All homs share ``level_cap``."""
@@ -70,9 +75,7 @@ class SCat:
         self.homs = dict(homs)
         self.identities = dict(identities)
         self.comp = dict(comp)
-        self.level_cap = min(
-            (h.truncation for h in self.homs.values()), default=0
-        )
+        self.level_cap = shared_level_cap(self.homs.values())
 
     def hom(self, x, y) -> FinSSet:
         return self.homs[(x, y)]
@@ -778,7 +781,7 @@ def scat_from_manifest(path: str) -> SCat:
         return ref
 
     # every level SCat keeps must list every pair
-    level_cap = min((h.truncation for h in homs.values()), default=0)
+    level_cap = shared_level_cap(homs.values())
     comp = {}
     for key, levels in manifest["comp"].items():
         if not isinstance(levels, dict):

@@ -16,8 +16,8 @@ the position, so each (simplex, operator) is walked once.  The tables
 are sound because cells and face entries never change after
 construction, so an entry, once walked, holds for the life of the set.
 They hold integers, not simplices, so they cost a list slot per entry.
-An identity operator returns the reference itself, so callers need no
-shortcut of their own.  Truncation is strict: asking for simplices
+An identity operator returns a normal-form reference itself and keeps no
+table, so callers need no shortcut of their own.  Truncation is strict: asking for simplices
 above the truncation raises, it is never silently completed.
 
 Searches read faces through two per-instance caches built on first
@@ -219,13 +219,15 @@ class FinSSet:
                 f"operator into [{alpha.target_arity}] applied to a "
                 f"{ref.dim}-simplex"
             )
-        if alpha.is_identity:
-            # refs are normal forms, so the identity leaves one as it is
-            return ref
         return self._lookup(ref, alpha)
 
     def _lookup(self, ref: SimplexRef, alpha: MonotoneMap) -> SimplexRef:
         """ref . alpha from alpha's kept table, walking on a miss."""
+        if alpha.is_identity:
+            # the identity leaves a normal form as it is and keeps no
+            # table; a malformed face entry (an epi that is not onto) is
+            # walked, as it would be without the shortcut
+            return ref if ref.epi.is_surjective else self._act(ref, alpha)
         kept = self._actions.get(alpha)
         if kept is None:
             if max(alpha.source_arity, alpha.target_arity) > self.truncation:
