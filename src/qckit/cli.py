@@ -115,8 +115,13 @@ def _envelope(args, command: str, caps: dict | None = None, **payload) -> dict:
     return out
 
 
-def _emit(envelope: dict) -> None:
-    print(json.dumps(envelope, indent=2, sort_keys=True))
+def _emit(envelope: dict, report: str | None = None) -> None:
+    """Prints the envelope; with ``report``, first writes the same JSON
+    there."""
+    text = json.dumps(envelope, indent=2, sort_keys=True)
+    if report:
+        _write_text(report, text)
+    print(text)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -309,10 +314,7 @@ def cmd_verify_prop(args) -> int:
         raise CommandError(str(e))
     payload = report.to_json()
     payload["summary"] = report.summary_lines()
-    envelope = _envelope(args, "verify-prop", caps=caps, **payload)
-    if args.report:
-        _write_text(args.report, json.dumps(envelope, indent=2, sort_keys=True))
-    _emit(envelope)
+    _emit(_envelope(args, "verify-prop", caps=caps, **payload), args.report)
     return 0 if report.ok else 1
 
 
@@ -342,11 +344,8 @@ def cmd_grassmann(args) -> int:
     if args.assoc_check:
         payload = _assoc_check(args.seed, args.trials)
         ok = not (payload["associativity_failures"] or payload["identity_failures"])
-        envelope = _envelope(args, "grassmann", mode="assoc-check",
-                             ok=ok, **payload)
-        if args.report:
-            _write_text(args.report, json.dumps(envelope, indent=2, sort_keys=True))
-        _emit(envelope)
+        _emit(_envelope(args, "grassmann", mode="assoc-check", ok=ok, **payload),
+              args.report)
         return 0 if ok else 1
     witness = find_nonassociativity_witness(
         pairing=PAIRINGS[args.pairing], window=args.window
@@ -356,11 +355,8 @@ def cmd_grassmann(args) -> int:
             f"no non-associativity witness for {args.pairing} in the "
             f"window searched"
         )
-    envelope = _envelope(args, "grassmann", mode="pairing-witness",
-                         pairing=args.pairing, witness=witness.to_json())
-    if args.report:
-        _write_text(args.report, json.dumps(envelope, indent=2, sort_keys=True))
-    _emit(envelope)
+    _emit(_envelope(args, "grassmann", mode="pairing-witness",
+                    pairing=args.pairing, witness=witness.to_json()), args.report)
     return 0
 
 
@@ -403,10 +399,7 @@ def cmd_export_dot(args) -> int:
     x = _load_sset(args.path)
     text = export_dot(x, args.dim)
     if args.format == "json":
-        envelope = _envelope(args, "export-dot", caps=caps, dot=text)
-        if args.report:
-            _write_text(args.report, json.dumps(envelope, indent=2, sort_keys=True))
-        _emit(envelope)
+        _emit(_envelope(args, "export-dot", caps=caps, dot=text), args.report)
         return 0
     if args.report:
         _write_text(args.report, text)

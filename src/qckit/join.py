@@ -15,6 +15,7 @@ identification point * simplex = next simplex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .ordinals import MonotoneMap, epis_onto, face, identity
 from .sset import (
@@ -23,6 +24,7 @@ from .sset import (
     SimplicialMap,
     TruncationError,
     UnknownCellError,
+    depth_first,
     identity_map,
     materialize_presheaf,
     nondeg_ref,
@@ -282,7 +284,8 @@ class SliceSSet(FinSSet):
 
 def _enumerate_anchored_maps(shape: JoinSSet, base: FinSSet, fixed: dict) -> list[tuple]:
     """All simplicial maps shape -> base extending the fixed assignment,
-    as canonical sorted assignment tuples.  Backtracking by dimension,
+    as canonical sorted assignment tuples, in the leaf order of
+    :func:`~qckit.sset.depth_first` over the free cells by dimension,
     drawing candidates from the base's face index."""
     order = [
         (d, c)
@@ -291,26 +294,17 @@ def _enumerate_anchored_maps(shape: JoinSSet, base: FinSSet, fixed: dict) -> lis
         if c not in fixed
     ]
     assignment = dict(fixed)
-    results: list[tuple] = []
 
-    def fill(k: int) -> None:
-        if k == len(order):
-            results.append(tuple(sorted(assignment.items())))
-            return
+    def candidates(k: int):
         d, c = order[k]
         if d == 0:
-            pool = base.simplices(0)
-        else:
-            key = tuple(base.apply(assignment[r.cell], r.epi)
-                        for r in shape.face_entries(c))
-            pool = base.faces_index(d).get(key, ())
-        for cand in pool:
-            assignment[c] = cand
-            fill(k + 1)
-            del assignment[c]
+            return base.simplices(0)
+        key = tuple(base.apply(assignment[r.cell], r.epi)
+                    for r in shape.face_entries(c))
+        return base.faces_index(d).get(key, ())
 
-    fill(0)
-    return results
+    return [tuple(sorted(assignment.items()))
+            for _ in depth_first([(assignment, c) for _, c in order], candidates)]
 
 
 def slice_sset(pres: SlicePresentation, dim: int) -> SliceSSet:
@@ -398,6 +392,7 @@ def slice_projection(s: SliceSSet) -> SimplicialMap:
 # -- the vertex-anchored coslice fastpath -----------------------------
 
 
+@lru_cache(maxsize=None)
 def cone_operator(alpha: MonotoneMap) -> MonotoneMap:
     """[l+1] -> [n+1] fixing 0 and acting as alpha above it."""
     return MonotoneMap(

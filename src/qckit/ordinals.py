@@ -16,6 +16,19 @@ class ArityError(ValueError):
     """Raised when arities do not line up (composition, generator indices)."""
 
 
+@lru_cache(maxsize=None)
+def _iota(n: int) -> tuple[int, ...]:
+    """(0, ..., n), kept per n so the identity test builds no tuple."""
+    return tuple(range(n + 1))
+
+
+@lru_cache(maxsize=None)
+def _image_size(values: tuple[int, ...]) -> int:
+    """How many distinct values, kept per sequence so the surjectivity
+    test builds no set."""
+    return len(set(values))
+
+
 @dataclass(frozen=True, slots=True)
 class MonotoneMap:
     """A weakly monotone map [source_arity] -> [target_arity].
@@ -54,9 +67,8 @@ class MonotoneMap:
 
     @property
     def is_identity(self) -> bool:
-        return self.source_arity == self.target_arity and self.values == tuple(
-            range(self.source_arity + 1)
-        )
+        # values (0, ..., n) also force the source arity to be n
+        return self.values == _iota(self.target_arity)
 
     @property
     def is_injective(self) -> bool:
@@ -64,7 +76,7 @@ class MonotoneMap:
 
     @property
     def is_surjective(self) -> bool:
-        return len(set(self.values)) == self.target_arity + 1
+        return _image_size(self.values) == self.target_arity + 1
 
     def sort_key(self) -> tuple:
         return (self.source_arity, self.target_arity, self.values)

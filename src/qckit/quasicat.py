@@ -21,6 +21,7 @@ from .sset import (
     SimplicialMap,
     TruncationError,
     ValidationReport,
+    depth_first,
     nondeg_ref,
 )
 
@@ -75,29 +76,24 @@ def find_filler(x: FinSSet, p: HornProblem):
 
 
 def horn_problems(x: FinSSet, n: int, k: int):
-    """All compatible horn problems of this shape, by backtracking over
-    the face slots with the simplicial identities as constraints."""
+    """All compatible horn problems of this shape, lazily, from
+    :func:`~qckit.sset.depth_first` over the face slots in index order.
+    A slot's candidates are the (n-1)-simplices, in ``simplices`` order,
+    whose faces agree with the earlier slots by the simplicial
+    identities, so problems come lexicographically in that order."""
     table = x.face_table(n - 1)
     slots = [i for i in range(n + 1) if i != k]
     # the slots before slot t fix its faces at their own positions
     pools = [x.faces_index(n - 1, slots[:t]) for t in range(len(slots))]
     chosen: dict[int, SimplexRef] = {}
 
-    def fill(t: int):
-        if t == len(slots):
-            faces = tuple(chosen.get(i) for i in range(n + 1))
-            yield HornProblem(n, k, faces)
-            return
+    def candidates(t: int):
         i = slots[t]
-        prior = slots[:t]
         # face i - 1 of each earlier slot j is what face j of slot i must be
-        wanted = tuple(table[chosen[j]][i - 1] for j in prior)
-        for cand in pools[t].get(wanted, ()):
-            chosen[i] = cand
-            yield from fill(t + 1)
-            del chosen[i]
+        return pools[t].get(tuple(table[chosen[j]][i - 1] for j in slots[:t]), ())
 
-    yield from fill(0)
+    for _ in depth_first([(chosen, i) for i in slots], candidates):
+        yield HornProblem(n, k, tuple(chosen.get(i) for i in range(n + 1)))
 
 
 def _filler_survey(x: FinSSet, max_dim: int, inner_only: bool) -> ValidationReport:

@@ -48,6 +48,7 @@ from .sset import (
     SimplicialMap,
     TruncationError,
     ValidationReport,
+    depth_first,
     materialize_presheaf,
     nondeg_ref,
     validate,
@@ -284,12 +285,14 @@ def _forced_value(tgt: SCat, objs: tuple, assignments: dict, i: int, j: int,
 def enumerate_functors(k: int, d: SCat) -> list[SimplicialFunctor]:
     """All simplicial functors rigidify(k) -> d, each exactly once.
 
-    Adjacent and gap data is chosen by backtracking over the free cells
-    in order of gap, dimension, and chain.  A free cell's candidates are
-    the target simplices whose faces are the values already chosen on
-    its faces, read from ``faces_index`` in ``simplices`` order.  Forced
-    cells are computed from shorter gaps through the composition tables,
-    using the splits precomputed by ``_hom_slots``.
+    For each object map, in ``itertools.product`` order, the cells of
+    every hom are slots of :func:`~qckit.sset.depth_first`, in order of
+    gap, dimension and chain.  A free cell's candidates are the target
+    simplices whose faces are the values already chosen on its faces,
+    read from ``faces_index`` in ``simplices`` order.  A forced cell has
+    one candidate, computed from shorter gaps through the composition
+    tables with the splits precomputed by ``_hom_slots``.  Functors come
+    in the search's leaf order.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -314,30 +317,19 @@ def enumerate_functors(k: int, d: SCat) -> list[SimplicialFunctor]:
         for (i, j) in pairs:
             assignments[(i, j)] = {}
 
-        def fill(s: int) -> None:
-            if s == len(slot_list):
-                results.append(
-                    SimplicialFunctor(k, d, objs, assignments)
-                )
-                return
+        def candidates(s: int):
             i, j, cid, m, faces, split = slot_list[s]
-            table = assignments[(i, j)]
             if split is not None:
-                table[cid] = _forced_value(d, objs, assignments, i, j, split)
-                fill(s + 1)
-                del table[cid]
-                return
+                return (_forced_value(d, objs, assignments, i, j, split),)
             h = d.hom(objs[i], objs[j])
             if m == 0:
-                pool = h.simplices(0)
-            else:
-                pool = h.faces_index(m).get(tuple(table[c] for c in faces), ())
-            for cand in pool:
-                table[cid] = cand
-                fill(s + 1)
-                del table[cid]
+                return h.simplices(0)
+            table = assignments[(i, j)]
+            return h.faces_index(m).get(tuple(table[c] for c in faces), ())
 
-        fill(0)
+        slots = [(assignments[(i, j)], cid) for i, j, cid, *_ in slot_list]
+        results.extend(SimplicialFunctor(k, d, objs, assignments)
+                       for _ in depth_first(slots, candidates))
     return results
 
 

@@ -30,6 +30,14 @@ problems, invertibility witnesses, nerve enumeration and the slice all
 ask it which simplices have given faces.  :meth:`FinSSet.simplices` and
 :meth:`FinSSet.position` are kept per dimension; :class:`BilevelMap`
 answers from its kept level tables.
+
+Every exhaustive search runs through :func:`depth_first`, one iterative
+depth-first loop over slots of the caller's own dicts: nerve functors
+(``scat.enumerate_functors``), horn problems (``quasicat.horn_problems``),
+anchored maps (the generic slice) and :func:`iso_search`.  Each caller
+gives only its candidate rule and reads its result at a leaf; leaves
+come in the order of the candidate lists, so each search keeps the
+order it promises, and none is bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -822,9 +830,41 @@ def _occurrence_profile(x: FinSSet, dim_cap: int) -> dict[str, tuple]:
     return {c: tuple(sorted(counter.items())) for c, counter in cnt.items()}
 
 
+def depth_first(slots: list[tuple[dict, object]], candidates: Callable[[int], Iterable]):
+    """Depth-first search over ``slots``, ``(table, key)`` pairs of the
+    caller's own dicts.  Slot t takes each of ``candidates(t)`` (never
+    None) in turn, as ``table[key] = value``; they are listed when the
+    search enters slot t, with exactly slots 0..t-1 set, and the slot is
+    removed again once they run out.  Yields once per leaf, with every
+    slot set, so leaves come in the lexicographic order of the candidate
+    lists; no slots means one leaf.  An explicit stack of candidate
+    iterators stands in for recursion, so the depth is not bounded by
+    Python's recursion limit."""
+    if not slots:
+        yield
+        return
+    stack = [iter(candidates(0))]
+    while stack:
+        table, key = slots[len(stack) - 1]
+        value = next(stack[-1], None)
+        if value is None:
+            table.pop(key, None)
+            stack.pop()
+            continue
+        table[key] = value
+        if len(stack) == len(slots):
+            yield
+        else:
+            stack.append(iter(candidates(len(stack))))
+
+
 def iso_search(x: FinSSet, y: FinSSet, dim_cap: int) -> SimplicialMap | None:
-    """Backtracking search for an isomorphism on nondegenerate cells up
-    to dim_cap.  Returns the map, or None once the search is exhausted."""
+    """An isomorphism on nondegenerate cells up to dim_cap, or None once
+    the search is exhausted.  Runs :func:`depth_first` over the cells of
+    x by dimension, then cell order; a cell's candidates are the unused
+    cells of y in its profile bucket, in y's cell order, whose face
+    entries match the images of its own.  The map returned is the first
+    in that order."""
     dim_cap = min(dim_cap, x.truncation, y.truncation)
     for d in range(dim_cap + 1):
         if len(x.nondegenerate(d)) != len(y.nondegenerate(d)):
@@ -839,50 +879,18 @@ def iso_search(x: FinSSet, y: FinSSet, dim_cap: int) -> SimplicialMap | None:
         (d, c) for d in range(dim_cap + 1) for c in x.nondegenerate(d)
     ]
     mapping: dict[str, str] = {}
-    used: set[str] = set()
 
-    def mapped_faces(c: str) -> tuple | None:
-        out = []
-        for r in x.face_entries(c):
-            if r.cell not in mapping:
-                return None
-            out.append((r.epi.values, mapping[r.cell]))
-        return tuple(out)
+    def candidates(t: int) -> list[str]:
+        d, c = order[t]
+        used = set(mapping.values())
+        want = tuple((r.epi.values, mapping.get(r.cell)) for r in x.face_entries(c))
+        return [
+            yc for yc in buckets.get((d, px[c]), [])
+            if yc not in used
+            and tuple((r.epi.values, r.cell) for r in y.face_entries(yc)) == want
+        ]
 
-    def candidates(d: int, c: str) -> list[str]:
-        pool = buckets.get((d, px[c]), [])
-        want = mapped_faces(c) if d >= 1 else None
-        out = []
-        for yc in pool:
-            if yc in used:
-                continue
-            if d >= 1:
-                got = tuple(
-                    (r.epi.values, r.cell) for r in y.face_entries(yc)
-                )
-                if got != want:
-                    continue
-            out.append(yc)
-        return out
-
-    # Depth-first over ``order`` with an explicit stack of candidate
-    # iterators, so the depth is not bounded by Python's recursion limit.
-    # A level's candidates are listed when the search enters it, given the
-    # levels above; the map returned is the first in that order.
-    stack = [iter(candidates(*order[0]))] if order else []
-    while stack and len(mapping) < len(order):
-        _, c = order[len(stack) - 1]
-        if c in mapping:
-            used.discard(mapping.pop(c))
-        yc = next(stack[-1], None)
-        if yc is None:
-            stack.pop()
-            continue
-        mapping[c] = yc
-        used.add(yc)
-        if len(stack) < len(order):
-            stack.append(iter(candidates(*order[len(stack)])))
-    if len(mapping) < len(order):
-        return None
-    assignment = {c: nondeg_ref(yc, x.dim_of(c)) for c, yc in mapping.items()}
-    return SimplicialMap(x, y, assignment)
+    for _ in depth_first([(mapping, c) for _, c in order], candidates):
+        assignment = {c: nondeg_ref(yc, x.dim_of(c)) for c, yc in mapping.items()}
+        return SimplicialMap(x, y, assignment)
+    return None

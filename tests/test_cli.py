@@ -511,6 +511,18 @@ def test_pairing_witness_szudzik(capsys):
     assert env["pairing"] == "szudzik"
 
 
+@pytest.mark.parametrize("mode", [
+    ["--assoc-check", "--seed", "5", "--trials", "10"],
+    ["--pairing-witness"],
+])
+def test_grassmann_report_holds_the_printed_json(tmp_path, capsys, mode):
+    out_file = tmp_path / "grassmann.json"
+    rc, out, _ = run(capsys, "grassmann", *mode, "--report", str(out_file))
+    assert rc == 0
+    assert out_file.read_text() == out
+    assert json.loads(out)["command"] == "grassmann"
+
+
 def test_grassmann_modes_are_exclusive(capsys):
     rc, _, _ = run(capsys, "grassmann", "--assoc-check", "--pairing-witness")
     assert rc == 2
@@ -548,6 +560,17 @@ def test_export_dot_file_and_json_format(tmp_path, capsys):
     rc, env = run_json(capsys, "export-dot", path, "--format", "json")
     assert rc == 0
     assert env["dot"] == out_file.read_text()
+
+
+def test_export_dot_json_report_holds_the_printed_json(tmp_path, capsys):
+    path = write_json(tmp_path / "d2.json", standard_simplex(2).to_json())
+    out_file = tmp_path / "d2.json.report"
+    rc, out, _ = run(
+        capsys, "export-dot", path, "--format", "json", "--report", str(out_file)
+    )
+    assert rc == 0
+    assert out_file.read_text() == out
+    assert json.loads(out)["dot"].startswith("digraph sset {")
 
 
 # -- envelope and usage -----------------------------------------------

@@ -26,6 +26,8 @@ from qckit.ordinals import degeneracy
 from qckit.scat import from_finite_category, simplicial_nerve
 from qckit.sset import (
     FinSSet,
+    SimplexRef,
+    SimplicialMap,
     TruncationError,
     boundary,
     identity_map,
@@ -192,6 +194,24 @@ def test_generic_slice_projection():
     s = slice_sset(pres, 1)
     proj = slice_projection(s)
     assert validate_map(proj).ok
+
+
+def test_generic_slice_deeper_than_the_recursion_limit():
+    # a 700-edge path anchored at vertex 0: one search level per cone cell
+    n = 700
+    path = FinSSet(
+        1,
+        {0: [f"v{i}" for i in range(n + 1)], 1: [f"e{i}" for i in range(n)]},
+        {f"e{i}": [nondeg_ref(f"v{i + 1}", 0), nondeg_ref(f"v{i}", 0)]
+         for i in range(n)},
+    )
+    base = standard_simplex(2)
+    assignment = {f"v{i}": nondeg_ref("0", 0) for i in range(n + 1)}
+    assignment.update({f"e{i}": SimplexRef(degeneracy(0, 0), "0") for i in range(n)})
+    anchor = SimplicialMap(path, base, assignment)
+    s = slice_sset(SlicePresentation(base, anchor, "under"), 0)
+    proj = slice_projection(s)
+    assert sorted(proj.assignment[c].cell for c in s.nondegenerate(0)) == ["0", "1", "2"]
 
 
 def test_over_slice_of_simplex_at_last_vertex():

@@ -211,6 +211,22 @@ def test_apply_matches_the_face_walk(name, request, monkeypatch):
                    if not op.is_surjective)
 
 
+def test_apply_walks_a_ref_without_a_position(monkeypatch):
+    # an edge written with a non-surjective epi is not a normal form, so
+    # it has no position in the kept tables: every call walks and stores
+    # nothing, the identity operator included
+    x = standard_simplex(2)
+    ref = SimplexRef(MonotoneMap(1, 2, (0, 2)), "0-1-2")
+    assert ref not in x.position(1)
+    ops = [op for m in range(x.truncation + 1) for op in all_maps(m, 1)]
+    assert any(op.is_identity for op in ops)
+    first = [x.apply(ref, op) for op in ops]
+    assert first == [scan_apply(x, ref, op) for op in ops]
+    walks = count_walks(monkeypatch, x)
+    assert [x.apply(ref, op) for op in ops] == first
+    assert walks == {(ref, op): 1 for op in ops}
+
+
 @pytest.mark.parametrize("name", ORACLE_FIXTURES)
 def test_face_table_matches_apply(name, request):
     x = oracle_fixture(name, request)

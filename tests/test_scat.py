@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 
 import pytest
 
@@ -143,6 +144,20 @@ def test_truncation_guard():
     )
     with pytest.raises(TruncationError):
         enumerate_functors(3, low)
+
+
+def test_enumeration_deeper_than_the_recursion_limit():
+    # one search level per slot: thousands of them, and a single functor
+    def comp(x, y, z, later, earlier):
+        return "1"
+
+    d = from_finite_category(
+        ["*"], {("*", "*"): ["1"]}, comp, {"*": "1"}, truncation=5
+    )
+    (f,) = enumerate_functors(6, d)
+    slots = sum(len(table) for table in f.assignments.values())
+    assert slots > sys.getrecursionlimit()
+    assert {r.cell for table in f.assignments.values() for r in table.values()} == {"1"}
 
 
 def test_precompose_functorial():
