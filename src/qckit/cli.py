@@ -23,6 +23,7 @@ from . import __version__
 from .ordinals import face
 from .join import coslice_fastpath
 from .monoids import (
+    PROPOSITION_MIN_DIM,
     boxplus,
     build_reference_monoid,
     cantor_pairing,
@@ -306,6 +307,10 @@ def cmd_pi(args) -> int:
 
 def cmd_verify_prop(args) -> int:
     caps = _dim_caps(args.dim)
+    if args.dim < PROPOSITION_MIN_DIM:
+        raise UsageError(
+            f"--dim must be >= {PROPOSITION_MIN_DIM}: check (e) needs 2-simplices"
+        )
     spec = _load_spec(args.spec)
     m = _build_monoid(spec)
     try:

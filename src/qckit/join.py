@@ -327,16 +327,14 @@ def slice_sset(pres: SlicePresentation, dim: int) -> SliceSSet:
         sx = standard_simplex(n)
         shapes.append(join(k_set, sx) if under else join(sx, k_set))
 
-    def fixed_for(n: int) -> dict:
-        out = {}
-        for d in range(k_set.truncation + 1):
-            for c in k_set.nondegenerate(d):
-                jid = _left_id(c) if under else _right_id(c)
-                out[jid] = pres.anchor.assignment[c]
-        return out
-
+    # the anchor's part of every level's maps, on K's cells in the join
+    fixed = {
+        (_left_id(c) if under else _right_id(c)): pres.anchor.assignment[c]
+        for d in range(k_set.truncation + 1)
+        for c in k_set.nondegenerate(d)
+    }
     levels = [
-        _enumerate_anchored_maps(shapes[n], pres.base, fixed_for(n))
+        _enumerate_anchored_maps(shapes[n], pres.base, fixed)
         for n in range(dim + 1)
     ]
 

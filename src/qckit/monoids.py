@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ordinals import MonotoneMap, degeneracy, epis_onto
+from .ordinals import MonotoneMap, epis_onto
 from .quasicat import (
     core,
     is_invertible_edge,
@@ -206,6 +206,22 @@ def _canonical_hom(a: FiniteGroup, b: FiniteGroup) -> dict:
     if a.name == b.name:
         return {e: e for e in a.elements}
     return {e: b.unit for e in a.elements}
+
+
+def group_product(gg: FiniteGroup, gh: FiniteGroup, gt: FiniteGroup):
+    """The levelwise product of bar words of gg and gh into gt, entry by
+    entry through the canonical homs: a function for a BilevelMap."""
+    ha = _canonical_hom(gg, gt)
+    hb = _canonical_hom(gh, gt)
+
+    def fn(level: int, a: SimplexRef, b: SimplexRef) -> SimplexRef:
+        ta = _bar_decode(gg, a)
+        tb = _bar_decode(gh, b)
+        return bar_normal(
+            gt, tuple(gt.mult[(ha[x], hb[y])] for x, y in zip(ta, tb))
+        )
+
+    return fn
 
 
 # -- graded simplicial monoids ----------------------------------------
@@ -453,25 +469,12 @@ def build_reference_monoid(spec: MonoidSpec | None = None) -> GradedSimplicialMo
         for g in spec.grades.elements
     }
 
-    def make_fn(gg: FiniteGroup, gh: FiniteGroup, gt: FiniteGroup):
-        ha = _canonical_hom(gg, gt)
-        hb = _canonical_hom(gh, gt)
-
-        def fn(level: int, a: SimplexRef, b: SimplexRef) -> SimplexRef:
-            ta = _bar_decode(gg, a)
-            tb = _bar_decode(gh, b)
-            return bar_normal(
-                gt, tuple(gt.mult[(ha[x], hb[y])] for x, y in zip(ta, tb))
-            )
-
-        return fn
-
     product = {}
     for g, h in itertools.product(spec.grades.elements, repeat=2):
         gh = spec.grades.product(g, h)
         product[(g, h)] = BilevelMap(
             components[g], components[h], components[gh],
-            make_fn(groups[g], groups[h], groups[gh]),
+            group_product(groups[g], groups[h], groups[gh]),
         )
     m = GradedSimplicialMonoid(
         spec.grades, components, _VERTEX, product, spec.truncation
@@ -550,188 +553,140 @@ class PropositionReport:
         return out
 
 
+# Check (e) compares fundamental groups, which are read off 2-simplices.
+PROPOSITION_MIN_DIM = 2
+
+
 def verify_proposition(m: GradedSimplicialMonoid, dims: int = 2) -> PropositionReport:
     """Runs nerve -> coslice at the object -> core, then compares the
-    core with the monoid's total space: vertices, identity edges,
-    invertibility against the unit grade, the orientation-reversing edge
-    correspondence, path components with fundamental groups, and an
-    informational isomorphism search."""
+    core with the monoid's total space (the hom of ``deloop(m)``):
+    vertices, identity edges, invertibility against the unit grade, the
+    orientation-reversing edge correspondence, path components with
+    fundamental groups, and an informational isomorphism search.  Each
+    of checks (a)-(e) lists its failures and passes when the list is
+    empty; its details are then its summary.  Needs
+    ``PROPOSITION_MIN_DIM <= dims < m.truncation``."""
+    if dims < PROPOSITION_MIN_DIM:
+        raise ValueError(
+            f"checking to dimension {dims}: check (e) needs 2-simplices, "
+            f"so dims must be >= {PROPOSITION_MIN_DIM}"
+        )
     if dims + 1 > m.truncation:
         raise ValueError(
             f"checking to dimension {dims} needs truncation {dims + 1}"
         )
     cat = deloop(m)
+    total = cat.hom("*", "*")
     nerve = simplicial_nerve(cat, dims + 1)
     (star,) = nerve.nondegenerate(0)
     cos = coslice_fastpath(nerve, star, dims)
     cr = core(cos)
-    total = total_space(m)
-    unit_tag = tag(m.grades.unit, m.unit_vertex)
     checks = []
 
-    def edge_data(e: SimplexRef):
-        return functor_to_classification(
-            nerve.functor_of_ref(cos.underlying_ref(e))
-        )
+    def classify(ref: SimplexRef):
+        return functor_to_classification(nerve.functor_of_ref(ref))
+
+    def check(name: str, fails: list, *summary: str) -> None:
+        checks.append(CheckOutcome(name, not fails, fails or list(summary)))
 
     # (a) vertices of the core against vertices of the monoid
-    a_check = CheckOutcome("a", True)
-    vertex_of = {}
-    for c in cr.sset.nondegenerate(0):
-        under = cos.underlying[c]
-        vertex_of[c] = functor_to_classification(
-            nerve.functor_of_ref(under)
-        ).v01
-    m_vertices = set(total.nondegenerate(0))
-    if len(set(vertex_of.values())) != len(vertex_of) or (
-        set(vertex_of.values()) != m_vertices
-    ):
-        a_check.verdict = False
-        a_check.details.append(
-            f"core vertices map to {sorted(vertex_of.values())}, "
-            f"monoid has {sorted(m_vertices)}"
-        )
-    else:
-        a_check.details.append(
-            f"{len(vertex_of)} core vertices match {len(m_vertices)} "
-            f"monoid vertices"
-        )
-    checks.append(a_check)
+    vertex_of = {
+        c: classify(cos.underlying[c]).v01 for c in cr.sset.nondegenerate(0)
+    }
+    images = sorted(vertex_of.values())
+    m_vertices = sorted(total.nondegenerate(0))
+    a_fails = []
+    if images != m_vertices:
+        a_fails.append(f"core vertices map to {images}, monoid has {m_vertices}")
+    check("a", a_fails,
+          f"{len(images)} core vertices match {len(m_vertices)} monoid vertices")
 
-    # (b) identity edges decompose through the unit with a constant path
-    b_check = CheckOutcome("b", True)
-    for c in cos.nondegenerate(0):
-        data = edge_data(SimplexRef(degeneracy(0, 0), c))
-        if data.v12 != unit_tag or not data.gamma.is_degenerate:
-            b_check.verdict = False
-            b_check.details.append(
-                f"identity edge at {c!r} decomposes with middle "
-                f"{data.v12!r} and path {data.gamma.sort_key()}"
-            )
-    if b_check.verdict:
-        b_check.details.append(
-            f"all {len(cos.nondegenerate(0))} identity edges have unit "
-            f"middle and constant path"
-        )
-    checks.append(b_check)
+    # (b) identity edges decompose through the unit with a constant path;
+    # (edge, invertible, classification) for every coslice edge, the
+    # degenerate ones first, in vertex order
+    edges = [
+        (e, is_invertible_edge(cos, e), classify(cos.underlying_ref(e)))
+        for e in cos.simplices(1)
+    ]
+    identities = [(e.cell, data) for e, _, data in edges if e.is_degenerate]
+    check("b", [
+        f"identity edge at {c!r} decomposes with middle {data.v12!r} and "
+        f"path {data.gamma.sort_key()}"
+        for c, data in identities
+        if data.v12 != cat.identities["*"] or not data.gamma.is_degenerate
+    ], f"all {len(identities)} identity edges have unit middle and constant path")
 
     # (c) invertibility is exactly unit middle grade, both directions
-    c_check = CheckOutcome("c", True)
-    edges = cos.simplices(1)
-    inv_flags = {}
-    for e in edges:
-        inv = is_invertible_edge(cos, e)
-        inv_flags[e] = inv
-        middle_grade = untag(edge_data(e).v12)[0]
+    c_fails = []
+    for e, inv, data in edges:
+        middle_grade = untag(data.v12)[0]
         if inv != (middle_grade == m.grades.unit):
-            c_check.verdict = False
-            c_check.details.append(
-                f"edge {e.sort_key()} invertible={inv} but middle grade "
-                f"{middle_grade!r}"
-            )
-    if c_check.verdict:
-        n_inv = sum(1 for v in inv_flags.values() if v)
-        c_check.details.append(
-            f"{n_inv} of {len(edges)} coslice edges invertible, all with "
-            f"unit middle grade"
-        )
-    checks.append(c_check)
+            c_fails.append(f"edge {e.sort_key()} invertible={inv} but middle "
+                           f"grade {middle_grade!r}")
+    inverted = [(e, data) for e, inv, data in edges if inv]
+    check("c", c_fails, f"{len(inverted)} of {len(edges)} coslice edges "
+          f"invertible, all with unit middle grade")
 
     # (d) invertible edges correspond to monoid edges, orientation reversed
-    d_check = CheckOutcome("d", True)
-    gammas = []
     ends = total.face_table(1)
-    for e in edges:
-        if not inv_flags[e]:
-            continue
-        data = edge_data(e)
-        gammas.append(data.gamma)
+    d_fails = []
+    for e, data in inverted:
         tgt, src = (r.cell for r in ends[data.gamma])
         if src != data.v02 or tgt != data.v01:
-            d_check.verdict = False
-            d_check.details.append(
-                f"path of {e.sort_key()} runs {src!r} -> {tgt!r}, "
-                f"expected {data.v02!r} -> {data.v01!r}"
-            )
+            d_fails.append(f"path of {e.sort_key()} runs {src!r} -> {tgt!r}, "
+                           f"expected {data.v02!r} -> {data.v01!r}")
+    gammas = [data.gamma for _, data in inverted]
     m_edges = total.simplices(1)
-    if len(gammas) != len(set(gammas)) or set(gammas) != set(m_edges):
-        d_check.verdict = False
-        d_check.details.append(
-            f"{len(gammas)} reversed paths against {len(m_edges)} "
-            f"monoid edges"
+    if len(gammas) != len(m_edges) or set(gammas) != set(m_edges):
+        d_fails.append(
+            f"{len(gammas)} reversed paths against {len(m_edges)} monoid edges"
         )
-    if d_check.verdict:
-        d_check.details.append(
-            f"{len(gammas)} invertible edges match {len(m_edges)} monoid "
-            f"edges with orientation reversed"
-        )
-    checks.append(d_check)
+    check("d", d_fails, f"{len(gammas)} invertible edges match {len(m_edges)} "
+          f"monoid edges with orientation reversed")
 
     # (e) path components and fundamental groups
-    e_check = CheckOutcome("e", True)
     core_comps = pi0(cr.sset)
     m_comps = pi0(total)
+    e_fails = []
     if len(core_comps) != len(m_comps):
-        e_check.verdict = False
-        e_check.details.append(
-            f"pi0 sizes differ: {len(core_comps)} vs {len(m_comps)}"
-        )
-    comp_of = {}
-    for comp in m_comps:
-        for v in comp:
-            comp_of[v] = comp
+        e_fails.append(f"pi0 sizes differ: {len(core_comps)} vs {len(m_comps)}")
+    comp_of = {v: comp for comp in m_comps for v in comp}
     for comp in core_comps:
-        images = {comp_of.get(vertex_of.get(v)) for v in comp}
-        if len(images) != 1 or None in images:
-            e_check.verdict = False
-            e_check.details.append(
-                f"core component {comp} does not land in one monoid "
-                f"component"
+        landed = {comp_of.get(vertex_of.get(v)) for v in comp}
+        if len(landed) != 1 or None in landed:
+            e_fails.append(
+                f"core component {comp} does not land in one monoid component"
             )
-    tables = {}
+    groups = {}
     for c in cr.sset.nondegenerate(0):
-        r_core = pi1(cr.sset, c)
+        r_core = groups[c] = pi1(cr.sset, c)
         r_m = pi1(total, vertex_of[c])
         if not (r_core.ok and r_m.ok):
-            e_check.verdict = False
-            e_check.details.append(
-                f"fundamental group at {c!r} ill-defined: "
-                f"{r_core.problems + r_m.problems}"
-            )
-            continue
-        tables[c] = r_core.table
-        if not tables_isomorphic(r_core.table, r_m.table):
-            e_check.verdict = False
-            e_check.details.append(
-                f"fundamental groups at {c!r} differ: orders "
-                f"{r_core.order} vs {r_m.order}"
-            )
-    if e_check.verdict:
-        orders = {c: max(i for i, _ in t) + 1 for c, t in tables.items()}
-        e_check.details.append(
-            f"pi0 size {len(core_comps)}; pi1 orders "
-            f"{sorted(orders.values())}"
-        )
+            e_fails.append(f"fundamental group at {c!r} ill-defined: "
+                           f"{r_core.problems + r_m.problems}")
+        elif not tables_isomorphic(r_core.table, r_m.table):
+            e_fails.append(f"fundamental groups at {c!r} differ: orders "
+                           f"{r_core.order} vs {r_m.order}")
+    e_summary = []
+    if not e_fails:
+        e_summary.append(f"pi0 size {len(core_comps)}; pi1 orders "
+                         f"{sorted(r.order for r in groups.values())}")
         redundant = [
-            (c1, c2)
-            for c1, c2 in itertools.combinations(sorted(tables), 2)
-            if tables_isomorphic(tables[c1], tables[c2])
+            f"{c1!r}~{c2!r}"
+            for c1, c2 in itertools.combinations(sorted(groups), 2)
+            if tables_isomorphic(groups[c1].table, groups[c2].table)
         ]
         if redundant:
-            e_check.details.append(
-                "distinct vertices with abstractly isomorphic groups: "
-                + ", ".join(f"{a!r}~{b!r}" for a, b in redundant)
-            )
-    checks.append(e_check)
+            e_summary.append("distinct vertices with abstractly isomorphic "
+                             "groups: " + ", ".join(redundant))
+    check("e", e_fails, *e_summary)
 
     # (f) informational: cell-level isomorphism search
-    f_check = CheckOutcome("f", None)
     found = iso_search(cr.sset, total, dims)
-    f_check.details.append(
+    checks.append(CheckOutcome("f", None, [
         f"isomorphism core vs monoid up to dimension {dims}: "
         + ("found" if found is not None else "none")
-    )
-    checks.append(f_check)
+    ]))
     return PropositionReport(checks)
 
 

@@ -78,9 +78,6 @@ class MonotoneMap:
     def is_surjective(self) -> bool:
         return _image_size(self.values) == self.target_arity + 1
 
-    def sort_key(self) -> tuple:
-        return (self.source_arity, self.target_arity, self.values)
-
 
 def identity(n: int) -> MonotoneMap:
     return MonotoneMap(n, n, tuple(range(n + 1)))

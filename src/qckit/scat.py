@@ -394,7 +394,9 @@ def _identity_functor(k: int) -> SimplicialFunctor:
 
 def validate_functor(f: SimplicialFunctor) -> ValidationReport:
     """Units, naturality of every hom assignment, and the composition
-    squares F(b u a) = F(b) . F(a) levelwise on all pairs."""
+    squares F(b u a) = F(b) . F(a) levelwise on all pairs, compared as
+    positions in the target homs through rigidify(k)'s union tables and
+    the target's composition tables."""
     report = ValidationReport("SimplicialFunctor")
     k = f.arity
     src = rigidify(k)
@@ -413,20 +415,28 @@ def validate_functor(f: SimplicialFunctor) -> ValidationReport:
     if report.problems:
         return report
     cap = min(src.level_cap, f.target.level_cap)
+    objs = f.object_map
+    # (i, j, m) -> the position in the target hom of each m-simplex's image
+    images = {
+        (i, j, m): [
+            f.target.hom(objs[i], objs[j]).position(m)[f.image(i, j, s)]
+            for s in src.hom(i, j).simplices(m)
+        ]
+        for i in range(k + 1)
+        for j in range(i, k + 1)
+        for m in range(cap + 1)
+    }
     for i in range(k + 1):
         for j in range(i, k + 1):
             for p in range(j, k + 1):
                 for m in range(cap + 1):
-                    for b in src.hom(j, p).simplices(m):
-                        fb = f.image(j, p, b)
-                        for a in src.hom(i, j).simplices(m):
-                            u = union_chains(m, b, a)
-                            lhs = f.image(i, p, u)
-                            rhs = f.target.compose_refs(
-                                f.object_map[i], f.object_map[j], f.object_map[p],
-                                fb, f.image(i, j, a),
-                            )
-                            if lhs != rhs:
+                    unions = src.comp[(i, j, p)].table(m)
+                    comps = f.target.comp[(objs[i], objs[j], objs[p])].table(m)
+                    f_ij, f_ip = images[i, j, m], images[i, p, m]
+                    for b, fb, row in zip(src.hom(j, p).simplices(m),
+                                          images[j, p, m], unions):
+                        for a, fa, u in zip(src.hom(i, j).simplices(m), f_ij, row):
+                            if f_ip[u] != comps[fb][fa]:
                                 report.problems.append(
                                     f"composition square fails at level {m} on "
                                     f"({i},{j},{p}): {b.cell!r} over {a.cell!r}"

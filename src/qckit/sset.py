@@ -507,16 +507,6 @@ class SimplicialMap:
         }
         return SimplicialMap(other.source, self.target, assignment)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimplicialMap):
-            return NotImplemented
-        return (
-            self.source is other.source or self.source.to_json() == other.source.to_json()
-        ) and self.assignment == other.assignment
-
-    def __hash__(self):
-        return hash(tuple(sorted((c, r.sort_key()) for c, r in self.assignment.items())))
-
 
 def identity_map(x: FinSSet) -> SimplicialMap:
     assignment = {}

@@ -466,6 +466,14 @@ def test_verify_prop_rejects_group_spec(tmp_path, capsys):
     assert "left translation" in err
 
 
+@pytest.mark.parametrize("dim", ["0", "1"])
+def test_verify_prop_dim_below_two_names_the_option(capsys, dim):
+    rc, out, err = run(capsys, "verify-prop", "default", "--dim", dim)
+    assert rc == 2
+    assert out == ""
+    assert "--dim must be >= 2" in err
+
+
 def test_verify_prop_dim_needs_truncation_room(capsys):
     rc, _, err = run(capsys, "verify-prop", "default", "--dim", "3")
     assert rc == 1

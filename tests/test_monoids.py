@@ -13,6 +13,7 @@ from oracles import bar_nerve, scan_bilevel, scan_monoid_laws, scan_scat_laws
 from qckit import monoids
 from qckit.monoids import (
     GradeMonoid,
+    GradedSimplicialMonoid,
     MonoidSpec,
     NonassociativityWitness,
     RationalSubspace,
@@ -28,6 +29,7 @@ from qckit.monoids import (
     find_nonassociativity_witness,
     group_from_name,
     group_nerve,
+    group_product,
     monoid_spec_from_json,
     monoid_spec_to_json,
     pairing_sum,
@@ -405,6 +407,70 @@ def test_proposition_on_discrete_idempotent_monoid():
         report.check("a").details[0]
     )
     assert report.check("c").details[0].startswith("2 of ")
+
+
+def group_grade_monoid(component):
+    """Grades Z/2 with `component` on grade 1, built without
+    build_reference_monoid, which rejects group grades.  Its delooping
+    has a coslice edge that is invertible over the non-unit grade."""
+    grades = GradeMonoid(
+        ("0", "1"), "0",
+        {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "0"},
+    )
+    groups = {"0": cyclic_group(1), "1": group_from_name(component)}
+    components = {g: group_nerve(groups[g], 3) for g in grades.elements}
+    product = {
+        (g, h): BilevelMap(
+            components[g], components[h], components[grades.product(g, h)],
+            group_product(groups[g], groups[h], groups[grades.product(g, h)]),
+        )
+        for g in grades.elements
+        for h in grades.elements
+    }
+    return GradedSimplicialMonoid(grades, components, "v", product, 3)
+
+
+def failing_checks(second_edge, reversed_paths, monoid_edges):
+    return [
+        {"name": "a", "verdict": True,
+         "details": ["2 core vertices match 2 monoid vertices"]},
+        {"name": "b", "verdict": True,
+         "details": ["all 2 identity edges have unit middle and constant path"]},
+        {"name": "c", "verdict": False, "details": [
+            "edge ('c:s0:n1c0', (0, 1)) invertible=True but middle grade '1'",
+            f"edge ('{second_edge}', (0, 1)) invertible=True but middle grade '1'",
+        ]},
+        {"name": "d", "verdict": False, "details": [
+            "path of ('c:s0:n1c0', (0, 1)) runs '1:v' -> '1:v', "
+            "expected '1:v' -> '0:v'",
+            f"path of ('{second_edge}', (0, 1)) runs '0:v' -> '0:v', "
+            "expected '0:v' -> '1:v'",
+            f"{reversed_paths} reversed paths against {monoid_edges} monoid edges",
+        ]},
+        {"name": "e", "verdict": False, "details": [
+            "pi0 sizes differ: 1 vs 2",
+            "core component ('c:n1c0', 'c:s0:n0c0') does not land in one "
+            "monoid component",
+        ]},
+        {"name": "f", "verdict": None, "details": [
+            "isomorphism core vs monoid up to dimension 2: none"
+        ]},
+    ]
+
+
+@pytest.mark.parametrize("component, expected", [
+    ("trivial", failing_checks("c:n2c0", 4, 2)),
+    ("Z/2", failing_checks("c:n2c1", 5, 3)),
+])
+def test_proposition_fails_on_group_grades(component, expected):
+    report = verify_proposition(group_grade_monoid(component), 2)
+    assert report.to_json() == {"ok": False, "checks": expected}
+
+
+@pytest.mark.parametrize("dims", [0, 1])
+def test_proposition_needs_two_simplices(reference, dims):
+    with pytest.raises(ValueError, match=r"\(e\) needs 2-simplices"):
+        verify_proposition(reference, dims)
 
 
 def test_proposition_json_shape(reference):

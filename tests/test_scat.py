@@ -26,6 +26,7 @@ from qckit.posets import mapping_poset
 from qckit.scat import (
     EdgeData,
     SCat,
+    SimplicialFunctor,
     TriangleData,
     classification_to_functor,
     classify_low_simplices,
@@ -133,6 +134,34 @@ def test_enumerate_functors_no_duplicates_and_valid():
         assert len(set(fs)) == len(fs)
         for f in fs:
             assert validate_functor(f).ok
+
+
+def test_validate_functor_names_a_failing_composition_square():
+    # the functor sending both edges and their composite to a, rebound
+    # to the same homs composed as Z/2, where a.a = 1
+    d = discrete_two_element_monoid()
+
+    def z2(x, y, z, later, earlier):
+        return "a" if (later == "a") != (earlier == "a") else "1"
+
+    twisted = from_finite_category(
+        ["*"], {("*", "*"): ["1", "a"]}, z2, {"*": "1"}, truncation=3
+    )
+    comp = {
+        key: BilevelMap(bm.x, bm.y, bm.target, twisted.comp[key].fn)
+        for key, bm in d.comp.items()
+    }
+    target = SCat(d.objects, d.homs, d.identities, comp)
+    (f,) = [
+        f for f in enumerate_functors(2, d)
+        if f.assignments[(0, 1)]["0.1"].cell == f.assignments[(1, 2)]["1.2"].cell == "a"
+    ]
+    rebound = SimplicialFunctor(2, target, f.object_map, f.assignments)
+    assert validate_functor(f).ok
+    assert validate_functor(rebound).problems == [
+        f"composition square fails at level {m} on (0,1,2): '1.2' over '0.1'"
+        for m in (0, 1)
+    ]
 
 
 def test_truncation_guard():
