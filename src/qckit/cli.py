@@ -152,7 +152,10 @@ def _load_sset(path: str) -> FinSSet:
 def _load_spec(path: str):
     if path == "default":
         return default_monoid_spec()
-    blob = _load_json_file(path)
+    return _spec_from_blob(path, _load_json_file(path))
+
+
+def _spec_from_blob(path: str, blob):
     if not (isinstance(blob, dict) and "grades" in blob):
         raise UsageError(f"{path} is not a monoid spec file")
     try:
@@ -205,7 +208,7 @@ def cmd_check(args) -> int:
             raise UsageError(f"{args.path}: malformed simplicial set: {e}")
     elif "grades" in blob:
         kind = "monoid spec"
-        spec = _load_spec(args.path)
+        spec = _spec_from_blob(args.path, blob)
         try:
             # the build validates the monoid and raises on any problem
             build_reference_monoid(spec)

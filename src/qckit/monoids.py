@@ -60,9 +60,23 @@ class GradeMonoid:
     def product(self, a: str, b: str) -> str:
         return self.table[(a, b)]
 
+    def name_problems(self) -> list[str]:
+        """Grade names that cell tags ``grade:cell`` cannot tell apart:
+        one containing ':' or one listed twice."""
+        problems = [
+            f"grade name {e!r} contains ':', which cell tags reserve"
+            for e in self.elements if ":" in e
+        ]
+        problems += [
+            f"grade {e!r} is listed twice"
+            for t, e in enumerate(self.elements) if e in self.elements[:t]
+        ]
+        return problems
+
     def validate(self) -> ValidationReport:
         report = ValidationReport("GradeMonoid")
         es = self.elements
+        report.problems.extend(self.name_problems())
         if self.unit not in es:
             report.problems.append(f"unit {self.unit!r} not an element")
             return report
@@ -392,13 +406,15 @@ def monoid_spec_from_json(blob: dict) -> MonoidSpec:
     """Reads a spec file's JSON; a malformed spot raises KeyError,
     TypeError or ValueError naming it.  Laws are left to the build."""
     g = blob["grades"]
-    es = tuple(g["elements"])
-    for e in es:
-        if ":" in e:
-            raise ValueError(
-                f"grade name {e!r} contains ':', which cell tags reserve"
-            )
+    if not isinstance(g, dict):
+        raise ValueError("'grades' must be an object")
+    es = g["elements"]
+    if not (isinstance(es, list) and all(isinstance(e, str) for e in es)):
+        raise ValueError(f"'grades.elements' must be a list of strings, got {es!r}")
+    es = tuple(es)
     rows = g["table"]
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+        raise ValueError(f"'grades.table' must be a list of rows, got {rows!r}")
     if len(rows) != len(es):
         raise ValueError(
             f"grade table has {len(rows)} rows for {len(es)} grades"
@@ -415,10 +431,17 @@ def monoid_spec_from_json(blob: dict) -> MonoidSpec:
         for j, b in enumerate(es)
     }
     grades = GradeMonoid(es, g["unit"], table)
+    problems = grades.name_problems()
+    if problems:
+        raise ValueError(f"'grades.elements': {problems[0]}")
     if not isinstance(blob["components"], dict):
         raise ValueError("'components' must be an object")
     components = {}
     for grade, entry in blob["components"].items():
+        if not isinstance(entry, dict):
+            raise ValueError(
+                f"'components' entry {grade!r} must be an object, got {entry!r}"
+            )
         try:
             if not isinstance(entry["group"], str):
                 raise ValueError(
@@ -442,11 +465,6 @@ def build_reference_monoid(spec: MonoidSpec | None = None) -> GradedSimplicialMo
     levelwise through canonical homs.  Raises on any invalid spec, with
     the violating structure named."""
     spec = default_monoid_spec() if spec is None else spec
-    for g in spec.grades.elements:
-        if ":" in g:
-            raise ValueError(
-                f"grade name {g!r} contains ':', which cell tags reserve"
-            )
     grade_report = spec.grades.validate()
     if not grade_report.ok:
         raise ValueError(

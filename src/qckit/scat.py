@@ -825,5 +825,7 @@ def scat_from_manifest(path: str) -> SCat:
             return fn
 
         comp[(x, y, z)] = BilevelMap(*ends, make_fn(table))
-    identities = dict(manifest["identities"])
-    return SCat(objects, homs, identities, comp)
+    for x, v in manifest["identities"].items():
+        if not isinstance(v, str):
+            raise ValueError(f"'identities' entry {x!r} must be a cell name, got {v!r}")
+    return SCat(objects, homs, manifest["identities"], comp)

@@ -192,13 +192,13 @@ def test_check_scat_manifest(tmp_path, capsys):
      ("comp", {"*|*|*": {"0": [[{"cell": "1", "epi": [3]}] * 3]}}),
      ("comp", {"*|*|*": {"0": [[{"cell": "1", "epi": [0]}] * 3],
                          "1": [[{"cell": "1", "epi": [0, 0]}] * 3]}}),
-     ("homs", {"*|*": 5}), ("objects", [["*"]])],
+     ("homs", {"*|*": 5}), ("objects", [["*"]]), ("identities", {"*": ["1"]})],
     ids=["homs-list", "comp-list", "comp-entry-list", "identities-string",
          "hom-file-is-a-directory", "homs-key-without-bar", "comp-row-not-triple",
          "comp-level-not-a-dimension", "comp-entry-string", "objects-int",
          "comp-key-without-hom", "comp-entry-unknown-cell", "comp-entry-bad-epi",
          "comp-level-missing-a-pair", "hom-file-name-not-a-string",
-         "object-is-a-list"],
+         "object-is-a-list", "identity-is-a-list"],
 )
 def test_malformed_manifest_exits_two(tmp_path, capsys, key, value):
     def comp(x, y, z, later, earlier):
@@ -630,6 +630,15 @@ def _colon_grade(blob):
     blob["components"] = {"a:b": {"group": "Z/2"}, "2+": {"group": "Z/2"}}
 
 
+def _repeated_grade(blob):
+    # a lawful table over the grades 0, 1, 1: the repeat lists the
+    # component of '1' twice in the total space
+    blob["grades"]["elements"][2] = "1"
+    blob["grades"]["table"] = [
+        [x.replace("2+", "1") for x in row] for row in blob["grades"]["table"]
+    ]
+
+
 @pytest.mark.parametrize(
     "edit, spot",
     [
@@ -640,10 +649,15 @@ def _colon_grade(blob):
         (lambda b: b.update(truncation=2.5), "'truncation'"),
         (lambda b: b.update(truncation=True), "'truncation'"),
         (lambda b: b.update(truncation=-1), "'truncation'"),
+        (_repeated_grade, "'grades.elements': grade '1' is listed twice"),
+        (lambda b: b["grades"].update(elements=[0, "1", "2+"]), "'grades.elements'"),
+        (lambda b: b["grades"].update(elements="012"), "'grades.elements'"),
+        (lambda b: b["components"].update({"1": "Z/2"}), "'components' entry '1'"),
     ],
     ids=["zero-order-group", "ragged-table", "colon-in-grade",
          "truncation-string", "truncation-float", "truncation-bool",
-         "truncation-negative"],
+         "truncation-negative", "repeated-grade", "grade-not-a-string",
+         "elements-a-string", "component-not-an-object"],
 )
 def test_malformed_spec_exits_two(tmp_path, capsys, edit, spot):
     blob = monoid_spec_to_json(default_monoid_spec())
@@ -652,7 +666,7 @@ def test_malformed_spec_exits_two(tmp_path, capsys, edit, spot):
     for argv in (["verify-prop", spec], ["check", spec], ["nerve", spec]):
         rc, out, err = run(capsys, *argv)
         assert rc == 2
-        assert spot in err
+        assert spot in err and "Traceback" not in err
         assert out == ""
 
 

@@ -160,6 +160,15 @@ def test_colon_in_grade_name_is_rejected():
         build_reference_monoid(spec)
 
 
+def test_repeated_grade_name_is_rejected():
+    # a repeated grade lists its component twice in the total space
+    es = ("1", "a", "a")
+    mult = {(x, y): "1" if x == y == "1" else "a" for x in es for y in es}
+    spec = MonoidSpec(GradeMonoid(es, "1", mult), {"a": "trivial"}, 3)
+    with pytest.raises(ValueError, match="grade 'a' is listed twice"):
+        build_reference_monoid(spec)
+
+
 def test_monoid_spec_json_round_trip():
     spec = default_monoid_spec()
     blob = monoid_spec_to_json(spec)

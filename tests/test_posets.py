@@ -1,21 +1,7 @@
-import pytest
-
 from qckit.ordinals import MonotoneMap
-from qckit.posets import (
-    FinPoset,
-    chain_cell_id,
-    chain_poset,
-    denormalize_chain,
-    induced_nerve_map,
-    mapping_poset,
-    nerve,
-    normalize_chain,
-    poset_from_json,
-    poset_to_json,
-    union_compose,
-    validate_poset,
-)
-from qckit.sset import iso_search, standard_simplex, validate, validate_bilevel, validate_map
+from qckit.posets import chain_cell_id, chain_sets, mapping_poset, nerve, normalize_chain
+from qckit.scat import rigidify, rigidify_map
+from qckit.sset import validate, validate_bilevel, validate_map
 
 
 def test_mapping_poset_sizes():
@@ -57,12 +43,6 @@ def test_mapping_poset_03_nerve_counts():
     }
 
 
-def test_nerve_of_linear_order_is_simplex():
-    for n in range(4):
-        got = nerve(chain_poset(n))
-        assert iso_search(got, standard_simplex(n), n) is not None
-
-
 def test_nerve_faces_never_degenerate():
     n = nerve(mapping_poset(0, 4, 4))
     assert validate(n).ok
@@ -73,76 +53,37 @@ def test_nerve_faces_never_degenerate():
 
 
 def test_normalize_denormalize_round_trip():
-    chain = ["0.2", "0.2", "0.1.2", "0.1.2"]
-    ref = normalize_chain([frozenset({0, 2}), frozenset({0, 2}),
-                           frozenset({0, 1, 2}), frozenset({0, 1, 2})])
+    chain = [frozenset({0, 2}), frozenset({0, 2}),
+             frozenset({0, 1, 2}), frozenset({0, 1, 2})]
+    ref = normalize_chain(chain)
     assert ref.epi.values == (0, 0, 1, 1)
-    assert denormalize_chain(ref) == chain
-
-
-def test_validate_poset_catches_missing_transitivity():
-    p = FinPoset("abc", [("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c")])
-    report = validate_poset(p)
-    assert not report.ok
-    assert any("transitivity" in msg for msg in report.problems)
-    assert validate_poset(chain_poset(3)).ok
-
-
-def test_poset_json_round_trip():
-    p = mapping_poset(0, 3, 3).as_poset()
-    blob = poset_to_json(p)
-    q = poset_from_json(blob)
-    assert validate_poset(q).ok
-    assert len(q) == len(p)
-    assert poset_to_json(q) == blob
+    assert ref.cell == "0.2<0.1.2"
+    strict = chain_sets(ref.cell)
+    assert [strict[ref.epi(t)] for t in range(ref.dim + 1)] == chain
 
 
 def test_union_compose_is_bilevel():
-    bm = union_compose(0, 1, 3, 3)
+    bm = rigidify(3).comp[(0, 1, 3)]
     assert validate_bilevel(bm, 2).ok
 
 
 def test_union_compose_vertex_level():
-    bm = union_compose(0, 2, 3, 3)
+    bm = rigidify(3).comp[(0, 2, 3)]
     a = normalize_chain([frozenset({2, 3})])
     b = normalize_chain([frozenset({0, 2})])
     assert bm.apply(0, a, b) == normalize_chain([frozenset({0, 2, 3})])
 
 
-def test_union_compose_associative():
-    k = 4
-    for i in range(k + 1):
-        for j in range(i, k + 1):
-            for p in range(j, k + 1):
-                for q in range(p, k + 1):
-                    outer = union_compose(i, p, q, k)
-                    inner_lo = union_compose(i, j, p, k)
-                    outer2 = union_compose(i, j, q, k)
-                    inner_hi = union_compose(j, p, q, k)
-                    hi = nerve(mapping_poset(p, q, k))
-                    mid = nerve(mapping_poset(j, p, k))
-                    lo = nerve(mapping_poset(i, j, k))
-                    for level in range(2):
-                        for a in hi.simplices(min(level, hi.truncation)):
-                            for b in mid.simplices(min(level, mid.truncation)):
-                                for c in lo.simplices(min(level, lo.truncation)):
-                                    if not (a.dim == b.dim == c.dim):
-                                        continue
-                                    lhs = outer.apply(a.dim, a, inner_lo.apply(a.dim, b, c))
-                                    rhs = outer2.apply(a.dim, inner_hi.apply(a.dim, a, b), c)
-                                    assert lhs == rhs
-
-
 def test_induced_nerve_map_coface():
     f = MonotoneMap(1, 2, (0, 2))
-    m = induced_nerve_map(f, 0, 1)
+    m = rigidify_map(f).hom_map(0, 1)
     assert validate_map(m).ok
     assert m.assignment[chain_cell_id([frozenset({0, 1})])].cell == "0.2"
 
 
 def test_induced_nerve_map_collapse():
     f = MonotoneMap(2, 1, (0, 0, 1))
-    m = induced_nerve_map(f, 0, 2)
+    m = rigidify_map(f).hom_map(0, 2)
     assert validate_map(m).ok
     edge = chain_cell_id([frozenset({0, 2}), frozenset({0, 1, 2})])
     img = m.assignment[edge]
