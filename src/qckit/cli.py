@@ -16,35 +16,24 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from . import __version__
-from .ordinals import face
-from .join import coslice_fastpath
-from .monoids import (
-    PROPOSITION_MIN_DIM,
-    boxplus,
-    build_reference_monoid,
-    cantor_pairing,
-    default_monoid_spec,
-    deloop,
-    find_nonassociativity_witness,
-    monoid_spec_from_json,
-    random_subspace,
-    szudzik_pairing,
-    verify_proposition,
-    zero_subspace,
-)
-from .quasicat import core, pi0, pi1
-from .scat import scat_from_manifest, simplicial_nerve, validate_scat
-from .sset import FinSSet, TruncationError, nondeg_ref, truncate, validate
+
+# Each command imports the qckit modules it runs when it is called, so a
+# cold process compiles only those; --version, --help and argparse errors
+# import none.
 
 # Nerve enumeration grows like the iterated bar construction; past this
 # level the cell catalogue stops being a desk-scale object.
 HARD_NERVE_CAP = 4
 
-PAIRINGS = {"cantor": cantor_pairing, "szudzik": szudzik_pairing}
+# ``<name>_pairing`` in ``monoids`` for each name
+PAIRINGS = ("cantor", "szudzik")
+
+# the pairing-witness search reads the axes 0 .. WITNESS_AXES - 1, so
+# --window must hold that many coordinates
+WITNESS_AXES = 3
 
 
 class UsageError(Exception):
@@ -73,7 +62,8 @@ def _load_json_file(path: str) -> dict:
 
 
 def _nonneg_int(text: str) -> int:
-    """argparse type for --dim: a malformed or negative value exits 2."""
+    """argparse type for --dim and --trials: a malformed or negative
+    value exits 2."""
     try:
         value = int(text)
     except ValueError:
@@ -133,6 +123,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_sset(path: str) -> FinSSet:
+    from .sset import FinSSet, validate
+
     blob = _load_json_file(path)
     if not (isinstance(blob, dict) and "cells" in blob and "truncation" in blob):
         raise UsageError(f"{path} is not a simplicial set file")
@@ -151,11 +143,15 @@ def _load_sset(path: str) -> FinSSet:
 
 def _load_spec(path: str):
     if path == "default":
+        from .monoids import default_monoid_spec
+
         return default_monoid_spec()
     return _spec_from_blob(path, _load_json_file(path))
 
 
 def _spec_from_blob(path: str, blob):
+    from .monoids import monoid_spec_from_json
+
     if not (isinstance(blob, dict) and "grades" in blob):
         raise UsageError(f"{path} is not a monoid spec file")
     try:
@@ -165,6 +161,8 @@ def _spec_from_blob(path: str, blob):
 
 
 def _build_monoid(spec):
+    from .monoids import build_reference_monoid
+
     try:
         return build_reference_monoid(spec)
     except ValueError as e:
@@ -201,12 +199,16 @@ def cmd_check(args) -> int:
     if not isinstance(blob, dict):
         raise UsageError(f"{args.path}: top level must be an object")
     if "cells" in blob and "truncation" in blob:
+        from .sset import FinSSet, validate
+
         kind = "simplicial set"
         try:
             report = validate(FinSSet.from_json(blob))
         except (KeyError, TypeError, ValueError) as e:
             raise UsageError(f"{args.path}: malformed simplicial set: {e}")
     elif "grades" in blob:
+        from .monoids import build_reference_monoid
+
         kind = "monoid spec"
         spec = _spec_from_blob(args.path, blob)
         try:
@@ -219,9 +221,13 @@ def cmd_check(args) -> int:
         _emit(_envelope(args, "check", kind=kind, ok=True, problems=[]))
         return 0
     elif "objects" in blob and "homs" in blob:
+        from .scat import scat_from_manifest_json, validate_scat
+
         kind = "enriched category"
         try:
-            report = validate_scat(scat_from_manifest(args.path))
+            report = validate_scat(
+                scat_from_manifest_json(blob, os.path.dirname(args.path))
+            )
         except (KeyError, TypeError, ValueError, OSError) as e:
             raise UsageError(f"{args.path}: malformed manifest: {e}")
     else:
@@ -235,6 +241,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_nerve(args) -> int:
+    from .monoids import deloop
+    from .scat import simplicial_nerve
+
     caps = _dim_caps(args.dim, hard=HARD_NERVE_CAP)
     spec = _load_spec(args.spec)
     if args.dim > spec.truncation + 1:
@@ -249,6 +258,9 @@ def cmd_nerve(args) -> int:
 
 
 def cmd_coslice(args) -> int:
+    from .join import coslice_fastpath
+    from .sset import TruncationError
+
     caps = _dim_caps(args.dim)
     base = _load_sset(args.path)
     _require_vertex(base, args.at)
@@ -262,6 +274,9 @@ def cmd_coslice(args) -> int:
 
 
 def cmd_core(args) -> int:
+    from .quasicat import core
+    from .sset import truncate
+
     x = _load_sset(args.path)
     caps = None
     if args.dim is not None:
@@ -279,6 +294,8 @@ def cmd_core(args) -> int:
 
 
 def _pi1_payload(x: FinSSet, vertex: str) -> dict:
+    from .quasicat import pi1
+
     r = pi1(x, vertex)
     order = r.order
     return {
@@ -292,6 +309,8 @@ def _pi1_payload(x: FinSSet, vertex: str) -> dict:
 
 
 def cmd_pi(args) -> int:
+    from .quasicat import pi0
+
     x = _load_sset(args.path)
     components = [sorted(c) for c in pi0(x)]
     payload = {"pi0": sorted(components), "pi1": []}
@@ -309,6 +328,8 @@ def cmd_pi(args) -> int:
 
 
 def cmd_verify_prop(args) -> int:
+    from .monoids import PROPOSITION_MIN_DIM, verify_proposition
+
     caps = _dim_caps(args.dim)
     if args.dim < PROPOSITION_MIN_DIM:
         raise UsageError(
@@ -327,6 +348,10 @@ def cmd_verify_prop(args) -> int:
 
 
 def _assoc_check(seed: int, trials: int) -> dict:
+    import random
+
+    from .monoids import boxplus, random_subspace, zero_subspace
+
     rng = random.Random(seed)
     failures = []
     identity_failures = []
@@ -355,8 +380,16 @@ def cmd_grassmann(args) -> int:
         _emit(_envelope(args, "grassmann", mode="assoc-check", ok=ok, **payload),
               args.report)
         return 0 if ok else 1
-    witness = find_nonassociativity_witness(
-        pairing=PAIRINGS[args.pairing], window=args.window
+    if args.window < WITNESS_AXES:
+        raise UsageError(
+            f"--window must be >= {WITNESS_AXES}: the witness search reads "
+            f"axes 0 to {WITNESS_AXES - 1}, got {args.window}"
+        )
+    from . import monoids
+
+    witness = monoids.find_nonassociativity_witness(
+        pairing=getattr(monoids, f"{args.pairing}_pairing"),
+        window=args.window, max_axis=WITNESS_AXES,
     )
     if witness is None:
         raise CommandError(
@@ -374,6 +407,9 @@ def _dot_quote(s: str) -> str:
 
 def export_dot(x: FinSSet, dim: int = 2) -> str:
     """Vertices and edges as a digraph, 2-cells as comment annotations."""
+    from .ordinals import face
+    from .sset import nondeg_ref
+
     lines = ["digraph sset {"]
     for v in sorted(x.nondegenerate(0)):
         lines.append(f"  {_dot_quote(v)};")
@@ -473,8 +509,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--assoc-check", action="store_true")
     mode.add_argument("--pairing-witness", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--pairing", choices=sorted(PAIRINGS), default="cantor")
+    p.add_argument("--trials", type=_nonneg_int, default=1000)
+    p.add_argument("--pairing", choices=PAIRINGS, default="cantor")
     p.add_argument("--window", type=int, default=16)
     p.add_argument("--report", help="also write the report to a file")
     p.set_defaults(func=cmd_grassmann)

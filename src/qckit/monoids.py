@@ -438,6 +438,8 @@ def monoid_spec_from_json(blob: dict) -> MonoidSpec:
         raise ValueError("'components' must be an object")
     components = {}
     for grade, entry in blob["components"].items():
+        if grade not in es:
+            raise ValueError(f"'components' key {grade!r} is not a grade")
         if not isinstance(entry, dict):
             raise ValueError(
                 f"'components' entry {grade!r} must be an object, got {entry!r}"
@@ -728,8 +730,9 @@ def _rref(rows) -> tuple:
         if pivot is None:
             continue
         mat[lead], mat[pivot] = mat[pivot], mat[lead]
-        inv = Fraction(1) / mat[lead][col]
-        mat[lead] = [x * inv for x in mat[lead]]
+        if mat[lead][col] != 1:
+            inv = Fraction(1) / mat[lead][col]
+            mat[lead] = [x * inv for x in mat[lead]]
         for i in range(len(mat)):
             if i != lead and mat[i][col] != 0:
                 factor = mat[i][col]

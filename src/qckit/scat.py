@@ -759,7 +759,13 @@ def _manifest_key(section: str, key: str, parts: int) -> list[str]:
 def scat_from_manifest(path: str) -> SCat:
     with open(path) as fh:
         manifest = json.load(fh)
-    directory = os.path.dirname(path)
+    return scat_from_manifest_json(manifest, os.path.dirname(path))
+
+
+def scat_from_manifest_json(manifest: dict, directory: str) -> SCat:
+    """Reads a parsed manifest; its hom files are named relative to
+    ``directory``.  A malformed spot raises KeyError, TypeError or
+    ValueError naming it."""
     objects = manifest["objects"]
     if not (isinstance(objects, list) and all(isinstance(x, str) for x in objects)):
         raise ValueError("'objects' must be a list of strings")

@@ -1,6 +1,7 @@
 """Test-side oracles built by independent routes from the library code."""
 
 import itertools
+from fractions import Fraction
 
 from qckit.ordinals import (
     MonotoneMap,
@@ -427,3 +428,27 @@ def scan_nerve(d, dim: int) -> NerveSSet:
                 entries.append(SimplexRef(epi, ids[g.signature()]))
             faces[cid] = entries
     return NerveSSet(dim, cells, faces, functor_of)
+
+
+def rref_rescaling_every_pivot(rows) -> tuple:
+    """Reduced row echelon over exact rationals, zero rows dropped, that
+    divides every pivot row by its pivot, even a pivot already 1."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return ()
+    lead = 0
+    for col in range(len(mat[0])):
+        pivot = next((i for i in range(lead, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[lead], mat[pivot] = mat[pivot], mat[lead]
+        inv = Fraction(1) / mat[lead][col]
+        mat[lead] = [x * inv for x in mat[lead]]
+        for i in range(len(mat)):
+            if i != lead and mat[i][col] != 0:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[lead])]
+        lead += 1
+        if lead == len(mat):
+            break
+    return tuple(tuple(row) for row in mat[:lead])

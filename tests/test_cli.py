@@ -622,6 +622,25 @@ def test_negative_dim_exits_two(tmp_path, capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["--assoc-check", "--trials", "-5"], "--trials"),
+        (["--pairing-witness", "--window", "-1"], "--window must be >= 3"),
+        (["--pairing-witness", "--window", "0"], "--window must be >= 3"),
+        (["--pairing-witness", "--window", "1"], "--window must be >= 3"),
+        (["--pairing-witness", "--window", "2"], "--window must be >= 3"),
+    ],
+    ids=["trials-negative", "window-negative", "window-0", "window-1",
+         "window-2"],
+)
+def test_grassmann_count_out_of_range_exits_two(capsys, argv, option):
+    rc, out, err = run(capsys, "grassmann", *argv)
+    assert rc == 2
+    assert option in err and "Traceback" not in err
+    assert out == ""
+
+
 def _colon_grade(blob):
     blob["grades"]["elements"][1] = "a:b"
     blob["grades"]["table"] = [
@@ -653,11 +672,14 @@ def _repeated_grade(blob):
         (lambda b: b["grades"].update(elements=[0, "1", "2+"]), "'grades.elements'"),
         (lambda b: b["grades"].update(elements="012"), "'grades.elements'"),
         (lambda b: b["components"].update({"1": "Z/2"}), "'components' entry '1'"),
+        (lambda b: b["components"].update(zz={"group": "Z/2"}),
+         "'components' key 'zz' is not a grade"),
     ],
     ids=["zero-order-group", "ragged-table", "colon-in-grade",
          "truncation-string", "truncation-float", "truncation-bool",
          "truncation-negative", "repeated-grade", "grade-not-a-string",
-         "elements-a-string", "component-not-an-object"],
+         "elements-a-string", "component-not-an-object",
+         "components-key-not-a-grade"],
 )
 def test_malformed_spec_exits_two(tmp_path, capsys, edit, spot):
     blob = monoid_spec_to_json(default_monoid_spec())
@@ -674,6 +696,40 @@ def test_help_exits_zero(capsys):
     rc, out, _ = run(capsys, "--help")
     assert rc == 0
     assert "verify-prop" in out
+
+
+def test_commands_import_only_the_modules_they_run(tmp_path):
+    # a cold process compiles every module it imports, so the commands on
+    # simplicial-set files must not pull in the nerve or monoid layers
+    src = os.path.dirname(os.path.dirname(qckit.__file__))
+    d2 = write_json(tmp_path / "d2.json", standard_simplex(2).to_json())
+    code = (
+        "import contextlib, io, json, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from qckit.cli import main\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('qckit.'))\n"
+        "codes = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes.append(main(['--version']))\n"
+        "    at_version = loaded()\n"
+        f"    codes.append(main(['check', {d2!r}]))\n"
+        "    at_check = loaded()\n"
+        f"    codes.append(main(['coslice', {d2!r}, '--at', '0', '--dim', '1']))\n"
+        f"    codes.append(main(['core', {d2!r}]))\n"
+        f"    codes.append(main(['pi', {d2!r}]))\n"
+        f"    codes.append(main(['export-dot', {d2!r}]))\n"
+        "print(json.dumps([codes, at_version, at_check, loaded()]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+    )
+    codes, at_version, at_check, at_end = json.loads(done.stdout)
+    assert codes == [0] * 6
+    assert at_version == ["qckit.cli"]
+    assert at_check == ["qckit.cli", "qckit.ordinals", "qckit.sset"]
+    assert "qckit.join" in at_end and "qckit.quasicat" in at_end
+    assert {"qckit.scat", "qckit.monoids", "qckit.posets"}.isdisjoint(at_end)
 
 
 def test_runtime_loads_only_the_standard_library():

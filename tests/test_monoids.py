@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bar_nerve, scan_bilevel, scan_monoid_laws, scan_scat_laws
+from oracles import (
+    bar_nerve,
+    rref_rescaling_every_pivot,
+    scan_bilevel,
+    scan_monoid_laws,
+    scan_scat_laws,
+)
 from qckit import monoids
 from qckit.monoids import (
     GradeMonoid,
@@ -498,9 +504,52 @@ def test_span_is_canonical():
     assert a.rank == 2
 
 
+RATIONAL_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+)
+
+
+@st.composite
+def rational_rows(draw):
+    """(rows, canonical): int and Fraction rows, drawn as they come, or
+    with every row scaled to a unit pivot, or already reduced."""
+    width = draw(st.integers(1, 5))
+    row = st.lists(RATIONAL_ENTRIES, min_size=width, max_size=width).map(tuple)
+    rows = draw(st.lists(row, max_size=4))
+    how = draw(st.sampled_from(["raw", "unit-pivots", "canonical"]))
+    if how == "unit-pivots":
+        rows = [
+            tuple(Fraction(x) / next(y for y in r if y != 0) for x in r)
+            if any(r) else r
+            for r in rows
+        ]
+    elif how == "canonical":
+        rows = rref_rescaling_every_pivot(rows)
+    return rows, how == "canonical"
+
+
+@given(rational_rows())
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_the_rescaling_oracle(drawn):
+    rows, canonical = drawn
+    reduced = monoids._rref(rows)
+    assert reduced == rref_rescaling_every_pivot(rows)
+    if canonical:
+        assert reduced == rows
+
+
 def test_noncanonical_rows_are_refused():
-    with pytest.raises(ValueError, match="canonical"):
-        RationalSubspace(1, 2, ((Fraction(2), Fraction(0)),))
+    one, zero = Fraction(1), Fraction(0)
+    for rows in [
+        ((Fraction(2), zero),),  # pivot not 1
+        ((zero, one), (one, zero)),  # pivots out of order
+        ((one, one), (zero, one)),  # nonzero entry above a pivot
+        ((one, zero), (zero, zero)),  # zero row
+        [(one, zero)],  # a list in place of a tuple
+    ]:
+        with pytest.raises(ValueError, match="canonical"):
+            RationalSubspace(1, 2, rows)
 
 
 def test_boxplus_blocks_and_unit():
