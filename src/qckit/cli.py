@@ -31,10 +31,6 @@ HARD_NERVE_CAP = 4
 # ``<name>_pairing`` in ``monoids`` for each name
 PAIRINGS = ("cantor", "szudzik")
 
-# the pairing-witness search reads the axes 0 .. WITNESS_AXES - 1, so
-# --window must hold that many coordinates
-WITNESS_AXES = 3
-
 
 class UsageError(Exception):
     """Bad invocation or unreadable input: exit code 2."""
@@ -380,16 +376,15 @@ def cmd_grassmann(args) -> int:
         _emit(_envelope(args, "grassmann", mode="assoc-check", ok=ok, **payload),
               args.report)
         return 0 if ok else 1
-    if args.window < WITNESS_AXES:
-        raise UsageError(
-            f"--window must be >= {WITNESS_AXES}: the witness search reads "
-            f"axes 0 to {WITNESS_AXES - 1}, got {args.window}"
-        )
     from . import monoids
 
+    if args.window < monoids.WITNESS_AXES:
+        raise UsageError(
+            f"--window must be >= {monoids.WITNESS_AXES}: the witness search "
+            f"reads axes 0 to {monoids.WITNESS_AXES - 1}, got {args.window}"
+        )
     witness = monoids.find_nonassociativity_witness(
-        pairing=getattr(monoids, f"{args.pairing}_pairing"),
-        window=args.window, max_axis=WITNESS_AXES,
+        pairing=getattr(monoids, f"{args.pairing}_pairing"), window=args.window,
     )
     if witness is None:
         raise CommandError(

@@ -24,10 +24,12 @@ from .sset import (
     SimplicialMap,
     TruncationError,
     UnknownCellError,
+    ValidationReport,
     depth_first,
     identity_map,
     materialize_presheaf,
     nondeg_ref,
+    point,
     simplex_cell_id,
     standard_map,
     standard_simplex,
@@ -264,8 +266,6 @@ class SlicePresentation:
 
 
 def vertex_anchor(base: FinSSet, vertex: str) -> SimplicialMap:
-    from .sset import point
-
     if not base.has_cell(vertex) or base.dim_of(vertex) != 0:
         raise UnknownCellError(f"anchor vertex {vertex!r} is not a vertex")
     k = point("pt")
@@ -466,8 +466,6 @@ def cross_validate_coslice(base: FinSSet, vertex: str, dim: int):
     Returns (report, fastpath, generic).  The correspondence sends an
     anchored map to the image of its top join cell.
     """
-    from .sset import ValidationReport
-
     report = ValidationReport("coslice cross-validation")
     fast = coslice_fastpath(base, vertex, dim)
     pres = SlicePresentation(base, vertex_anchor(base, vertex), "under")

@@ -425,6 +425,13 @@ def monoid_spec_from_json(blob: dict) -> MonoidSpec:
                 f"grade table row {a!r} has {len(row)} entries, "
                 f"expected {len(es)}"
             )
+        for b, ab in zip(es, row):
+            if ab not in es:
+                raise ValueError(
+                    f"'grades.table' row {a!r} column {b!r}: {ab!r} is not a grade"
+                )
+    if g["unit"] not in es:
+        raise ValueError(f"'grades.unit' {g['unit']!r} is not a grade")
     table = {
         (a, b): rows[i][j]
         for i, a in enumerate(es)
@@ -875,6 +882,11 @@ def pairing_sum(v: RationalSubspace, w: RationalSubspace,
     return span(v.copies, v.base_dim, routed)
 
 
+# the witness search reads the axes 0 .. WITNESS_AXES - 1, so its window
+# must hold that many coordinates
+WITNESS_AXES = 3
+
+
 @dataclass
 class NonassociativityWitness:
     v: RationalSubspace
@@ -896,12 +908,11 @@ class NonassociativityWitness:
         }
 
 
-def find_nonassociativity_witness(pairing=cantor_pairing, window: int = 16,
-                                  max_axis: int = 3):
-    """Searches axis lines for (v+w)+u != v+(w+u); triples that overflow
-    the window are skipped.  Returns None only if nothing in range
-    witnesses the failure."""
-    for a, b, c in itertools.product(range(max_axis), repeat=3):
+def find_nonassociativity_witness(pairing=cantor_pairing, window: int = 16):
+    """Searches the axis lines 0 .. WITNESS_AXES - 1 for (v+w)+u !=
+    v+(w+u); triples that overflow the window are skipped.  Returns None
+    only if nothing in range witnesses the failure."""
+    for a, b, c in itertools.product(range(WITNESS_AXES), repeat=3):
         v = axis_subspace(1, window, a)
         w = axis_subspace(1, window, b)
         u = axis_subspace(1, window, c)

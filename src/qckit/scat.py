@@ -20,6 +20,10 @@ looked up in the target hom's :meth:`FinSSet.faces_index` under the
 images of its faces, and a forced cell carries its split point and the
 normal forms of its two halves.  :func:`precompose` likewise reads the
 image chains of an operator from a per-operator table.
+
+The low-simplex classification reads one field table, ``_FIELD_CHAINS``:
+each field of an edge, triangle or tetrahedron tuple is the value on one
+free chain, and the forced cells are filled as in enumeration.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .sset import (
     nondeg_ref,
     validate,
     validate_bilevel,
+    validate_map,
 )
 
 
@@ -404,8 +409,6 @@ def validate_functor(f: SimplicialFunctor) -> ValidationReport:
         want = nondeg_ref(f.target.identities[f.object_map[i]], 0)
         if f.assignments[(i, i)][chain_cell_id([frozenset({i})])] != want:
             report.problems.append(f"identity at {i} not preserved")
-    from .sset import validate_map
-
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
             sub = validate_map(f.hom_map(i, j))
@@ -519,6 +522,35 @@ def _the_object(d: SCat):
     return d.objects[0]
 
 
+def _chain(*sets: tuple) -> tuple:
+    """(hom, chain id, whether it is a vertex) of the chain of ``sets``."""
+    pair = (min(sets[0]), max(sets[0]))
+    return pair, chain_cell_id([frozenset(s) for s in sets]), len(sets) == 1
+
+
+# For k in {1, 2, 3}: the classification type and, field by field in
+# dataclass order, the free chain of rigidify(k) whose value the field
+# records.  A field on a one-set chain records a vertex by its cell name.
+_FIELD_CHAINS = {
+    1: (EdgeData, (_chain((0, 1)),)),
+    2: (TriangleData, (_chain((0, 1)), _chain((1, 2)), _chain((0, 2)),
+                       _chain((0, 2), (0, 1, 2)))),
+    3: (TetrahedronData, (
+        _chain((0, 1)), _chain((1, 2)), _chain((2, 3)),
+        _chain((0, 2), (0, 1, 2)), _chain((1, 3), (1, 2, 3)),
+        _chain((0, 3), (0, 1, 3)), _chain((0, 3), (0, 2, 3)),
+        _chain((0, 3), (0, 1, 2, 3)),
+        _chain((0, 3), (0, 1, 3), (0, 1, 2, 3)), _chain((0, 3), (0, 2, 3), (0, 1, 2, 3)),
+    )),
+}
+
+
+def _field_table(k: int) -> tuple:
+    if k not in _FIELD_CHAINS:
+        raise ValueError("classification covers k in {1, 2, 3}")
+    return _FIELD_CHAINS[k]
+
+
 def classify_low_simplices(k: int, d: SCat) -> list:
     """Independent parametrizations of the k-cells, k <= 3, over a
     one-object target: vertices, connecting paths, and filling triangles,
@@ -573,102 +605,37 @@ def classify_low_simplices(k: int, d: SCat) -> list:
 
 
 def classification_to_functor(k: int, d: SCat, data) -> SimplicialFunctor:
-    """Rebuild the functor a classification tuple encodes."""
+    """Rebuild the functor a classification tuple encodes: each field goes
+    onto its chain, a bottom vertex {i, j} no field records is the source
+    of the free edge {i, j} < {i, ..., j}, and every forced cell is
+    composed from shorter gaps as in :func:`enumerate_functors`."""
     x = _the_object(d)
-    h = d.hom(x, x)
-    objs = tuple(x for _ in range(k + 1))
+    _, fields = _field_table(k)
+    objs = (x,) * (k + 1)
     assignments: dict[tuple, dict[str, SimplexRef]] = {
         (i, i): {chain_cell_id([frozenset({i})]): nondeg_ref(d.identities[x], 0)}
         for i in range(k + 1)
     }
-    bottom = lambda i, j: chain_cell_id([frozenset({i, j})])
-    if k == 1:
-        assignments[(0, 1)] = {bottom(0, 1): nondeg_ref(data.v01, 0)}
-        return SimplicialFunctor(1, d, objs, assignments)
-    ends = h.face_table(1)  # edge -> (target, source)
-    if k == 2:
-        assignments[(0, 1)] = {bottom(0, 1): nondeg_ref(data.v01, 0)}
-        assignments[(1, 2)] = {bottom(1, 2): nondeg_ref(data.v12, 0)}
-        table = {
-            bottom(0, 2): ends[data.gamma][1],
-            chain_cell_id([frozenset({0, 2}), frozenset({0, 1, 2})]): data.gamma,
-        }
-        v012 = chain_cell_id([frozenset({0, 1, 2})])
-        table[v012] = ends[data.gamma][0]
-        assignments[(0, 2)] = table
-        return SimplicialFunctor(2, d, objs, assignments)
-    if k != 3:
-        raise ValueError("classification covers k in {1, 2, 3}")
-    free_values = {
-        (0, 1): {bottom(0, 1): nondeg_ref(data.v01, 0)},
-        (1, 2): {bottom(1, 2): nondeg_ref(data.v12, 0)},
-        (2, 3): {bottom(2, 3): nondeg_ref(data.v23, 0)},
-        (0, 2): {
-            bottom(0, 2): ends[data.gamma02][1],
-            chain_cell_id([frozenset({0, 2}), frozenset({0, 1, 2})]): data.gamma02,
-        },
-        (1, 3): {
-            bottom(1, 3): ends[data.gamma13][1],
-            chain_cell_id([frozenset({1, 3}), frozenset({1, 2, 3})]): data.gamma13,
-        },
-        (0, 3): {
-            bottom(0, 3): ends[data.edge3][1],
-            chain_cell_id([frozenset({0, 3}), frozenset({0, 1, 3})]): data.edge1,
-            chain_cell_id([frozenset({0, 3}), frozenset({0, 2, 3})]): data.edge2,
-            chain_cell_id([frozenset({0, 3}), frozenset({0, 1, 2, 3})]): data.edge3,
-            chain_cell_id([
-                frozenset({0, 3}), frozenset({0, 1, 3}), frozenset({0, 1, 2, 3})
-            ]): data.tri_left,
-            chain_cell_id([
-                frozenset({0, 3}), frozenset({0, 2, 3}), frozenset({0, 1, 2, 3})
-            ]): data.tri_right,
-        },
-    }
-    for pair, table in free_values.items():
-        assignments[pair] = dict(table)
-    for (i, j) in [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)]:
-        for (cid, _, _, split) in _hom_slots(3, i, j):
+    for (pair, cid, vertex), value in zip(fields, vars(data).values()):
+        assignments.setdefault(pair, {})[cid] = nondeg_ref(value, 0) if vertex else value
+    # the table lists the homs in gap order: a forced cell's halves are set
+    for (i, j), table in assignments.items():
+        for cid, _, _, split in _hom_slots(k, i, j):
             if split is not None:
-                assignments[(i, j)][cid] = _forced_value(
-                    d, objs, assignments, i, j, split
-                )
-    return SimplicialFunctor(3, d, objs, assignments)
+                table[cid] = _forced_value(d, objs, assignments, i, j, split)
+            elif cid not in table:
+                top = chain_cell_id([frozenset({i, j}), frozenset(range(i, j + 1))])
+                table[cid] = d.hom(x, x).face_table(1)[table[top]][1]
+    return SimplicialFunctor(k, d, objs, assignments)
 
 
 def functor_to_classification(f: SimplicialFunctor):
-    """Inverse of classification_to_functor."""
-    k = f.arity
+    """Inverse of classification_to_functor: each field read off its chain."""
+    kind, fields = _field_table(f.arity)
     a = f.assignments
-    bottom = lambda i, j: chain_cell_id([frozenset({i, j})])
-    if k == 1:
-        return EdgeData(a[(0, 1)][bottom(0, 1)].cell)
-    if k == 2:
-        gamma = a[(0, 2)][chain_cell_id([frozenset({0, 2}), frozenset({0, 1, 2})])]
-        return TriangleData(
-            a[(0, 1)][bottom(0, 1)].cell,
-            a[(1, 2)][bottom(1, 2)].cell,
-            a[(0, 2)][bottom(0, 2)].cell,
-            gamma,
-        )
-    if k != 3:
-        raise ValueError("classification covers k in {1, 2, 3}")
-    c03 = a[(0, 3)]
-    return TetrahedronData(
-        a[(0, 1)][bottom(0, 1)].cell,
-        a[(1, 2)][bottom(1, 2)].cell,
-        a[(2, 3)][bottom(2, 3)].cell,
-        a[(0, 2)][chain_cell_id([frozenset({0, 2}), frozenset({0, 1, 2})])],
-        a[(1, 3)][chain_cell_id([frozenset({1, 3}), frozenset({1, 2, 3})])],
-        c03[chain_cell_id([frozenset({0, 3}), frozenset({0, 1, 3})])],
-        c03[chain_cell_id([frozenset({0, 3}), frozenset({0, 2, 3})])],
-        c03[chain_cell_id([frozenset({0, 3}), frozenset({0, 1, 2, 3})])],
-        c03[chain_cell_id([
-            frozenset({0, 3}), frozenset({0, 1, 3}), frozenset({0, 1, 2, 3})
-        ])],
-        c03[chain_cell_id([
-            frozenset({0, 3}), frozenset({0, 2, 3}), frozenset({0, 1, 2, 3})
-        ])],
-    )
+    return kind(*(
+        a[pair][cid].cell if vertex else a[pair][cid] for pair, cid, vertex in fields
+    ))
 
 
 # -- discrete enrichment ----------------------------------------------
@@ -747,12 +714,17 @@ def scat_to_manifest(d: SCat, directory: str, stem: str = "scat") -> str:
     return path
 
 
-def _manifest_key(section: str, key: str, parts: int) -> list[str]:
+def _manifest_key(section: str, key: str, parts: int, objects: list) -> list[str]:
     names = key.split("|")
     if len(names) != parts:
         raise ValueError(
             f"{section!r} key {key!r} must be {parts} objects joined by '|'"
         )
+    for x in names:
+        if x not in objects:
+            raise ValueError(
+                f"{section!r} key {key!r} names {x!r}, which 'objects' does not list"
+            )
     return names
 
 
@@ -769,13 +741,16 @@ def scat_from_manifest_json(manifest: dict, directory: str) -> SCat:
     objects = manifest["objects"]
     if not (isinstance(objects, list) and all(isinstance(x, str) for x in objects)):
         raise ValueError("'objects' must be a list of strings")
+    for i, x in enumerate(objects):
+        if x in objects[:i]:
+            raise ValueError(f"'objects': object {x!r} is listed twice")
     for key in ("homs", "comp", "identities"):
         if not isinstance(manifest[key], dict):
             raise ValueError(f"{key!r} must be an object")
     homs = {}
     dims = {}  # each hom's cell dimensions, to read the table entries
     for key, fname in manifest["homs"].items():
-        x, y = _manifest_key("homs", key, 2)
+        x, y = _manifest_key("homs", key, 2, objects)
         if not isinstance(fname, str):
             raise ValueError(f"'homs' entry {key!r} must be a file name")
         with open(os.path.join(directory, fname)) as fh:
@@ -794,7 +769,7 @@ def scat_from_manifest_json(manifest: dict, directory: str) -> SCat:
     for key, levels in manifest["comp"].items():
         if not isinstance(levels, dict):
             raise ValueError(f"'comp' entry {key!r} must be an object")
-        x, y, z = _manifest_key("comp", key, 3)
+        x, y, z = _manifest_key("comp", key, 3, objects)
         for pair in ((y, z), (x, y), (x, z)):
             if pair not in homs:
                 raise ValueError(
@@ -832,6 +807,7 @@ def scat_from_manifest_json(manifest: dict, directory: str) -> SCat:
 
         comp[(x, y, z)] = BilevelMap(*ends, make_fn(table))
     for x, v in manifest["identities"].items():
+        _manifest_key("identities", x, 1, objects)
         if not isinstance(v, str):
             raise ValueError(f"'identities' entry {x!r} must be a cell name, got {v!r}")
     return SCat(objects, homs, manifest["identities"], comp)

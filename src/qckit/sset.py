@@ -516,11 +516,9 @@ def identity_map(x: FinSSet) -> SimplicialMap:
     return SimplicialMap(x, x, assignment)
 
 
-def standard_map(alpha: MonotoneMap, source: FinSSet | None = None, target: FinSSet | None = None) -> SimplicialMap:
+def standard_map(alpha: MonotoneMap) -> SimplicialMap:
     """The map of standard simplices induced by alpha: [m] -> [n]."""
     m, n = alpha.source_arity, alpha.target_arity
-    src = source if source is not None else standard_simplex(m)
-    tgt = target if target is not None else standard_simplex(n)
     assignment = {}
     for d in range(m + 1):
         for vals in itertools.combinations(range(m + 1), d + 1):
@@ -531,7 +529,7 @@ def standard_map(alpha: MonotoneMap, source: FinSSet | None = None, target: FinS
             assignment[simplex_cell_id(vals)] = SimplexRef(
                 epi, simplex_cell_id(mono.values)
             )
-    return SimplicialMap(src, tgt, assignment)
+    return SimplicialMap(standard_simplex(m), standard_simplex(n), assignment)
 
 
 # -- validation -------------------------------------------------------

@@ -192,13 +192,16 @@ def test_check_scat_manifest(tmp_path, capsys):
      ("comp", {"*|*|*": {"0": [[{"cell": "1", "epi": [3]}] * 3]}}),
      ("comp", {"*|*|*": {"0": [[{"cell": "1", "epi": [0]}] * 3],
                          "1": [[{"cell": "1", "epi": [0, 0]}] * 3]}}),
-     ("homs", {"*|*": 5}), ("objects", [["*"]]), ("identities", {"*": ["1"]})],
+     ("homs", {"*|*": 5}), ("objects", [["*"]]), ("identities", {"*": ["1"]}),
+     ("identities", {"*": "1", "zz": "1"}), ("objects", ["*", "*"]),
+     ("homs", {"*|*": "scat_hom_*_*.json", "q|q": "scat_hom_*_*.json"})],
     ids=["homs-list", "comp-list", "comp-entry-list", "identities-string",
          "hom-file-is-a-directory", "homs-key-without-bar", "comp-row-not-triple",
          "comp-level-not-a-dimension", "comp-entry-string", "objects-int",
          "comp-key-without-hom", "comp-entry-unknown-cell", "comp-entry-bad-epi",
          "comp-level-missing-a-pair", "hom-file-name-not-a-string",
-         "object-is-a-list", "identity-is-a-list"],
+         "object-is-a-list", "identity-is-a-list", "identity-key-not-an-object",
+         "objects-repeated", "homs-key-not-an-object"],
 )
 def test_malformed_manifest_exits_two(tmp_path, capsys, key, value):
     def comp(x, y, z, later, earlier):
@@ -674,12 +677,17 @@ def _repeated_grade(blob):
         (lambda b: b["components"].update({"1": "Z/2"}), "'components' entry '1'"),
         (lambda b: b["components"].update(zz={"group": "Z/2"}),
          "'components' key 'zz' is not a grade"),
+        (lambda b: b["grades"].update(unit=["0"]), "'grades.unit'"),
+        (lambda b: b["grades"].update(unit="zz"), "'grades.unit' 'zz'"),
+        (lambda b: b["grades"]["table"][1].__setitem__(1, 7),
+         "'grades.table' row '1' column '1'"),
     ],
     ids=["zero-order-group", "ragged-table", "colon-in-grade",
          "truncation-string", "truncation-float", "truncation-bool",
          "truncation-negative", "repeated-grade", "grade-not-a-string",
          "elements-a-string", "component-not-an-object",
-         "components-key-not-a-grade"],
+         "components-key-not-a-grade", "unit-a-list", "unit-not-a-grade",
+         "table-entry-not-a-grade"],
 )
 def test_malformed_spec_exits_two(tmp_path, capsys, edit, spot):
     blob = monoid_spec_to_json(default_monoid_spec())

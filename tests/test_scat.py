@@ -305,8 +305,10 @@ def test_nerve_matches_the_precompose_scan(name):
 # -- classification ---------------------------------------------------
 
 
-def test_classification_bijection_discrete():
-    d = discrete_two_element_monoid()
+@pytest.mark.parametrize("name", ["discrete", "Z/3"])
+def test_classification_bijection(name):
+    # over Z/3 the triangle's forced vertex is a non-trivial product
+    d = discrete_two_element_monoid() if name == "discrete" else delooped(name)
     for k in (1, 2, 3):
         tuples = classify_low_simplices(k, d)
         functors = enumerate_functors(k, d)
@@ -318,6 +320,28 @@ def test_classification_bijection_discrete():
         for f in functors:
             t = functor_to_classification(f)
             assert classification_to_functor(k, d, t) == f
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_classification_covers_k_one_to_three(k):
+    d = discrete_two_element_monoid()
+    with pytest.raises(ValueError, match=r"k in \{1, 2, 3\}"):
+        classify_low_simplices(k, d)
+    with pytest.raises(ValueError, match=r"k in \{1, 2, 3\}"):
+        classification_to_functor(k, d, EdgeData("1"))
+    with pytest.raises(ValueError, match=r"k in \{1, 2, 3\}"):
+        functor_to_classification(enumerate_functors(0, d)[0])
+
+
+def test_classification_needs_a_single_object_target():
+    d = from_finite_category(
+        ["x", "y"], {("x", "x"): ["1x"], ("y", "y"): ["1y"]},
+        lambda x, y, z, later, earlier: later, {"x": "1x", "y": "1y"},
+    )
+    with pytest.raises(ValueError, match="single-object target"):
+        classify_low_simplices(1, d)
+    with pytest.raises(ValueError, match="single-object target"):
+        classification_to_functor(1, d, EdgeData("1x"))
 
 
 def test_classification_shapes():
