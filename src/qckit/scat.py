@@ -610,7 +610,9 @@ def classification_to_functor(k: int, d: SCat, data) -> SimplicialFunctor:
     of the free edge {i, j} < {i, ..., j}, and every forced cell is
     composed from shorter gaps as in :func:`enumerate_functors`."""
     x = _the_object(d)
-    _, fields = _field_table(k)
+    kind, fields = _field_table(k)
+    if not isinstance(data, kind):
+        raise TypeError(f"{k}-cells are classified by {kind.__name__}, not {data!r}")
     objs = (x,) * (k + 1)
     assignments: dict[tuple, dict[str, SimplexRef]] = {
         (i, i): {chain_cell_id([frozenset({i})]): nondeg_ref(d.identities[x], 0)}

@@ -333,6 +333,12 @@ def test_classification_covers_k_one_to_three(k):
         functor_to_classification(enumerate_functors(0, d)[0])
 
 
+def test_classification_to_functor_needs_the_tuple_of_its_arity():
+    d = discrete_two_element_monoid()
+    with pytest.raises(TypeError, match="TetrahedronData"):
+        classification_to_functor(3, d, EdgeData("1"))
+
+
 def test_classification_needs_a_single_object_target():
     d = from_finite_category(
         ["x", "y"], {("x", "x"): ["1x"], ("y", "y"): ["1y"]},
