@@ -151,9 +151,17 @@ def _spec_from_blob(path: str, blob):
     if not (isinstance(blob, dict) and "grades" in blob):
         raise UsageError(f"{path} is not a monoid spec file")
     try:
-        return monoid_spec_from_json(blob)
+        spec = monoid_spec_from_json(blob)
     except (KeyError, TypeError, ValueError) as e:
         raise UsageError(f"{path}: malformed monoid spec: {e}")
+    # the build validates every level up to the truncation, and no
+    # command reads a level above the hard cap
+    if spec.truncation > HARD_NERVE_CAP:
+        raise UsageError(
+            f"{path}: malformed monoid spec: 'truncation' {spec.truncation} "
+            f"exceeds the hard limit {HARD_NERVE_CAP}"
+        )
+    return spec
 
 
 def _build_monoid(spec):
@@ -326,7 +334,8 @@ def cmd_pi(args) -> int:
 def cmd_verify_prop(args) -> int:
     from .monoids import PROPOSITION_MIN_DIM, verify_proposition
 
-    caps = _dim_caps(args.dim)
+    # the proposition reads the nerve one dimension above --dim
+    caps = _dim_caps(args.dim, hard=HARD_NERVE_CAP - 1)
     if args.dim < PROPOSITION_MIN_DIM:
         raise UsageError(
             f"--dim must be >= {PROPOSITION_MIN_DIM}: check (e) needs 2-simplices"

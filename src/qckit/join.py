@@ -1,11 +1,13 @@
 """Joins of simplicial sets, slice constructions, and edge anatomy.
 
-The join X * Y is presented cut by cut: a nondegenerate n-cell is either
-a cell of X, a cell of Y, or a pair (a, b) with dim a + dim b = n - 1.
-Faces act on the part the face index falls into, collapsing to the pure
-part when a vertex-level cut closes.  The equivalent presentation by
-triples (projection to the interval, left part, right part) is exposed
-for cross-checking; the two are bijective level by level.
+The join X * Y is built by one rule: a nondegenerate n-cell is a pair
+(a, b) of nondegenerate cells with dim a + dim b = n - 1, where either
+part may be the empty part (None, of dimension -1), so a cell of X or of
+Y alone is a pair with an empty part.  Face i of (a, b) is face i of a
+when i <= dim a and face i - dim a - 1 of b otherwise; the face of a
+vertex is the empty part.  The equivalent presentation by triples
+(projection to the interval, left part, right part) is exposed for
+cross-checking; the two are bijective level by level.
 
 Slices are simplicial sets of anchored maps out of joins with a standard
 simplex; the vertex-anchored under-slice has a fastpath through the cone
@@ -14,10 +16,11 @@ identification point * simplex = next simplex.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ordinals import MonotoneMap, epis_onto, face, identity
+from .ordinals import MonotoneMap, epis_onto, face
 from .sset import (
     FinSSet,
     SimplexRef,
@@ -36,27 +39,26 @@ from .sset import (
 )
 
 
-def _left_id(a: str) -> str:
-    return f"{a}|"
+def _join_id(a: str | None, b: str | None) -> str:
+    """The id of the pair (a, b): ``a|``, ``|b`` or ``a|b``."""
+    return f"{'' if a is None else a}|{'' if b is None else b}"
 
 
-def _right_id(b: str) -> str:
-    return f"|{b}"
+def _join_ref(l: SimplexRef | None, r: SimplexRef | None) -> SimplexRef:
+    """The join simplex with parts l and r: l's epi on the left block,
+    r's shifted past it.  An empty part (None) adds no block."""
+    lv, lt, a = ((), -1, None) if l is None else (
+        l.epi.values, l.epi.target_arity, l.cell)
+    rv, rt, b = ((), -1, None) if r is None else (
+        r.epi.values, r.epi.target_arity, r.cell)
+    epi = MonotoneMap(len(lv) + len(rv) - 1, lt + rt + 1,
+                      lv + tuple(lt + 1 + v for v in rv))
+    return SimplexRef(epi, _join_id(a, b))
 
 
-def _pair_id(a: str, b: str) -> str:
-    return f"{a}|{b}"
-
-
-def _join_epi(e1: MonotoneMap, e2: MonotoneMap) -> MonotoneMap:
-    """The epi acting on a pair cell: e1 on the left block, e2 shifted."""
-    p2 = e1.target_arity
-    values = e1.values + tuple(p2 + 1 + v for v in e2.values)
-    return MonotoneMap(
-        e1.source_arity + e2.source_arity + 1,
-        p2 + e2.target_arity + 1,
-        values,
-    )
+def _part_face(x: FinSSet, c: str, d: int, i: int) -> SimplexRef | None:
+    """Face i of the part c of dimension d; a vertex's face is empty."""
+    return None if d == 0 else x.face_entry(c, i)
 
 
 class JoinSSet(FinSSet):
@@ -81,93 +83,52 @@ def join(x: FinSSet, y: FinSSet) -> JoinSSet:
     cells: dict[int, list[str]] = {d: [] for d in range(trunc + 1)}
     faces: dict[str, list[SimplexRef]] = {}
     parts: dict[str, tuple[str | None, str | None]] = {}
-
-    for d in range(x.truncation + 1):
-        for a in x.nondegenerate(d):
-            cid = _left_id(a)
-            cells[d].append(cid)
-            parts[cid] = (a, None)
-            if d >= 1:
-                faces[cid] = [
-                    SimplexRef(r.epi, _left_id(r.cell))
-                    for r in (x.face_entry(a, i) for i in range(d + 1))
-                ]
-    for d in range(y.truncation + 1):
-        for b in y.nondegenerate(d):
-            cid = _right_id(b)
-            cells[d].append(cid)
-            parts[cid] = (None, b)
-            if d >= 1:
-                faces[cid] = [
-                    SimplexRef(r.epi, _right_id(r.cell))
-                    for r in (y.face_entry(b, i) for i in range(d + 1))
-                ]
-    for p in range(x.truncation + 1):
-        for q in range(y.truncation + 1):
-            n = p + q + 1
-            for a in x.nondegenerate(p):
-                for b in y.nondegenerate(q):
-                    cid = _pair_id(a, b)
-                    cells[n].append(cid)
-                    parts[cid] = (a, b)
-                    entry = []
-                    for i in range(n + 1):
-                        if i <= p:
-                            if p == 0:
-                                entry.append(nondeg_ref(_right_id(b), q))
-                            else:
-                                r = x.face_entry(a, i)
-                                entry.append(SimplexRef(
-                                    _join_epi(r.epi, identity(q)),
-                                    _pair_id(r.cell, b),
-                                ))
-                        else:
-                            if q == 0:
-                                entry.append(nondeg_ref(_left_id(a), p))
-                            else:
-                                r = y.face_entry(b, i - p - 1)
-                                entry.append(SimplexRef(
-                                    _join_epi(identity(p), r.epi),
-                                    _pair_id(a, r.cell),
-                                ))
-                    faces[cid] = entry
+    # (dim a, dim b) blocks, -1 for the empty part, in the cell order of
+    # each dimension: x's cells, then y's, then pairs by increasing cut
+    px, py = range(x.truncation + 1), range(y.truncation + 1)
+    blocks = ([(p, -1) for p in px] + [(-1, q) for q in py]
+              + [(p, q) for p in px for q in py])
+    for p, q in blocks:
+        n = p + q + 1
+        for a in [None] if p == -1 else x.nondegenerate(p):
+            for b in [None] if q == -1 else y.nondegenerate(q):
+                cid = _join_id(a, b)
+                cells[n].append(cid)
+                parts[cid] = (a, b)
+                if n >= 1:
+                    whole_a = None if a is None else nondeg_ref(a, p)
+                    whole_b = None if b is None else nondeg_ref(b, q)
+                    faces[cid] = [
+                        _join_ref(_part_face(x, a, p, i), whole_b) if i <= p
+                        else _join_ref(whole_a, _part_face(y, b, q, i - p - 1))
+                        for i in range(n + 1)
+                    ]
     return JoinSSet(trunc, cells, faces, parts, (x, y))
 
 
 def join_inclusions(j: JoinSSet) -> tuple[SimplicialMap, SimplicialMap]:
-    """The two cofactor inclusions into the join."""
-    x, y = j.factors
-    left = {}
-    for d in range(x.truncation + 1):
-        for a in x.nondegenerate(d):
-            left[a] = nondeg_ref(_left_id(a), d)
-    right = {}
-    for d in range(y.truncation + 1):
-        for b in y.nondegenerate(d):
-            right[b] = nondeg_ref(_right_id(b), d)
-    return SimplicialMap(x, j, left), SimplicialMap(y, j, right)
+    """The two cofactor inclusions into the join: a factor's cell c goes
+    to the pair with c in that factor's place and the other part empty."""
+    return tuple(
+        SimplicialMap(s, j, {
+            ab[k]: nondeg_ref(cid, j.dim_of(cid))
+            for cid, ab in j.parts.items() if ab[1 - k] is None
+        })
+        for k, s in enumerate(j.factors)
+    )
 
 
 def join_of_maps(f: SimplicialMap, g: SimplicialMap,
                  source: JoinSSet | None = None,
                  target: JoinSSet | None = None) -> SimplicialMap:
-    """f * g between the joins, cut by cut."""
+    """f * g between the joins, part by part."""
     src = source if source is not None else join(f.source, g.source)
     tgt = target if target is not None else join(f.target, g.target)
-    assignment = {}
-    for cid, (a, b) in src.parts.items():
-        if b is None:
-            r = f.assignment[a]
-            assignment[cid] = SimplexRef(r.epi, _left_id(r.cell))
-        elif a is None:
-            r = g.assignment[b]
-            assignment[cid] = SimplexRef(r.epi, _right_id(r.cell))
-        else:
-            ra = f.assignment[a]
-            rb = g.assignment[b]
-            assignment[cid] = SimplexRef(
-                _join_epi(ra.epi, rb.epi), _pair_id(ra.cell, rb.cell)
-            )
+    assignment = {
+        cid: _join_ref(None if a is None else f.assignment[a],
+                       None if b is None else g.assignment[b])
+        for cid, (a, b) in src.parts.items()
+    }
     return SimplicialMap(src, tgt, assignment)
 
 
@@ -185,32 +146,30 @@ class JoinTriple:
     right: SimplexRef | None
 
 
+def _restrict(values: tuple[int, ...], dim: int,
+              c: str | None) -> SimplexRef | None:
+    """The part c of dimension dim under the epi with these values, or
+    the empty part."""
+    return None if c is None else SimplexRef(
+        MonotoneMap(len(values) - 1, dim, values), c)
+
+
 def triple_from_join_simplex(j: JoinSSet, ref: SimplexRef) -> JoinTriple:
     a, b = j.parts[ref.cell]
-    if b is None:
-        return JoinTriple(ref.dim, SimplexRef(ref.epi, a), None)
-    if a is None:
-        return JoinTriple(-1, None, SimplexRef(ref.epi, b))
-    p = j.factors[0].dim_of(a)
-    n = ref.dim
-    cut = max(v for v in range(n + 1) if ref.epi(v) <= p)
-    left_epi = MonotoneMap(cut, p, ref.epi.values[: cut + 1])
-    right_epi = MonotoneMap(
-        n - cut - 1, j.factors[1].dim_of(b),
-        tuple(v - p - 1 for v in ref.epi.values[cut + 1 :]),
+    p = -1 if a is None else j.factors[0].dim_of(a)
+    q = -1 if b is None else j.factors[1].dim_of(b)
+    values = ref.epi.values
+    cut = bisect_right(values, p) - 1
+    return JoinTriple(
+        cut,
+        _restrict(values[: cut + 1], p, a),
+        _restrict(tuple(v - p - 1 for v in values[cut + 1 :]), q, b),
     )
-    return JoinTriple(cut, SimplexRef(left_epi, a), SimplexRef(right_epi, b))
 
 
 def join_simplex_from_triple(j: JoinSSet, n: int, t: JoinTriple) -> SimplexRef:
-    if t.cut == -1:
-        return SimplexRef(t.right.epi, _right_id(t.right.cell))
-    if t.cut == n:
-        return SimplexRef(t.left.epi, _left_id(t.left.cell))
-    return SimplexRef(
-        _join_epi(t.left.epi, t.right.epi),
-        _pair_id(t.left.cell, t.right.cell),
-    )
+    """The level-n simplex of the join with the triple's parts."""
+    return _join_ref(t.left, t.right)
 
 
 def formal_simplices(x: FinSSet, d: int) -> list[SimplexRef]:
@@ -329,7 +288,8 @@ def slice_sset(pres: SlicePresentation, dim: int) -> SliceSSet:
 
     # the anchor's part of every level's maps, on K's cells in the join
     fixed = {
-        (_left_id(c) if under else _right_id(c)): pres.anchor.assignment[c]
+        (_join_id(c, None) if under else _join_id(None, c)):
+            pres.anchor.assignment[c]
         for d in range(k_set.truncation + 1)
         for c in k_set.nondegenerate(d)
     }
@@ -380,7 +340,7 @@ def slice_projection(s: SliceSSet) -> SimplicialMap:
     assignment = {}
     for d in range(s.truncation + 1):
         top = simplex_cell_id(range(d + 1))
-        jid = _right_id(top) if under else _left_id(top)
+        jid = _join_id(None, top) if under else _join_id(top, None)
         for c in s.nondegenerate(d):
             table = dict(s.cell_assignments[c])
             assignment[c] = table[jid]
@@ -477,7 +437,7 @@ def cross_validate_coslice(base: FinSSet, vertex: str, dim: int):
         gen_cells = {}
         for c in generic.nondegenerate(n):
             table = dict(generic.cell_assignments[c])
-            top = table[_pair_id("pt", simplex_cell_id(range(n + 1)))]
+            top = table[_join_id("pt", simplex_cell_id(range(n + 1)))]
             gen_cells.setdefault(top, c)
         if set(fast_cells) != set(gen_cells):
             report.problems.append(
@@ -497,7 +457,7 @@ def cross_validate_coslice(base: FinSSet, vertex: str, dim: int):
                 gr = generic.face_entry(gc, i)
                 m = gr.epi.target_arity
                 top_image = dict(generic.cell_assignments[gr.cell])[
-                    _pair_id("pt", simplex_cell_id(range(m + 1)))
+                    _join_id("pt", simplex_cell_id(range(m + 1)))
                 ]
                 if fast.underlying_ref(fr) != base.apply(
                     top_image, cone_operator(gr.epi)

@@ -460,6 +460,9 @@ def monoid_spec_from_json(blob: dict) -> MonoidSpec:
         except ValueError as e:
             raise ValueError(f"component of grade {grade!r}: {e}")
         components[grade] = entry["group"]
+    for grade in es:
+        if grade != g["unit"] and grade not in components:
+            raise ValueError(f"'components' has no entry for grade {grade!r}")
     truncation = blob.get("truncation", 3)
     if (isinstance(truncation, bool) or not isinstance(truncation, int)
             or truncation < 0):

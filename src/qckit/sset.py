@@ -398,6 +398,8 @@ class FinSSet:
         dim_of = {c: d for d, ids in cells.items() for c in ids}
         faces = {}
         for c, entries in data.get("faces", {}).items():
+            if c not in dim_of:
+                raise ValueError(f"'faces' key {c!r} is not a listed cell")
             if not isinstance(entries, list):
                 raise ValueError(f"the faces of cell {c!r} must be a list")
             faces[c] = tuple(

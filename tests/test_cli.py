@@ -125,9 +125,14 @@ def test_check_malformed_json_is_usage_error(tmp_path, capsys):
              "faces": {"e": "ab"}},
             "cell 'e'",
         ),
+        (
+            {"cells": {"0": ["a"]}, "truncation": 0,
+             "faces": {"zz": [{"cell": "a", "epi": [0]}]}},
+            "'faces' key 'zz'",
+        ),
     ],
     ids=["cells-list", "cells-string", "truncation-bool", "cells-key-not-a-dim",
-         "epi-string", "epi-missing", "faces-string"],
+         "epi-string", "epi-missing", "faces-string", "faces-key-not-a-cell"],
 )
 def test_check_cells_not_an_object_is_usage_error(tmp_path, capsys, blob, spot):
     path = write_json(tmp_path / "list.json", blob)
@@ -483,6 +488,14 @@ def test_verify_prop_dim_needs_truncation_room(capsys):
     assert "truncation" in err
 
 
+def test_verify_prop_hard_cap(capsys):
+    # --dim 4 would build the dimension-5 nerve
+    rc, out, err = run(capsys, "verify-prop", "default", "--dim", "4")
+    assert rc == 2
+    assert "hard limit 3" in err
+    assert out == ""
+
+
 # -- grassmann --------------------------------------------------------
 
 
@@ -671,6 +684,7 @@ def _repeated_grade(blob):
         (lambda b: b.update(truncation=2.5), "'truncation'"),
         (lambda b: b.update(truncation=True), "'truncation'"),
         (lambda b: b.update(truncation=-1), "'truncation'"),
+        (lambda b: b.update(truncation=5), "'truncation' 5"),
         (_repeated_grade, "'grades.elements': grade '1' is listed twice"),
         (lambda b: b["grades"].update(elements=[0, "1", "2+"]), "'grades.elements'"),
         (lambda b: b["grades"].update(elements="012"), "'grades.elements'"),
@@ -681,13 +695,15 @@ def _repeated_grade(blob):
         (lambda b: b["grades"].update(unit="zz"), "'grades.unit' 'zz'"),
         (lambda b: b["grades"]["table"][1].__setitem__(1, 7),
          "'grades.table' row '1' column '1'"),
+        (lambda b: b["components"].pop("2+"),
+         "'components' has no entry for grade '2+'"),
     ],
     ids=["zero-order-group", "ragged-table", "colon-in-grade",
          "truncation-string", "truncation-float", "truncation-bool",
-         "truncation-negative", "repeated-grade", "grade-not-a-string",
-         "elements-a-string", "component-not-an-object",
+         "truncation-negative", "truncation-above-the-cap", "repeated-grade",
+         "grade-not-a-string", "elements-a-string", "component-not-an-object",
          "components-key-not-a-grade", "unit-a-list", "unit-not-a-grade",
-         "table-entry-not-a-grade"],
+         "table-entry-not-a-grade", "component-missing"],
 )
 def test_malformed_spec_exits_two(tmp_path, capsys, edit, spot):
     blob = monoid_spec_to_json(default_monoid_spec())

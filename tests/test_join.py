@@ -71,6 +71,48 @@ def test_join_nondegenerate_counts(circle_times_edge):
         assert len(j.nondegenerate(n)) == pure + pairs
 
 
+def _ref(cell, *epi):
+    return {"cell": cell, "epi": list(epi)}
+
+
+def test_join_cell_order_and_faces_are_pinned():
+    # the generic slice names its cells in search order over the join's
+    # cells, so the order within each dimension is part of the contract:
+    # the first factor's cells, the second's, then pairs by increasing cut
+    assert join(standard_simplex(1), standard_simplex(0)).to_json() == {
+        "truncation": 2,
+        "cells": {"0": ["0|", "1|", "|0"], "1": ["0-1|", "0|0", "1|0"],
+                  "2": ["0-1|0"]},
+        "faces": {
+            "0-1|": [_ref("1|", 0), _ref("0|", 0)],
+            "0|0": [_ref("|0", 0), _ref("0|", 0)],
+            "1|0": [_ref("|0", 0), _ref("1|", 0)],
+            "0-1|0": [_ref("1|0", 0, 1), _ref("0|0", 0, 1),
+                      _ref("0-1|", 0, 1)],
+        },
+    }
+    # a loop whose 2-cell has a degenerate face: the join shifts that
+    # face's epi past the left part
+    v, e = nondeg_ref("v", 0), nondeg_ref("e", 1)
+    loop = FinSSet(2, {0: ["v"], 1: ["e"], 2: ["t"]}, {
+        "e": [v, v], "t": [e, e, SimplexRef(degeneracy(0, 0), "v")],
+    })
+    assert validate(loop).ok
+    assert join(standard_simplex(0), loop).to_json() == {
+        "truncation": 3,
+        "cells": {"0": ["0|", "|v"], "1": ["|e", "0|v"], "2": ["|t", "0|e"],
+                  "3": ["0|t"]},
+        "faces": {
+            "|e": [_ref("|v", 0), _ref("|v", 0)],
+            "0|v": [_ref("|v", 0), _ref("0|", 0)],
+            "|t": [_ref("|e", 0, 1), _ref("|e", 0, 1), _ref("|v", 0, 0)],
+            "0|e": [_ref("|e", 0, 1), _ref("0|v", 0, 1), _ref("0|v", 0, 1)],
+            "0|t": [_ref("|t", 0, 1, 2), _ref("0|e", 0, 1, 2),
+                    _ref("0|e", 0, 1, 2), _ref("0|v", 0, 1, 1)],
+        },
+    }
+
+
 def test_join_simplex_count_matches_triple_count(circle_times_edge):
     # independent count: one simplex per cut position and per pair of
     # factor simplices, degenerate extension above factor truncations
