@@ -28,6 +28,16 @@ from . import __version__
 # level the cell catalogue stops being a desk-scale object.
 HARD_NERVE_CAP = 4
 
+# The build tabulates each component group, and every product, up to
+# the truncation; its associativity sweep is cubic in the order **
+# truncation top simplices of a component.  A spec file whose component
+# has order ** max(truncation, 2) above this is refused.
+GROUP_SIZE_CAP = 512
+
+# No triple of the witness search routes a coordinate past 57, so a
+# wider window only pads the rows.
+HARD_WINDOW_CAP = 64
+
 # ``<name>_pairing`` in ``monoids`` for each name
 PAIRINGS = ("cantor", "szudzik")
 
@@ -146,7 +156,7 @@ def _load_spec(path: str):
 
 
 def _spec_from_blob(path: str, blob):
-    from .monoids import monoid_spec_from_json
+    from .monoids import group_order, monoid_spec_from_json
 
     if not (isinstance(blob, dict) and "grades" in blob):
         raise UsageError(f"{path} is not a monoid spec file")
@@ -161,6 +171,15 @@ def _spec_from_blob(path: str, blob):
             f"{path}: malformed monoid spec: 'truncation' {spec.truncation} "
             f"exceeds the hard limit {HARD_NERVE_CAP}"
         )
+    power = max(spec.truncation, 2)
+    for grade, name in spec.components.items():
+        size = group_order(name) ** power
+        if size > GROUP_SIZE_CAP:
+            raise UsageError(
+                f"{path}: monoid spec too large: the component of grade "
+                f"{grade!r} is {name}, and its order ** {power} = {size} "
+                f"exceeds {GROUP_SIZE_CAP}"
+            )
     return spec
 
 
@@ -391,6 +410,11 @@ def cmd_grassmann(args) -> int:
         raise UsageError(
             f"--window must be >= {monoids.WITNESS_AXES}: the witness search "
             f"reads axes 0 to {monoids.WITNESS_AXES - 1}, got {args.window}"
+        )
+    if args.window > HARD_WINDOW_CAP:
+        raise UsageError(
+            f"--window must be <= {HARD_WINDOW_CAP}: no coordinate the "
+            f"witness search routes lies past it, got {args.window}"
         )
     witness = monoids.find_nonassociativity_witness(
         pairing=getattr(monoids, f"{args.pairing}_pairing"), window=args.window,

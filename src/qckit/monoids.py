@@ -37,6 +37,7 @@ from .sset import (
     SimplexRef,
     ValidationReport,
     iso_search,
+    materialize_presheaf,
     validate,
     validate_bilevel,
 )
@@ -144,74 +145,80 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(name, elements, "0", mult)
 
 
-def group_from_name(name: str) -> FiniteGroup:
+def group_order(name: str) -> int:
+    """The order a component group name gives: ``trivial`` is 1, and
+    ``Z/`` followed by ASCII digits names an order >= 1."""
     if name == "trivial":
-        return cyclic_group(1)
-    if name.startswith("Z/") and name[2:].isdigit():
-        n = int(name[2:])
+        return 1
+    digits = name[2:]
+    if name.startswith("Z/") and digits.isascii() and digits.isdigit():
+        n = int(digits)
         if n < 1:
             raise ValueError(f"group {name!r} needs order >= 1")
-        return cyclic_group(n)
+        return n
     raise ValueError(f"unknown group {name!r}")
+
+
+def group_from_name(name: str) -> FiniteGroup:
+    return cyclic_group(group_order(name))
 
 
 _VERTEX = "v"
 
 
-def _bar_id(entries: tuple[str, ...]) -> str:
-    return _VERTEX if not entries else ".".join(entries)
+def _bar_id(n: int, word: tuple[str, ...]) -> str:
+    return _VERTEX if not word else ".".join(word)
 
 
-def _bar_tuple(cell: str) -> tuple[str, ...]:
-    return () if cell == _VERTEX else tuple(cell.split("."))
-
-
-def bar_normal(group: FiniteGroup, entries: tuple[str, ...]) -> SimplexRef:
-    """Strip unit legs, recording the collapse as the epi."""
-    eta = [0]
-    kept = []
-    for e in entries:
-        if e != group.unit:
-            kept.append(e)
-        eta.append(len(kept))
-    epi = MonotoneMap(len(entries), len(kept), tuple(eta))
-    return SimplexRef(epi, _bar_id(tuple(kept)))
-
-
-def _bar_decode(group: FiniteGroup, ref: SimplexRef) -> tuple[str, ...]:
-    t = _bar_tuple(ref.cell)
-    eta = ref.epi.values
+def _bar_act(group: FiniteGroup, word: tuple[str, ...],
+             alpha: MonotoneMap) -> tuple[str, ...]:
+    """The word acted on by alpha: letter i is the product of the letters
+    alpha(i-1)+1 .. alpha(i), a later letter after an earlier one; an
+    empty run gives the unit."""
     out = []
-    for i in range(1, ref.dim + 1):
-        out.append(t[eta[i] - 1] if eta[i] > eta[i - 1] else group.unit)
+    v = alpha.values
+    for i in range(1, len(v)):
+        letter = group.unit
+        for later in word[v[i - 1]:v[i]]:
+            letter = group.mult[(later, letter)]
+        out.append(letter)
     return tuple(out)
 
 
-def group_nerve(group: FiniteGroup, truncation: int) -> FinSSet:
-    """The classical one-vertex nerve: nondegenerate k-cells are words
-    of non-unit elements; faces drop an end or multiply neighbours."""
+class GroupNerve(FinSSet):
+    """A group nerve that keeps each simplex's word: ``simplex_of`` maps
+    every word of at most ``truncation`` elements, units included, to its
+    simplex, and ``word_of`` is its inverse."""
+
+    def __init__(self, group, truncation, cells, faces, value_of):
+        super().__init__(truncation, cells, faces)
+        self.group: FiniteGroup = group
+        self.word_of: dict[SimplexRef, tuple[str, ...]] = {
+            s: _bar_act(group, value_of[s.cell], s.epi)
+            for n in range(truncation + 1)
+            for s in self.simplices(n)
+        }
+        self.simplex_of: dict[tuple[str, ...], SimplexRef] = {
+            w: s for s, w in self.word_of.items()
+        }
+
+
+def group_nerve(group: FiniteGroup, truncation: int) -> GroupNerve:
+    """The classical one-vertex nerve, the bar construction: an
+    n-simplex is a word of n elements and an operator multiplies the
+    letters it merges; the nondegenerate cells are the words without a
+    unit letter."""
     for e in group.elements:
         if "." in e or ":" in e or e == _VERTEX:
             raise ValueError(f"element name {e!r} clashes with cell ids")
-    nonunit = [e for e in group.elements if e != group.unit]
-    cells = {0: [_VERTEX]}
-    faces = {}
-    for k in range(1, truncation + 1):
-        cells[k] = []
-        for word in itertools.product(nonunit, repeat=k):
-            cid = _bar_id(word)
-            cells[k].append(cid)
-            entry = [bar_normal(group, word[1:])]
-            for i in range(1, k):
-                merged = (
-                    word[: i - 1]
-                    + (group.mult[(word[i], word[i - 1])],)
-                    + word[i + 1 :]
-                )
-                entry.append(bar_normal(group, merged))
-            entry.append(bar_normal(group, word[:-1]))
-            faces[cid] = entry
-    return FinSSet(truncation, cells, faces)
+    levels = [
+        list(itertools.product(group.elements, repeat=n))
+        for n in range(truncation + 1)
+    ]
+    cells, faces, value_of = materialize_presheaf(
+        levels, lambda word, alpha: _bar_act(group, word, alpha), _bar_id
+    )
+    return GroupNerve(group, truncation, cells, faces, value_of)
 
 
 def _canonical_hom(a: FiniteGroup, b: FiniteGroup) -> dict:
@@ -222,18 +229,17 @@ def _canonical_hom(a: FiniteGroup, b: FiniteGroup) -> dict:
     return {e: b.unit for e in a.elements}
 
 
-def group_product(gg: FiniteGroup, gh: FiniteGroup, gt: FiniteGroup):
-    """The levelwise product of bar words of gg and gh into gt, entry by
-    entry through the canonical homs: a function for a BilevelMap."""
-    ha = _canonical_hom(gg, gt)
-    hb = _canonical_hom(gh, gt)
+def group_product(x: GroupNerve, y: GroupNerve, target: GroupNerve):
+    """The levelwise product of the words of x and y into target, letter
+    by letter through the canonical homs: a function for a BilevelMap."""
+    ha = _canonical_hom(x.group, target.group)
+    hb = _canonical_hom(y.group, target.group)
+    mult = target.group.mult
 
     def fn(level: int, a: SimplexRef, b: SimplexRef) -> SimplexRef:
-        ta = _bar_decode(gg, a)
-        tb = _bar_decode(gh, b)
-        return bar_normal(
-            gt, tuple(gt.mult[(ha[x], hb[y])] for x, y in zip(ta, tb))
-        )
+        return target.simplex_of[tuple(
+            mult[(ha[p], hb[q])] for p, q in zip(x.word_of[a], y.word_of[b])
+        )]
 
     return fn
 
@@ -456,7 +462,7 @@ def monoid_spec_from_json(blob: dict) -> MonoidSpec:
                 raise ValueError(
                     f"'group' must be a string, got {entry['group']!r}"
                 )
-            group_from_name(entry["group"])
+            group_order(entry["group"])
         except ValueError as e:
             raise ValueError(f"component of grade {grade!r}: {e}")
         components[grade] = entry["group"]
@@ -485,26 +491,19 @@ def build_reference_monoid(spec: MonoidSpec | None = None) -> GradedSimplicialMo
     unit = spec.grades.unit
     if spec.components.get(unit, "trivial") != "trivial":
         raise ValueError("the unit grade component must be trivial")
-    groups = {}
+    components = {}
     for g in spec.grades.elements:
-        if g == unit:
-            groups[g] = cyclic_group(1)
-        else:
-            try:
-                groups[g] = group_from_name(spec.components[g])
-            except KeyError:
-                raise ValueError(f"no component group named for grade {g!r}")
-    components = {
-        g: group_nerve(groups[g], spec.truncation)
-        for g in spec.grades.elements
-    }
+        name = "trivial" if g == unit else spec.components.get(g)
+        if name is None:
+            raise ValueError(f"no component group named for grade {g!r}")
+        components[g] = group_nerve(group_from_name(name), spec.truncation)
 
     product = {}
     for g, h in itertools.product(spec.grades.elements, repeat=2):
         gh = spec.grades.product(g, h)
         product[(g, h)] = BilevelMap(
             components[g], components[h], components[gh],
-            group_product(groups[g], groups[h], groups[gh]),
+            group_product(components[g], components[h], components[gh]),
         )
     m = GradedSimplicialMonoid(
         spec.grades, components, _VERTEX, product, spec.truncation

@@ -59,6 +59,11 @@ from .ordinals import (
 )
 
 
+# A set keeps an entry per level and every command loops over the
+# levels, so a file may not claim more of them than this.
+MAX_FILE_TRUNCATION = 64
+
+
 class TruncationError(ValueError):
     """Raised when a dimension above the stored truncation is requested."""
 
@@ -384,6 +389,10 @@ class FinSSet:
         truncation = data["truncation"]
         if isinstance(truncation, bool) or not isinstance(truncation, int):
             raise ValueError(f"'truncation' must be an integer, got {truncation!r}")
+        if truncation > MAX_FILE_TRUNCATION:
+            raise ValueError(
+                f"'truncation' {truncation} exceeds {MAX_FILE_TRUNCATION}"
+            )
         for key in ("cells", "faces"):
             if not isinstance(data.get(key, {}), dict):
                 raise ValueError(f"{key!r} must be an object")
@@ -764,7 +773,8 @@ def materialize_presheaf(levels, act, id_fn):
     values, called in level order.  Degeneracy of v is detected by
     v == (v . d_i) . s_i, and the normal form accumulates the collapsing
     surjection.  This is the one normal-form path: the coherent nerve,
-    the generic slice and the coslice fastpath all build through it.
+    group nerves, the generic slice and the coslice fastpath all build
+    through it.
 
     Returns ``(cells, faces, value_of)``: the nondegenerate cell ids per
     dimension 0..len(levels)-1, each positive-dimensional cell's

@@ -130,9 +130,14 @@ def test_check_malformed_json_is_usage_error(tmp_path, capsys):
              "faces": {"zz": [{"cell": "a", "epi": [0]}]}},
             "'faces' key 'zz'",
         ),
+        (
+            {"truncation": 100000000, "cells": {"0": ["a"]}, "faces": {}},
+            "'truncation' 100000000 exceeds 64",
+        ),
     ],
     ids=["cells-list", "cells-string", "truncation-bool", "cells-key-not-a-dim",
-         "epi-string", "epi-missing", "faces-string", "faces-key-not-a-cell"],
+         "epi-string", "epi-missing", "faces-string", "faces-key-not-a-cell",
+         "truncation-above-the-cap"],
 )
 def test_check_cells_not_an_object_is_usage_error(tmp_path, capsys, blob, spot):
     path = write_json(tmp_path / "list.json", blob)
@@ -646,9 +651,12 @@ def test_negative_dim_exits_two(tmp_path, capsys, argv):
         (["--pairing-witness", "--window", "0"], "--window must be >= 3"),
         (["--pairing-witness", "--window", "1"], "--window must be >= 3"),
         (["--pairing-witness", "--window", "2"], "--window must be >= 3"),
+        (["--pairing-witness", "--window", "65"], "--window must be <= 64"),
+        (["--pairing-witness", "--window", "100000000"],
+         "--window must be <= 64"),
     ],
     ids=["trials-negative", "window-negative", "window-0", "window-1",
-         "window-2"],
+         "window-2", "window-65", "window-huge"],
 )
 def test_grassmann_count_out_of_range_exits_two(capsys, argv, option):
     rc, out, err = run(capsys, "grassmann", *argv)
@@ -697,13 +705,21 @@ def _repeated_grade(blob):
          "'grades.table' row '1' column '1'"),
         (lambda b: b["components"].pop("2+"),
          "'components' has no entry for grade '2+'"),
+        (lambda b: b["components"]["1"].update(group="Z/20000"),
+         "the component of grade '1' is Z/20000"),
+        (lambda b: b["components"]["1"].update(group="Z/\u00b2"),
+         "unknown group 'Z/\u00b2'"),
+        (lambda b: b["components"]["1"].update(group="Z/9"),
+         "the component of grade '1' is Z/9, and its order ** 3 = 729 "
+         "exceeds 512"),
     ],
     ids=["zero-order-group", "ragged-table", "colon-in-grade",
          "truncation-string", "truncation-float", "truncation-bool",
          "truncation-negative", "truncation-above-the-cap", "repeated-grade",
          "grade-not-a-string", "elements-a-string", "component-not-an-object",
          "components-key-not-a-grade", "unit-a-list", "unit-not-a-grade",
-         "table-entry-not-a-grade", "component-missing"],
+         "table-entry-not-a-grade", "component-missing", "group-huge",
+         "group-order-not-ascii", "group-above-the-size-cap"],
 )
 def test_malformed_spec_exits_two(tmp_path, capsys, edit, spot):
     blob = monoid_spec_to_json(default_monoid_spec())

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from oracles import (
 )
 from qckit import monoids
 from qckit.monoids import (
+    FiniteGroup,
     GradeMonoid,
     GradedSimplicialMonoid,
     MonoidSpec,
@@ -25,7 +27,6 @@ from qckit.monoids import (
     RationalSubspace,
     WindowOverflowError,
     axis_subspace,
-    bar_normal,
     boxplus,
     build_reference_monoid,
     cantor_pairing,
@@ -35,6 +36,7 @@ from qckit.monoids import (
     find_nonassociativity_witness,
     group_from_name,
     group_nerve,
+    group_order,
     group_product,
     monoid_spec_from_json,
     monoid_spec_to_json,
@@ -50,12 +52,13 @@ from qckit.monoids import (
 )
 from qckit.quasicat import is_kan_up_to
 from qckit.scat import simplicial_nerve, validate_scat
-from qckit.ordinals import MonotoneMap
+from qckit.ordinals import MonotoneMap, epis_onto
 from qckit.sset import (
     BilevelMap,
     FinSSet,
     SimplexRef,
     iso_search,
+    nondeg_ref,
     validate,
     validate_bilevel,
 )
@@ -117,9 +120,62 @@ def test_group_nerve_matches_oracle(n):
 
 def test_bar_normal_strips_exactly_the_units():
     g = cyclic_group(3)
-    ref = bar_normal(g, ("1", "0", "2", "0"))
+    ref = group_nerve(g, 4).simplex_of[("1", "0", "2", "0")]
     assert ref.cell == "1.2"
     assert ref.epi.values == (0, 1, 1, 2, 2)
+
+
+def _ref(cell, *epi):
+    return {"cell": cell, "epi": list(epi)}
+
+
+def test_group_nerve_cell_order_and_faces_are_pinned():
+    # cell ids and their order are the words without a unit letter in
+    # product order; an inner face multiplies the letters it merges
+    assert group_nerve(cyclic_group(3), 2).to_json() == {
+        "truncation": 2,
+        "cells": {"0": ["v"], "1": ["1", "2"],
+                  "2": ["1.1", "1.2", "2.1", "2.2"]},
+        "faces": {
+            "1": [_ref("v", 0), _ref("v", 0)],
+            "2": [_ref("v", 0), _ref("v", 0)],
+            "1.1": [_ref("1", 0, 1), _ref("2", 0, 1), _ref("1", 0, 1)],
+            "1.2": [_ref("2", 0, 1), _ref("v", 0, 0), _ref("1", 0, 1)],
+            "2.1": [_ref("1", 0, 1), _ref("v", 0, 0), _ref("2", 0, 1)],
+            "2.2": [_ref("2", 0, 1), _ref("1", 0, 1), _ref("2", 0, 1)],
+        },
+    }
+
+
+def symmetric_group_3():
+    """S3 as the permutations of (0, 1, 2), with mult[(p, q)] = p after q."""
+    perms = list(itertools.permutations(range(3)))
+    name = dict(zip(perms, ["e", "a", "b", "c", "d", "f"]))
+    mult = {
+        (name[p], name[q]): name[tuple(p[i] for i in q)]
+        for p in perms for q in perms
+    }
+    return FiniteGroup("S3", tuple(name.values()), "e", mult)
+
+
+def test_nonabelian_group_nerve_multiplies_later_after_earlier():
+    g = symmetric_group_3()
+    nerve = group_nerve(g, 3)
+    unit_edge = SimplexRef(epis_onto(1, 0)[0], "v")
+    assert nerve.cell_count(2) == 25
+    for cell in nerve.nondegenerate(2):
+        a, b = cell.split(".")
+        ab = g.mult[(b, a)]
+        middle = unit_edge if ab == g.unit else nondeg_ref(ab, 1)
+        assert nerve.face_entries(cell) == (
+            nondeg_ref(b, 1), middle, nondeg_ref(a, 1)
+        )
+    assert validate(nerve).ok
+    assert is_kan_up_to(nerve, 3).ok
+    assert len(nerve.word_of) == len(nerve.simplex_of) == 1 + 6 + 36 + 216
+    for s, word in nerve.word_of.items():
+        assert len(word) == s.dim
+        assert nerve.simplex_of[word] == s
 
 
 # -- the reference monoid ---------------------------------------------
@@ -188,6 +244,10 @@ def test_group_from_name():
     assert group_from_name("trivial").elements == ("0",)
     with pytest.raises(ValueError):
         group_from_name("S3")
+    # the order is read off the name, without tabulating the group
+    assert group_order("Z/20000") == 20000
+    with pytest.raises(ValueError, match="unknown group 'Z/²'"):
+        group_order("Z/²")
 
 
 # -- monoid validation against the apply-based scans ------------------
@@ -437,7 +497,9 @@ def group_grade_monoid(component):
     product = {
         (g, h): BilevelMap(
             components[g], components[h], components[grades.product(g, h)],
-            group_product(groups[g], groups[h], groups[grades.product(g, h)]),
+            group_product(
+                components[g], components[h], components[grades.product(g, h)]
+            ),
         )
         for g in grades.elements
         for h in grades.elements
