@@ -434,26 +434,21 @@ def _dot_quote(s: str) -> str:
 
 
 def export_dot(x: FinSSet, dim: int = 2) -> str:
-    """Vertices and edges as a digraph, 2-cells as comment annotations."""
-    from .ordinals import face
-    from .sset import nondeg_ref
-
+    """Vertices and edges as a digraph, 2-cells as comment annotations.
+    Reads the face entries, so x must be valid."""
     lines = ["digraph sset {"]
     for v in sorted(x.nondegenerate(0)):
         lines.append(f"  {_dot_quote(v)};")
     if x.truncation >= 1 and dim >= 1:
         for e in sorted(x.nondegenerate(1)):
-            r = nondeg_ref(e, 1)
-            src = x.apply(r, face(1, 1)).cell
-            tgt = x.apply(r, face(1, 0)).cell
+            tgt, src = (r.cell for r in x.face_entries(e))
             lines.append(
                 f"  {_dot_quote(src)} -> {_dot_quote(tgt)} "
                 f"[label={_dot_quote(e)}];"
             )
     if x.truncation >= 2 and dim >= 2:
         for t in sorted(x.nondegenerate(2)):
-            r = nondeg_ref(t, 2)
-            sides = [x.apply(r, face(2, i)) for i in (2, 0, 1)]
+            sides = [x.face_entry(t, i) for i in (2, 0, 1)]
             first, second, composite = (
                 s.cell if not s.is_degenerate else f"id[{s.cell}]"
                 for s in sides

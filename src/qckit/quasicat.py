@@ -14,15 +14,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .ordinals import all_monos, degeneracy, face
+from .ordinals import degeneracy, face
 from .sset import (
     FinSSet,
     SimplexRef,
-    SimplicialMap,
     TruncationError,
     ValidationReport,
     depth_first,
     nondeg_ref,
+    subcomplex,
 )
 
 
@@ -171,65 +171,52 @@ def invertible_edge_cells(x: FinSSet) -> tuple[str, ...]:
 @dataclass
 class CoreResult:
     sset: FinSSet
-    inclusion: SimplicialMap
     invertible_edges: tuple[str, ...]
 
 
 def core(x: FinSSet) -> CoreResult:
-    """The largest subcomplex all of whose edges are invertible."""
-    good = set(invertible_edge_cells(x))
-
-    def keep(c: str, d: int) -> bool:
-        if d == 0:
-            return True
-        ref = nondeg_ref(c, d)
-        for mono in all_monos(1, d):
-            edge = x.apply(ref, mono)
-            if not edge.is_degenerate and edge.cell not in good:
-                return False
-        return True
-
-    cells = {
-        d: tuple(c for c in x.nondegenerate(d) if keep(c, d))
-        for d in range(x.truncation + 1)
-    }
-    faces = {
-        c: x.face_entries(c)
-        for d in range(1, x.truncation + 1)
-        for c in cells[d]
-    }
-    sub = FinSSet(x.truncation, cells, faces)
-    incl = SimplicialMap(
-        sub, x,
-        {c: nondeg_ref(c, d) for d in range(x.truncation + 1)
-         for c in cells[d]},
+    """The largest subcomplex all of whose edges are invertible: every
+    vertex, the invertible edges, and each higher cell whose face
+    entries all name kept cells.  That is the same rule, because for
+    d >= 2 every edge of a d-cell lies in one of its faces, and a face
+    entry's epi is onto its cell."""
+    good = invertible_edge_cells(x)
+    kept = set(good)
+    return CoreResult(
+        subcomplex(x, lambda c, d: d != 1 or c in kept), tuple(sorted(good))
     )
-    return CoreResult(sub, incl, tuple(sorted(good)))
 
 
 # -- path components and the fundamental group ------------------------
 
 
+def _root(parent, v):
+    """The root of v in the union-find forest ``parent``, halving the
+    path on the way."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def _union(parent, a, b) -> None:
+    """Hangs a's tree under b's root."""
+    ra, rb = _root(parent, a), _root(parent, b)
+    if ra != rb:
+        parent[ra] = rb
+
+
 def pi0(x: FinSSet) -> tuple[tuple[str, ...], ...]:
     """Vertex components under zigzags of edges."""
     parent = {v: v for v in x.nondegenerate(0)}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     if x.truncation >= 1:
         table = x.face_table(1)
         for e in x.nondegenerate(1):
             tgt, src = table[nondeg_ref(e, 1)]
-            a, b = find(src.cell), find(tgt.cell)
-            if a != b:
-                parent[a] = b
+            _union(parent, src.cell, tgt.cell)
     comps: dict[str, list[str]] = {}
     for v in parent:
-        comps.setdefault(find(v), []).append(v)
+        comps.setdefault(_root(parent, v), []).append(v)
     return tuple(sorted(tuple(sorted(vs)) for vs in comps.values()))
 
 
@@ -268,35 +255,26 @@ def pi1(x: FinSSet, basepoint: str) -> Pi1Result:
     index = {r: i for i, r in enumerate(loops)}
     parent = list(range(len(loops)))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
     triangles = x.face_table(2)
     for d0, d1, d2 in triangles.values():
         if d0 in index and d1 in index and d2 in index:
             if d0 == id_b:
-                union(index[d2], index[d1])
+                _union(parent, index[d2], index[d1])
             if d2 == id_b:
-                union(index[d0], index[d1])
+                _union(parent, index[d0], index[d1])
 
-    roots = sorted({find(i) for i in range(len(loops))},
+    roots = sorted({_root(parent, i) for i in range(len(loops))},
                    key=lambda i: loops[i].sort_key())
     root_pos = {r: t for t, r in enumerate(roots)}
     classes = tuple(
-        tuple(sorted((loops[i] for i in range(len(loops)) if find(i) == r),
-                     key=SimplexRef.sort_key))
+        tuple(sorted(
+            (loops[i] for i in range(len(loops)) if _root(parent, i) == r),
+            key=SimplexRef.sort_key,
+        ))
         for r in roots
     )
     result = Pi1Result(
-        basepoint, classes, root_pos[find(index[id_b])]
+        basepoint, classes, root_pos[_root(parent, index[id_b])]
     )
 
     # a triangle with loops e, f as d0, d2 has a loop as d1: e after f
@@ -306,7 +284,7 @@ def pi1(x: FinSSet, basepoint: str) -> Pi1Result:
         for e in classes[i]:
             for f in classes[j]:
                 for t in composites.get((e, f), ()):
-                    values.add(root_pos[find(index[triangles[t][1]])])
+                    values.add(root_pos[_root(parent, index[triangles[t][1]])])
         if not values:
             result.problems.append(f"no composite for classes ({i}, {j})")
         elif len(values) > 1:

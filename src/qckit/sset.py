@@ -59,9 +59,11 @@ from .ordinals import (
 )
 
 
-# A set keeps an entry per level and every command loops over the
-# levels, so a file may not claim more of them than this.
-MAX_FILE_TRUNCATION = 64
+# Level d holds every degenerate copy of each m-cell, C(d, m) of them,
+# and commands list whole levels, so a file of a few hundred bytes at
+# truncation 64 asks for millions of simplices.  qckit writes files
+# truncated at most at 4; a file may claim no more levels than this.
+MAX_FILE_TRUNCATION = 8
 
 
 class TruncationError(ValueError):
@@ -426,15 +428,35 @@ def point(label: str = "pt", truncation: int = 0) -> FinSSet:
     return FinSSet(truncation, {0: [label]}, {})
 
 
+def subcomplex(x: FinSSet, keep: Callable[[str, int], bool],
+               truncation: int | None = None) -> FinSSet:
+    """The cells of x, up to ``truncation`` (x's own by default), that
+    ``keep(cell, dim)`` accepts and whose face entries all name cells
+    kept below them, with their face entries, in x's order.  A cell
+    whose face went goes too, so the result is always a sub-complex."""
+    if truncation is None:
+        truncation = x.truncation
+    if truncation > x.truncation:
+        raise TruncationError(
+            f"cannot extend truncation {x.truncation} to {truncation}"
+        )
+    kept: set[str] = set()
+    cells: dict[int, list[str]] = {}
+    faces: dict[str, tuple[SimplexRef, ...]] = {}
+    for d in range(truncation + 1):
+        cells[d] = []
+        for c in x.nondegenerate(d):
+            entries = x.face_entries(c)
+            if keep(c, d) and all(r.cell in kept for r in entries):
+                kept.add(c)
+                cells[d].append(c)
+                faces[c] = entries
+    return FinSSet(truncation, cells, faces)
+
+
 def truncate(x: FinSSet, t: int) -> FinSSet:
     """Forget every cell above dimension t."""
-    if t > x.truncation:
-        raise TruncationError(f"cannot extend truncation {x.truncation} to {t}")
-    cells = {d: x.nondegenerate(d) for d in range(t + 1)}
-    faces = {
-        c: x.face_entries(c) for d in range(1, t + 1) for c in cells[d]
-    }
-    return FinSSet(t, cells, faces)
+    return subcomplex(x, lambda c, d: True, t)
 
 
 # -- standard simplices, boundaries, horns ----------------------------
@@ -445,15 +467,8 @@ def simplex_cell_id(values: Iterable[int]) -> str:
 
 
 def standard_simplex(n: int, truncation: int | None = None) -> FinSSet:
-    """The n-simplex: nondegenerate m-cells are the injections [m] -> [n]."""
-    return _simplex_subcomplex(n, lambda vals: True, truncation)
-
-
-def _simplex_subcomplex(n: int, keep: Callable[[tuple[int, ...]], bool],
-                        truncation: int | None = None) -> FinSSet:
-    """The faces of the n-simplex that ``keep`` accepts, truncated at the
-    ambient n unless told otherwise, so missing-filler questions stay
-    posable."""
+    """The n-simplex: nondegenerate m-cells are the injections [m] -> [n].
+    Truncated at n unless told otherwise."""
     if truncation is None:
         truncation = n
     if truncation < n:
@@ -462,8 +477,6 @@ def _simplex_subcomplex(n: int, keep: Callable[[tuple[int, ...]], bool],
     faces: dict[str, list[SimplexRef]] = {}
     for m in range(n + 1):
         for vals in itertools.combinations(range(n + 1), m + 1):
-            if not keep(vals):
-                continue
             cid = simplex_cell_id(vals)
             cells.setdefault(m, []).append(cid)
             if m >= 1:
@@ -475,20 +488,19 @@ def _simplex_subcomplex(n: int, keep: Callable[[tuple[int, ...]], bool],
 
 
 def boundary(n: int) -> FinSSet:
-    """The boundary of the n-simplex: all proper faces."""
+    """The boundary of the n-simplex: all proper faces, still truncated at
+    n so missing-filler questions stay posable."""
     if n < 1:
         raise ValueError("boundary needs n >= 1")
-    return _simplex_subcomplex(n, lambda vals: len(vals) <= n)
+    return subcomplex(standard_simplex(n), lambda c, d: d < n)
 
 
 def horn(n: int, i: int) -> FinSSet:
     """The horn: the boundary minus the face opposite vertex i."""
     if not (0 <= i <= n) or n < 1:
         raise ValueError(f"no horn ({n}, {i})")
-    opposite = tuple(v for v in range(n + 1) if v != i)
-    return _simplex_subcomplex(
-        n, lambda vals: len(vals) <= n and vals != opposite
-    )
+    opposite = simplex_cell_id(v for v in range(n + 1) if v != i)
+    return subcomplex(standard_simplex(n), lambda c, d: d < n and c != opposite)
 
 
 # -- maps -------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from qckit.ordinals import (
     MonotoneMap,
+    all_monos,
     compose,
     degeneracy,
     epi_mono_factor,
@@ -217,6 +218,28 @@ def scan_invertible_edge(x, e):
     id_src = x.apply(x.apply(e, face(1, 1)), degeneracy(0, 0))
     id_tgt = x.apply(x.apply(e, face(1, 0)), degeneracy(0, 0))
     return any(e in idx.get((g, id_tgt), ()) for g in idx.get((e, id_src), ()))
+
+
+def scan_core(x):
+    """The core's cells per dimension, in x's order, by the edge rule: a
+    cell is kept when every edge of it, computed through
+    ``FinSSet.apply`` along each mono [1] -> [d], is degenerate or passes
+    ``scan_invertible_edge``."""
+    verdicts = {}
+
+    def invertible(e):
+        if e not in verdicts:
+            verdicts[e] = scan_invertible_edge(x, e)
+        return verdicts[e]
+
+    return {
+        d: tuple(
+            c for c in x.nondegenerate(d)
+            if all(invertible(x.apply(nondeg_ref(c, d), mono))
+                   for mono in all_monos(1, d))
+        )
+        for d in range(x.truncation + 1)
+    }
 
 
 def scan_filler(x, p, index=None):

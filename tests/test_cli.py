@@ -132,12 +132,16 @@ def test_check_malformed_json_is_usage_error(tmp_path, capsys):
         ),
         (
             {"truncation": 100000000, "cells": {"0": ["a"]}, "faces": {}},
-            "'truncation' 100000000 exceeds 64",
+            "'truncation' 100000000 exceeds 8",
+        ),
+        (
+            {"truncation": 9, "cells": {"0": ["a"]}, "faces": {}},
+            "'truncation' 9 exceeds 8",
         ),
     ],
     ids=["cells-list", "cells-string", "truncation-bool", "cells-key-not-a-dim",
          "epi-string", "epi-missing", "faces-string", "faces-key-not-a-cell",
-         "truncation-above-the-cap"],
+         "truncation-above-the-cap", "truncation-one-above-the-cap"],
 )
 def test_check_cells_not_an_object_is_usage_error(tmp_path, capsys, blob, spot):
     path = write_json(tmp_path / "list.json", blob)
@@ -477,6 +481,20 @@ def test_verify_prop_rejects_group_spec(tmp_path, capsys):
     rc, _, err = run(capsys, "verify-prop", spec)
     assert rc == 1
     assert "left translation" in err
+
+
+def test_unit_component_named_z1_is_the_trivial_one(tmp_path, capsys):
+    envelopes = []
+    for group in ("Z/1", "trivial"):
+        blob = monoid_spec_to_json(default_monoid_spec())
+        blob["components"]["0"] = {"group": group}
+        spec = write_json(tmp_path / "spec.json", blob)
+        rc, env = run_json(capsys, "check", spec)
+        assert (rc, env["ok"], env["problems"]) == (0, True, [])
+        rc, env = run_json(capsys, "verify-prop", spec, "--dim", "2")
+        assert rc == 0 and env["ok"] is True
+        envelopes.append(env)
+    assert envelopes[0] == envelopes[1]
 
 
 @pytest.mark.parametrize("dim", ["0", "1"])

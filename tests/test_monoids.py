@@ -59,6 +59,8 @@ from qckit.sset import (
     SimplexRef,
     iso_search,
     nondeg_ref,
+    standard_simplex,
+    truncate,
     validate,
     validate_bilevel,
 )
@@ -212,6 +214,21 @@ def test_spec_missing_component_group():
         )
 
 
+def test_unit_component_is_any_name_of_the_trivial_group():
+    grades = saturating_grades(2)
+    m = build_reference_monoid(
+        MonoidSpec(grades, {"0": "Z/1", "1": "Z/2", "2+": "Z/2"}, 3)
+    )
+    assert validate_monoid(m).ok
+    assert m.component("0").to_json() == (
+        build_reference_monoid().component("0").to_json()
+    )
+    with pytest.raises(ValueError, match="unit grade component must be trivial"):
+        build_reference_monoid(
+            MonoidSpec(grades, {"0": "Z/2", "1": "Z/2", "2+": "Z/2"}, 3)
+        )
+
+
 def test_colon_in_grade_name_is_rejected():
     # cell tags are "grade:cell"; a built spec must refuse what the JSON
     # loader refuses, or verify_proposition fails far from the cause
@@ -323,6 +340,66 @@ def test_broken_product_problems_match_the_apply_scan(z3_monoid, broken):
         "right-unit": "right unit fails at grade '1' level 1",
     }[broken]
     assert problems[0].startswith(expected)
+
+
+def wrong_ends(*pairs):
+    return [f"product at {pair!r} has wrong ends" for pair in pairs]
+
+
+def structurally_broken(m, case):
+    """m with one piece of its structure broken, by ``case``."""
+    comps, product = m.components, m.product
+    if case == "missing-component":
+        return dataclasses.replace(
+            m, components={g: c for g, c in comps.items() if g != "2+"}
+        )
+    if case == "missing-unit-vertex":
+        return dataclasses.replace(m, unit_vertex="nowhere")
+    if case == "missing-product":
+        return dataclasses.replace(
+            m, product={k: bm for k, bm in product.items() if k != ("1", "2+")}
+        )
+    if case == "wrong-ends":
+        return dataclasses.replace(
+            m, product={**product, ("1", "1"): product[("1", "2+")]}
+        )
+    grade, comp = {
+        "wrong-truncation": ("1", truncate(comps["1"], 2)),
+        # face 0 of the edge names no cell
+        "invalid-component": ("1", FinSSet(
+            3, {0: ["a"], 1: ["e"]},
+            {"e": [nondeg_ref("zz", 0), nondeg_ref("a", 0)]},
+        )),
+        # two vertices, the unit vertex among them
+        "unit-not-a-point": ("0", FinSSet(3, {0: ["v", "w"]}, {})),
+        "not-kan": ("1", standard_simplex(1, 3)),
+    }[case]
+    return dataclasses.replace(m, components={**comps, grade: comp})
+
+
+@pytest.mark.parametrize("case, problems", [
+    ("missing-component", ["grade '2+' has no component"]),
+    ("wrong-truncation", ["component '1' has the wrong truncation"]),
+    ("invalid-component",
+     ["component '1': cell 'e': face 0 references unknown cell 'zz'"]),
+    # the products still run from the old unit component
+    ("unit-not-a-point", ["unit component is not a single point"] + wrong_ends(
+        ("0", "0"), ("0", "1"), ("0", "2+"), ("1", "0"), ("2+", "0"))),
+    ("missing-unit-vertex", ["unit vertex 'nowhere' missing"]),
+    ("not-kan", [
+        "component '1' not Kan: 1 unfillable (2,0)-horns, first "
+        "(None, ('0', (0, 0)), ('0-1', (0, 1)))",
+        "component '1' not Kan: 1 unfillable (2,2)-horns, first "
+        "(('0-1', (0, 1)), ('1', (0, 0)), None)",
+    ] + wrong_ends(
+        ("0", "1"), ("1", "0"), ("1", "1"), ("1", "2+"), ("2+", "1"))),
+    ("missing-product", ["product missing at ('1', '2+')"]),
+    ("wrong-ends", wrong_ends(("1", "1"))),
+])
+def test_structural_problems_are_named(z3_monoid, case, problems):
+    assert validate_monoid(structurally_broken(z3_monoid, case)).problems == (
+        problems
+    )
 
 
 def test_off_target_product_is_a_named_problem(z3_monoid):

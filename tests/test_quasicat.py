@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     scan_apply,
+    scan_core,
     scan_face_index,
     scan_faces_index,
     scan_filler,
@@ -14,7 +15,13 @@ from oracles import (
     scan_invertible_edge,
 )
 from qckit.join import coslice_fastpath
-from qckit.monoids import build_reference_monoid, deloop
+from qckit.monoids import (
+    MonoidSpec,
+    build_reference_monoid,
+    default_monoid_spec,
+    deloop,
+    saturating_grades,
+)
 from qckit.ordinals import MonotoneMap, all_maps, degeneracy, face
 from qckit.quasicat import (
     HornProblem,
@@ -330,6 +337,41 @@ def test_core_of_absorbing_nerve_is_the_point(b_absorbing):
     again = core(result.sset)
     for d in range(4):
         assert again.sset.nondegenerate(d) == result.sset.nondegenerate(d)
+
+
+CORE_SPECS = {
+    "default": default_monoid_spec(),
+    "Z/3": MonoidSpec(saturating_grades(2), {"1": "Z/3", "2+": "Z/3"}, 3),
+    "four-grades": MonoidSpec(
+        saturating_grades(3), {"1": "Z/2", "2": "Z/2", "3+": "Z/2"}, 3
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name", ORACLE_FIXTURES + [f"coslice({s})" for s in CORE_SPECS]
+)
+def test_core_matches_the_edge_scan(name, request):
+    if name.startswith("coslice("):
+        spec = CORE_SPECS[name[len("coslice("):-1]]
+        nerve = simplicial_nerve(deloop(build_reference_monoid(spec)), 3)
+        x = coslice_fastpath(nerve, nerve.nondegenerate(0)[0], 2)
+    else:
+        x = oracle_fixture(name, request)
+    result = core(x)
+    cells = scan_core(x)
+    assert result.sset.truncation == x.truncation
+    assert {d: result.sset.nondegenerate(d) for d in cells} == cells
+    for d in range(1, x.truncation + 1):
+        for c in cells[d]:
+            assert result.sset.face_entries(c) == x.face_entries(c)
+    assert result.invertible_edges == tuple(sorted(
+        c for c in x.nondegenerate(1)
+        if scan_invertible_edge(x, nondeg_ref(c, 1))
+    ))
+    if name.startswith("coslice("):
+        # a coslice core is neither everything nor only its vertices
+        assert 0 < len(cells[1]) < len(x.nondegenerate(1))
 
 
 def test_pi0_counts_zigzag_components():
