@@ -5,9 +5,9 @@ The join X * Y is built by one rule: a nondegenerate n-cell is a pair
 part may be the empty part (None, of dimension -1), so a cell of X or of
 Y alone is a pair with an empty part.  Face i of (a, b) is face i of a
 when i <= dim a and face i - dim a - 1 of b otherwise; the face of a
-vertex is the empty part.  The equivalent presentation by triples
-(projection to the interval, left part, right part) is exposed for
-cross-checking; the two are bijective level by level.
+vertex is the empty part.  The test oracles cross-check it against the
+equivalent presentation by triples (projection to the interval, left
+part, right part); the two are bijective level by level.
 
 Slices are simplicial sets of anchored maps out of joins with a standard
 simplex; the vertex-anchored under-slice has a fastpath through the cone
@@ -16,11 +16,10 @@ identification point * simplex = next simplex.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ordinals import MonotoneMap, epis_onto, face
+from .ordinals import MonotoneMap, face
 from .sset import (
     FinSSet,
     SimplexRef,
@@ -130,71 +129,6 @@ def join_of_maps(f: SimplicialMap, g: SimplicialMap,
         for cid, (a, b) in src.parts.items()
     }
     return SimplicialMap(src, tgt, assignment)
-
-
-# -- the triple presentation ------------------------------------------
-
-
-@dataclass(frozen=True)
-class JoinTriple:
-    """Cut position together with the two restrictions.  ``cut`` is the
-    last vertex mapped to the left end, -1 when everything lies right;
-    a part at dimension -1 is None."""
-
-    cut: int
-    left: SimplexRef | None
-    right: SimplexRef | None
-
-
-def _restrict(values: tuple[int, ...], dim: int,
-              c: str | None) -> SimplexRef | None:
-    """The part c of dimension dim under the epi with these values, or
-    the empty part."""
-    return None if c is None else SimplexRef(
-        MonotoneMap(len(values) - 1, dim, values), c)
-
-
-def triple_from_join_simplex(j: JoinSSet, ref: SimplexRef) -> JoinTriple:
-    a, b = j.parts[ref.cell]
-    p = -1 if a is None else j.factors[0].dim_of(a)
-    q = -1 if b is None else j.factors[1].dim_of(b)
-    values = ref.epi.values
-    cut = bisect_right(values, p) - 1
-    return JoinTriple(
-        cut,
-        _restrict(values[: cut + 1], p, a),
-        _restrict(tuple(v - p - 1 for v in values[cut + 1 :]), q, b),
-    )
-
-
-def join_simplex_from_triple(j: JoinSSet, n: int, t: JoinTriple) -> SimplexRef:
-    """The level-n simplex of the join with the triple's parts."""
-    return _join_ref(t.left, t.right)
-
-
-def formal_simplices(x: FinSSet, d: int) -> list[SimplexRef]:
-    """Level-d simplices of the degenerate extension: above the stored
-    truncation these are surjections onto nondegenerate cells."""
-    if d <= x.truncation:
-        return x.simplices(d)
-    out = []
-    for m in range(x.truncation + 1):
-        for c in x.nondegenerate(m):
-            out.extend(SimplexRef(e, c) for e in epis_onto(d, m))
-    return out
-
-
-def enumerate_triples(x: FinSSet, y: FinSSet, n: int) -> list[JoinTriple]:
-    """All (cut, left, right) triples at level n, the other presentation
-    of the join; the empty set below dimension 0 contributes one part."""
-    out = []
-    for cut in range(-1, n + 1):
-        lefts = [None] if cut == -1 else formal_simplices(x, cut)
-        rights = [None] if cut == n else formal_simplices(y, n - cut - 1)
-        for l in lefts:
-            for r in rights:
-                out.append(JoinTriple(cut, l, r))
-    return out
 
 
 def simplex_join_iso(k: int, l: int) -> SimplicialMap:

@@ -144,40 +144,3 @@ def all_monos(m: int, n: int) -> list[MonotoneMap]:
 def epis_onto(m: int, k: int) -> tuple[MonotoneMap, ...]:
     """Cached surjections [m] ->> [k], used heavily by simplex enumeration."""
     return tuple(all_epis(m, k))
-
-
-def generator_word(f: MonotoneMap) -> list[MonotoneMap]:
-    """Write f as a composite of cofaces and codegeneracies.
-
-    Returns [g_1, ..., g_r] with f = g_r . ... . g_1 (g_1 applied first).
-    Codegeneracies come first, then cofaces, following the epi-mono
-    factorization; the identity yields the empty word.
-    """
-    epi, mono = epi_mono_factor(f)
-    word: list[MonotoneMap] = []
-    # Split off codegeneracies: repeatedly merge the first repeated pair.
-    cur = epi
-    while not cur.is_identity:
-        j = next(
-            i for i in range(cur.source_arity) if cur.values[i] == cur.values[i + 1]
-        )
-        word.append(degeneracy(cur.source_arity - 1, j))
-        cur = MonotoneMap(
-            cur.source_arity - 1,
-            cur.target_arity,
-            cur.values[:j] + cur.values[j + 1 :],
-        )
-    # Split off cofaces: add missing image values from the smallest up.
-    missing = sorted(set(range(f.target_arity + 1)) - set(mono.values))
-    arity = mono.source_arity
-    for idx, i in enumerate(missing):
-        word.append(face(arity + idx + 1, i))
-    return word
-
-
-def compose_word(word: list[MonotoneMap], n: int) -> MonotoneMap:
-    """Fold a generator word starting from the identity on [n]."""
-    cur = identity(n)
-    for g in word:
-        cur = compose(g, cur)
-    return cur

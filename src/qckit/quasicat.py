@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .ordinals import degeneracy, face
+from .ordinals import degeneracy
 from .sset import (
     FinSSet,
     SimplexRef,
@@ -41,25 +41,6 @@ class HornProblem:
             raise ValueError("need one slot per face")
         if self.faces[self.missing] is not None:
             raise ValueError("the missing face must be left as None")
-
-
-def horn_compatibility(x: FinSSet, p: HornProblem) -> ValidationReport:
-    """Pairwise face agreement: face j of face j' must equal face j'-1
-    of face j whenever both are given."""
-    report = ValidationReport(f"horn({p.dim},{p.missing}) compatibility")
-    n = p.dim
-    for j in range(n + 1):
-        for jp in range(j + 1, n + 1):
-            if j == p.missing or jp == p.missing:
-                continue
-            lhs = x.apply(p.faces[jp], face(n - 1, j))
-            rhs = x.apply(p.faces[j], face(n - 1, jp - 1))
-            if lhs != rhs:
-                report.problems.append(
-                    f"faces {j} and {jp} disagree: "
-                    f"{lhs.sort_key()} vs {rhs.sort_key()}"
-                )
-    return report
 
 
 def find_filler(x: FinSSet, p: HornProblem):
@@ -317,10 +298,6 @@ def pi1(x: FinSSet, basepoint: str) -> Pi1Result:
 
 
 # -- small group tables -----------------------------------------------
-
-
-def cyclic_table(n: int) -> dict:
-    return {(i, j): (i + j) % n for i in range(n) for j in range(n)}
 
 
 def tables_isomorphic(t1: dict, t2: dict) -> bool:

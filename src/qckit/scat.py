@@ -10,16 +10,23 @@ functors levelwise, sorted by signature, and hands them with
 :func:`precompose` as the action to :func:`sset.materialize_presheaf`,
 the one path that strips degeneracies and normalizes faces.
 
+A functor is stored as its object map and a code: per nondegenerate
+chain of rigidify(k), in a fixed layout, the position of the chain's
+value in its target hom's ``simplices``.  Refs appear only when a
+functor is read back as chain-keyed assignments.
+
 Free versus forced cells: a nondegenerate chain of P(i,j) whose least
 element is the bottom {i, j} is free; any other chain has an interior
 point in every entry and splits as a union of two shorter chains, so a
 functor's value on it is forced by composition (the necklace
-description of Dugger-Spivak).  Both kinds of data depend only on the
-cell, so they are computed once per hom: a free cell's candidates are
-looked up in the target hom's :meth:`FinSSet.faces_index` under the
-images of its faces, and a forced cell carries its split point and the
-normal forms of its two halves.  :func:`precompose` likewise reads the
-image chains of an operator from a per-operator table.
+description of Dugger-Spivak).  Both kinds are looked up by position:
+a free cell's candidates in the target hom's
+:meth:`FinSSet.position_index` under the positions on its faces, and a
+forced cell's value by two kept action tables, which take its halves'
+positions to its level, and one read of the composition table there.
+:func:`precompose` gathers positions through a plan kept per operator,
+and the signature ranks each position in ``sort_key`` order, so the
+nerve's cell order is that of the chain-keyed values.
 
 The low-simplex classification reads one field table, ``_FIELD_CHAINS``:
 each field of an edge, triangle or tetrahedron tuple is the value on one
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Mapping
 
-from .ordinals import MonotoneMap, degeneracy
+from .ordinals import MonotoneMap, degeneracy, face
 from .posets import (
     chain_cell_id,
     chain_sets,
@@ -82,6 +89,7 @@ class SCat:
         self.identities = dict(identities)
         self.comp = dict(comp)
         self.level_cap = shared_level_cap(self.homs.values())
+        self._frames: dict[tuple, _Frame] = {}  # (arity, object map) -> frame
 
     def hom(self, x, y) -> FinSSet:
         return self.homs[(x, y)]
@@ -205,73 +213,210 @@ def rigidify(k: int) -> SCat:
 
 
 @lru_cache(maxsize=None)
-def _hom_slots(k: int, i: int, j: int) -> tuple[tuple, ...]:
-    """Cells of N P(i,j) in fill order: (cell, dim, faces, split).
+def _layout(k: int) -> tuple[tuple, dict, tuple]:
+    """The code layout of k-functors, its index and the search's slots.
 
-    A free cell starts at the bottom {i,j}; ``faces`` names its face
-    cells and ``split`` is None.  A forced cell has ``split`` = (p,
-    upper, lower): p is the least interior point of its first entry, and
-    upper, lower are the normal forms of the chain cut to P(p,j) and
-    P(i,p)."""
-    src = rigidify(k).hom(i, j)
-    out = []
-    for m in range(j - i):
-        for cid in src.nondegenerate(m):
-            sets = chain_sets(cid)
-            interior = sorted(sets[0] - {i, j})
-            if interior:
+    The layout lists ((i, j), chain, dim) for every nondegenerate chain
+    of rigidify(k), pairs in order and chains by id within a pair, so
+    that codes ranked in ``sort_key`` order sort as chain-keyed
+    assignments would; the index maps (pair, chain) to its entry.  The
+    slots are the cells the search fills, by gap, dimension and chain:
+    (entry, dim, faces, split).  A free cell starts at the bottom {i,j},
+    ``faces`` are its face cells' entries and ``split`` is None.  A
+    forced cell has ``split`` = (i, p, j, upper, its epi, lower, its
+    epi): p is the least interior point of its first set, and the chain
+    cut to P(p,j) and P(i,p) has those entries and epis as normal forms.
+    """
+    src = rigidify(k)
+    entries = tuple(
+        ((i, j), cid, m)
+        for i in range(k + 1)
+        for j in range(i, k + 1)
+        for cid, m in sorted((c, m) for m in range(max(j - i, 1))
+                             for c in src.hom(i, j).nondegenerate(m))
+    )
+    index = {(pair, cid): e for e, (pair, cid, _) in enumerate(entries)}
+    slots = []
+    for i, j in sorted(((i, j) for i in range(k + 1) for j in range(i + 1, k + 1)),
+                       key=lambda ij: (ij[1] - ij[0], ij[0])):
+        for m in range(j - i):
+            for cid in src.hom(i, j).nondegenerate(m):
+                sets = chain_sets(cid)
+                interior = sorted(sets[0] - {i, j})
+                if not interior:
+                    faces = tuple(index[(i, j), r.cell]
+                                  for r in src.hom(i, j).face_entries(cid))
+                    slots.append((index[(i, j), cid], m, faces, None))
+                    continue
                 p = interior[0]
                 upper = normalize_chain([s & frozenset(range(p, j + 1)) for s in sets])
                 lower = normalize_chain([s & frozenset(range(i, p + 1)) for s in sets])
-                out.append((cid, m, (), (p, upper, lower)))
-            else:
-                faces = tuple(r.cell for r in src.face_entries(cid))
-                out.append((cid, m, faces, None))
-    return tuple(out)
+                slots.append((index[(i, j), cid], m, (), (
+                    i, p, j, index[(p, j), upper.cell], upper.epi,
+                    index[(i, p), lower.cell], lower.epi)))
+    return entries, index, tuple(slots)
+
+
+def _act(h: FinSSet, epi: MonotoneMap):
+    """epi's action on h's code values: its kept action table, a range
+    for the identity, and an :class:`_ActAbove` at a level above h's
+    truncation."""
+    if max(epi.source_arity, epi.target_arity) > h.truncation:
+        return _ActAbove(h, epi)
+    if epi.is_identity:
+        return range(len(h.simplices(epi.source_arity)))
+    return h.action(epi)
+
+
+class _ActAbove(dict):
+    """epi's action on code values of h where a level lies above h's
+    truncation and has no positions, so its values are refs: walked by
+    ``apply`` on first use and kept."""
+
+    def __init__(self, h: FinSSet, epi: MonotoneMap):
+        super().__init__()
+        self.h, self.epi = h, epi
+
+    def __missing__(self, v):
+        h, m = self.h, self.epi.source_arity
+        out = h.apply(h.simplices(self.epi.target_arity)[v] if type(v) is int else v, self.epi)
+        self[v] = out = h.position(m).get(out, out) if m <= h.truncation else out
+        return out
+
+
+class _Frame:
+    """The target side of the k-functors with one object map, as
+    position tables: the hom of each code entry and, kept from first
+    use, the search's steps, the sort ranks and a precompose plan per
+    operator."""
+
+    def __init__(self, d: SCat, k: int, objs: tuple):
+        self.d, self.k, self.objs = d, k, objs
+        self.homs = tuple(d.hom(objs[i], objs[j]) for (i, j), _, _ in _layout(k)[0])
+        self._steps = self._ranks = None
+        self._plans: dict[MonotoneMap, tuple] = {}
+
+    def units(self) -> dict[int, int]:
+        """A fresh table holding each hom (i, i)'s identity vertex."""
+        return {
+            e: self.homs[e].position(0)[nondeg_ref(self.d.identities[self.objs[i]], 0)]
+            for e, ((i, j), _, _) in enumerate(_layout(self.k)[0]) if i == j
+        }
+
+    def steps(self) -> list[tuple]:
+        """Per slot: (entry, the hom's ``position_index``, faces, None)
+        for a free cell, or (entry, None, (), (upper, act, lower, act,
+        table)) for a forced one: the acts take each half's position to
+        the cell's level, where ``table`` composes them."""
+        if self._steps is None:
+            homs, objs = self.homs, self.objs
+            self._steps = [
+                (e, homs[e].position_index(m, range(len(faces))), faces, None)
+                if split is None else
+                (e, None, (), (split[3], _act(homs[split[3]], split[4]),
+                               split[5], _act(homs[split[5]], split[6]),
+                               self.d.comp[tuple(objs[v] for v in split[:3])].table(m)))
+                for e, m, faces, split in _layout(self.k)[2]
+            ]
+        return self._steps
+
+    def ranks(self) -> tuple:
+        """Per code entry, each position's rank in ``sort_key`` order."""
+        if self._ranks is None:
+            by: dict[tuple, list[int]] = {}
+            keys = [(h, m) for (_, _, m), h in zip(_layout(self.k)[0], self.homs)]
+            for h, m in keys:
+                if (h, m) not in by:
+                    sims = h.simplices(m)
+                    order = sorted(range(len(sims)), key=lambda p: sims[p].sort_key())
+                    by[h, m] = [0] * len(sims)
+                    for r, p in enumerate(order):
+                        by[h, m][p] = r
+            self._ranks = tuple(by[key] for key in keys)
+        return self._ranks
+
+    def plan(self, op: MonotoneMap) -> tuple:
+        """Per entry of op's source layout: the entry of its image chain
+        and the table taking that entry's value to the chain's level."""
+        plan = self._plans.get(op)
+        if plan is None:
+            plan = self._plans[op] = tuple(
+                (e, _act(self.homs[e], epi)) for e, epi in _image_chains(op))
+        return plan
+
+
+def _frame(d: SCat, k: int, objs: tuple) -> _Frame:
+    frame = d._frames.get((k, objs))
+    if frame is None:
+        frame = d._frames[(k, objs)] = _Frame(d, k, objs)
+    return frame
+
+
+def _candidates(step: tuple, vals: dict):
+    """A slot's values once the slots before it are set: the simplices
+    whose faces a free cell's faces hold, or a forced cell's composite."""
+    _, index, faces, forced = step
+    if forced is None:
+        return index.get(tuple([vals[f] for f in faces]), ())
+    upper, up_act, lower, low_act, table = forced
+    return (table[up_act[vals[upper]]][low_act[vals[lower]]],)
 
 
 class SimplicialFunctor:
-    """A functor from rigidify(arity) to target, stored as assignments on
-    the nondegenerate chains of every hom nerve."""
+    """A functor from rigidify(arity) to target: its object map and its
+    code, one entry per nondegenerate chain of rigidify(arity) in the
+    layout of :func:`_layout`, each the position of the chain's value in
+    its target hom's ``simplices``.  A value without a position (not a
+    simplex of its hom at the chain's dimension, or above the hom's
+    truncation) is kept as the ref itself, so a functor built by hand
+    from chain-keyed assignments stays diagnosable by
+    :func:`validate_functor`.  :attr:`assignments` reads the code back
+    as refs.  Functors are equal when their object maps and codes are."""
 
-    __slots__ = ("arity", "target", "object_map", "assignments", "_sig")
+    __slots__ = ("arity", "target", "object_map", "code")
 
     def __init__(self, arity: int, target: SCat, object_map: tuple,
                  assignments: Mapping[tuple, Mapping[str, SimplexRef]]):
         self.arity = arity
         self.target = target
         self.object_map = tuple(object_map)
-        self.assignments = {
-            pair: dict(table) for pair, table in assignments.items()
-        }
-        self._sig = None
+        code = []
+        homs = _frame(target, arity, self.object_map).homs
+        for (pair, cid, m), h in zip(_layout(arity)[0], homs):
+            ref = assignments.get(pair, {}).get(cid)
+            code.append(h.position(m).get(ref, ref) if m <= h.truncation else ref)
+        self.code = tuple(code)
+
+    @classmethod
+    def from_code(cls, arity: int, target: SCat, object_map: tuple,
+                  code: tuple) -> "SimplicialFunctor":
+        f = cls.__new__(cls)
+        f.arity, f.target, f.object_map, f.code = arity, target, object_map, code
+        return f
+
+    @property
+    def assignments(self) -> dict[tuple, dict[str, SimplexRef]]:
+        """The code as refs, per pair and chain id."""
+        out: dict[tuple, dict[str, SimplexRef]] = {}
+        homs = _frame(self.target, self.arity, self.object_map).homs
+        for (pair, cid, m), h, v in zip(_layout(self.arity)[0], homs, self.code):
+            if v is not None:
+                out.setdefault(pair, {})[cid] = h.simplices(m)[v] if type(v) is int else v
+        return out
 
     def signature(self) -> tuple:
-        if self._sig is None:
-            self._sig = (
-                self.arity,
-                self.object_map,
-                tuple(
-                    (pair, tuple(sorted(
-                        (c, r.sort_key()) for c, r in table.items()
-                    )))
-                    for pair, table in sorted(self.assignments.items())
-                ),
-            )
-        return self._sig
+        """The sort key of the nerve's cell order: the object map, then
+        each code entry's rank in ``sort_key`` order."""
+        ranks = _frame(self.target, self.arity, self.object_map).ranks()
+        return self.object_map, tuple([r[v] for r, v in zip(ranks, self.code)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialFunctor):
             return NotImplemented
-        return self.signature() == other.signature()
+        return self.object_map == other.object_map and self.code == other.code
 
     def __hash__(self):
-        return hash(self.signature())
-
-    def image(self, i: int, j: int, ref: SimplexRef) -> SimplexRef:
-        """Image of any simplex of N P(i,j), degenerate or not."""
-        h = self.target.hom(self.object_map[i], self.object_map[j])
-        return h.apply(self.assignments[(i, j)][ref.cell], ref.epi)
+        return hash((self.object_map, self.code))
 
     def hom_map(self, i: int, j: int) -> SimplicialMap:
         src = rigidify(self.arity).hom(i, j)
@@ -279,25 +424,18 @@ class SimplicialFunctor:
         return SimplicialMap(src, tgt, self.assignments[(i, j)])
 
 
-def _forced_value(tgt: SCat, objs: tuple, assignments: dict, i: int, j: int,
-                  split: tuple[int, SimplexRef, SimplexRef]) -> SimplexRef:
-    p, upper, lower = split
-    fu = tgt.hom(objs[p], objs[j]).apply(assignments[(p, j)][upper.cell], upper.epi)
-    fl = tgt.hom(objs[i], objs[p]).apply(assignments[(i, p)][lower.cell], lower.epi)
-    return tgt.compose_refs(objs[i], objs[p], objs[j], fu, fl)
-
-
 def enumerate_functors(k: int, d: SCat) -> list[SimplicialFunctor]:
     """All simplicial functors rigidify(k) -> d, each exactly once.
 
     For each object map, in ``itertools.product`` order, the cells of
     every hom are slots of :func:`~qckit.sset.depth_first`, in order of
-    gap, dimension and chain.  A free cell's candidates are the target
-    simplices whose faces are the values already chosen on its faces,
-    read from ``faces_index`` in ``simplices`` order.  A forced cell has
-    one candidate, computed from shorter gaps through the composition
-    tables with the splits precomputed by ``_hom_slots``.  Functors come
-    in the search's leaf order.
+    gap, dimension and chain, and each takes a position in its target
+    hom.  A free cell's candidates are read from the hom's
+    ``position_index`` under the positions already chosen on its faces,
+    in ``simplices`` order.  A forced cell has one candidate: two kept
+    action tables take its halves' positions to its level, and the
+    composition table there composes them.  Functors come in the
+    search's leaf order.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -305,76 +443,44 @@ def enumerate_functors(k: int, d: SCat) -> list[SimplicialFunctor]:
         raise TruncationError(
             f"homs truncated at {d.level_cap}, too low for {k}-functors"
         )
-    pairs = sorted(
-        ((i, j) for i in range(k + 1) for j in range(i + 1, k + 1)),
-        key=lambda ij: (ij[1] - ij[0], ij[0]),
-    )
-    slot_list = [
-        (i, j) + slot for (i, j) in pairs for slot in _hom_slots(k, i, j)
-    ]
+    size = len(_layout(k)[0])
     results: list[SimplicialFunctor] = []
-
     for objs in itertools.product(d.objects, repeat=k + 1):
-        assignments: dict[tuple, dict[str, SimplexRef]] = {
-            (i, i): {chain_cell_id([frozenset({i})]): nondeg_ref(d.identities[objs[i]], 0)}
-            for i in range(k + 1)
-        }
-        for (i, j) in pairs:
-            assignments[(i, j)] = {}
-
-        def candidates(s: int):
-            i, j, cid, m, faces, split = slot_list[s]
-            if split is not None:
-                return (_forced_value(d, objs, assignments, i, j, split),)
-            h = d.hom(objs[i], objs[j])
-            if m == 0:
-                return h.simplices(0)
-            table = assignments[(i, j)]
-            return h.faces_index(m).get(tuple(table[c] for c in faces), ())
-
-        slots = [(assignments[(i, j)], cid) for i, j, cid, *_ in slot_list]
-        results.extend(SimplicialFunctor(k, d, objs, assignments)
-                       for _ in depth_first(slots, candidates))
+        frame = _frame(d, k, objs)
+        steps = frame.steps()
+        vals = frame.units()
+        slots = [(vals, step[0]) for step in steps]
+        for _ in depth_first(slots, lambda s: _candidates(steps[s], vals)):
+            code = tuple([vals[e] for e in range(size)])
+            results.append(SimplicialFunctor.from_code(k, d, objs, code))
     return results
 
 
 def precompose(f: SimplicialFunctor, op: MonotoneMap) -> SimplicialFunctor:
-    """f composed with the rigidified op: a functor of op's source arity."""
+    """f composed with the rigidified op: a functor of op's source arity.
+    Its code gathers f's positions through the plan of op kept for f's
+    target and object map."""
     if op.target_arity != f.arity:
         raise TruncationError(
             f"operator into [{op.target_arity}] against arity {f.arity}"
         )
-    l = op.source_arity
-    objs = tuple(f.object_map[op(v)] for v in range(l + 1))
-    assignments: dict[tuple, dict[str, SimplexRef]] = {}
-    for pair, oi, oj, images in _image_chains(op):
-        h = f.target.hom(f.object_map[oi], f.object_map[oj])
-        table = f.assignments[(oi, oj)]
-        assignments[pair] = {
-            cid: h.apply(table[chain.cell], chain.epi) for cid, chain in images
-        }
-    return SimplicialFunctor(l, f.target, objs, assignments)
+    code = f.code
+    plan = _frame(f.target, f.arity, f.object_map).plan(op)
+    return SimplicialFunctor.from_code(
+        op.source_arity, f.target, tuple([f.object_map[v] for v in op.values]),
+        tuple([act[code[e]] for e, act in plan]),
+    )
 
 
 @lru_cache(maxsize=None)
 def _image_chains(op: MonotoneMap) -> tuple:
-    """For op: [l] -> [k], one entry ((i, j), op(i), op(j), images) per
-    hom of rigidify(l); images pairs each nondegenerate chain of P(i,j)
-    with the normal form of its direct image in P(op(i), op(j)).  It
-    depends only on op, so precompose reads it instead of renormalizing
-    for every functor."""
-    l = op.source_arity
-    src = rigidify(l)
+    """For op: [l] -> [k], per entry of the l-layout: the k-layout entry
+    and the epi of the normal form of the chain's direct image."""
+    _, index, _ = _layout(op.target_arity)
     out = []
-    for i in range(l + 1):
-        for j in range(i, l + 1):
-            images = tuple(
-                (cid, normalize_chain([frozenset(op(v) for v in s)
-                                       for s in chain_sets(cid)]))
-                for m in range(max(j - i, 1))
-                for cid in src.hom(i, j).nondegenerate(m)
-            )
-            out.append(((i, j), op(i), op(j), images))
+    for (i, j), cid, _ in _layout(op.source_arity)[0]:
+        img = normalize_chain([frozenset(op(v) for v in s) for s in chain_sets(cid)])
+        out.append((index[(op(i), op(j)), img.cell], img.epi))
     return tuple(out)
 
 
@@ -385,16 +491,10 @@ def rigidify_map(op: MonotoneMap) -> SimplicialFunctor:
 
 @lru_cache(maxsize=None)
 def _identity_functor(k: int) -> SimplicialFunctor:
-    tgt = rigidify(k)
-    assignments = {}
-    for i in range(k + 1):
-        for j in range(i, k + 1):
-            table = {}
-            for m in range(max(j - i, 1)):
-                for cid in tgt.hom(i, j).nondegenerate(m):
-                    table[cid] = nondeg_ref(cid, m)
-            assignments[(i, j)] = table
-    return SimplicialFunctor(k, tgt, tuple(range(k + 1)), assignments)
+    assignments: dict[tuple, dict[str, SimplexRef]] = {}
+    for pair, cid, m in _layout(k)[0]:
+        assignments.setdefault(pair, {})[cid] = nondeg_ref(cid, m)
+    return SimplicialFunctor(k, rigidify(k), tuple(range(k + 1)), assignments)
 
 
 def validate_functor(f: SimplicialFunctor) -> ValidationReport:
@@ -405,13 +505,14 @@ def validate_functor(f: SimplicialFunctor) -> ValidationReport:
     report = ValidationReport("SimplicialFunctor")
     k = f.arity
     src = rigidify(k)
+    maps = {(i, j): f.hom_map(i, j) for i in range(k + 1) for j in range(i, k + 1)}
     for i in range(k + 1):
         want = nondeg_ref(f.target.identities[f.object_map[i]], 0)
-        if f.assignments[(i, i)][chain_cell_id([frozenset({i})])] != want:
+        if maps[i, i].assignment[chain_cell_id([frozenset({i})])] != want:
             report.problems.append(f"identity at {i} not preserved")
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
-            sub = validate_map(f.hom_map(i, j))
+            sub = validate_map(maps[i, j])
             report.problems.extend(
                 f"hom({i},{j}): {p}" for p in sub.problems
             )
@@ -422,11 +523,9 @@ def validate_functor(f: SimplicialFunctor) -> ValidationReport:
     # (i, j, m) -> the position in the target hom of each m-simplex's image
     images = {
         (i, j, m): [
-            f.target.hom(objs[i], objs[j]).position(m)[f.image(i, j, s)]
-            for s in src.hom(i, j).simplices(m)
+            fm.target.position(m)[fm.image(s)] for s in fm.source.simplices(m)
         ]
-        for i in range(k + 1)
-        for j in range(i, k + 1)
+        for (i, j), fm in maps.items()
         for m in range(cap + 1)
     }
     for i in range(k + 1):
@@ -614,21 +713,23 @@ def classification_to_functor(k: int, d: SCat, data) -> SimplicialFunctor:
     if not isinstance(data, kind):
         raise TypeError(f"{k}-cells are classified by {kind.__name__}, not {data!r}")
     objs = (x,) * (k + 1)
-    assignments: dict[tuple, dict[str, SimplexRef]] = {
-        (i, i): {chain_cell_id([frozenset({i})]): nondeg_ref(d.identities[x], 0)}
-        for i in range(k + 1)
-    }
+    h = d.hom(x, x)
+    entries, index, _ = _layout(k)
+    frame = _frame(d, k, objs)
+    vals = frame.units()
     for (pair, cid, vertex), value in zip(fields, vars(data).values()):
-        assignments.setdefault(pair, {})[cid] = nondeg_ref(value, 0) if vertex else value
-    # the table lists the homs in gap order: a forced cell's halves are set
-    for (i, j), table in assignments.items():
-        for cid, _, _, split in _hom_slots(k, i, j):
-            if split is not None:
-                table[cid] = _forced_value(d, objs, assignments, i, j, split)
-            elif cid not in table:
-                top = chain_cell_id([frozenset({i, j}), frozenset(range(i, j + 1))])
-                table[cid] = d.hom(x, x).face_table(1)[table[top]][1]
-    return SimplicialFunctor(k, d, objs, assignments)
+        ref = nondeg_ref(value, 0) if vertex else value
+        vals[index[pair, cid]] = h.position(ref.dim)[ref]
+    # the slots come in gap order: a forced cell's halves are set
+    for step in frame.steps():
+        e = step[0]
+        if step[3] is not None:
+            (vals[e],) = _candidates(step, vals)
+        elif e not in vals:
+            (i, j), _, _ = entries[e]
+            top = chain_cell_id([frozenset({i, j}), frozenset(range(i, j + 1))])
+            vals[e] = h.action(face(1, 1))[vals[index[(i, j), top]]]
+    return SimplicialFunctor.from_code(k, d, objs, tuple([vals[e] for e in range(len(entries))]))
 
 
 def functor_to_classification(f: SimplicialFunctor):

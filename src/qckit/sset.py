@@ -25,9 +25,10 @@ use: :meth:`FinSSet.face_table` maps each n-simplex to its normal-form
 faces, read off the face operators' action tables, and
 :meth:`FinSSet.faces_index` ``(n, at)`` is its inverse view, from the
 faces at the positions ``at`` (all of them by default) to the
-n-simplices bearing them.  It is the one face lookup: fillers, horn
-problems, invertibility witnesses, nerve enumeration and the slice all
-ask it which simplices have given faces.  :meth:`FinSSet.simplices` and
+n-simplices bearing them, read off :meth:`FinSSet.position_index`, the
+same view on positions.  It is the one face lookup: fillers, horn
+problems, invertibility witnesses and the slice ask it which simplices
+have given faces, and nerve enumeration asks the position view.  :meth:`FinSSet.simplices` and
 :meth:`FinSSet.position` are kept per dimension; :class:`BilevelMap`
 answers from its kept level tables.
 
@@ -181,6 +182,7 @@ class FinSSet:
         self._actions: dict[MonotoneMap, tuple] = {}
         self._face_table: dict[int, dict] = {}
         self._faces_index: dict[tuple, dict] = {}
+        self._position_index: dict[tuple, dict] = {}
 
     # -- raw structure ------------------------------------------------
 
@@ -353,21 +355,41 @@ class FinSSet:
             self._face_table[dim] = table
         return table
 
+    def position_index(
+        self, dim: int, at: Iterable[int] | None = None
+    ) -> dict[tuple, tuple[int, ...]]:
+        """The positions in :meth:`simplices` ``(dim)`` keyed by the
+        positions in ``simplices(dim - 1)`` of their faces at ``at``
+        (default: all), read off the face operators' action tables.
+        With ``at`` empty every position sits under the key ().  Built
+        once per (dim, at) and kept."""
+        at = tuple(range(dim + 1)) if at is None else tuple(at)
+        index = self._position_index.get((dim, at))
+        if index is None:
+            acts = [self.action(face(dim, i)) for i in at]
+            buckets: dict[tuple, list[int]] = {}
+            for p in range(len(self.simplices(dim))):
+                buckets.setdefault(tuple([act[p] for act in acts]), []).append(p)
+            index = {key: tuple(ps) for key, ps in buckets.items()}
+            self._position_index[(dim, at)] = index
+        return index
+
     def faces_index(
         self, dim: int, at: Iterable[int] | None = None
     ) -> dict[tuple, tuple[SimplexRef, ...]]:
         """The dim-simplices (dim >= 1) keyed by their normal-form faces
         at the positions ``at`` (default: all, d_0 s, ..., d_dim s), the
         key listing them in the order of ``at``; each tuple of simplices
-        is in :meth:`simplices` order.  The inverse view of
-        :meth:`face_table`, built once per (dim, at) and kept."""
+        is in :meth:`simplices` order.  :meth:`position_index` read as
+        simplices, built once per (dim, at) and kept."""
         at = tuple(range(dim + 1)) if at is None else tuple(at)
         index = self._faces_index.get((dim, at))
         if index is None:
-            buckets: dict[tuple, list[SimplexRef]] = {}
-            for s, faces in self.face_table(dim).items():
-                buckets.setdefault(tuple(faces[i] for i in at), []).append(s)
-            index = {key: tuple(ss) for key, ss in buckets.items()}
+            lower, upper = self.simplices(dim - 1), self.simplices(dim)
+            index = {
+                tuple([lower[q] for q in key]): tuple([upper[p] for p in ps])
+                for key, ps in self.position_index(dim, at).items()
+            }
             self._faces_index[(dim, at)] = index
         return index
 
@@ -418,10 +440,6 @@ class FinSSet:
                 for i, e in enumerate(entries)
             )
         return cls(truncation, cells, faces)
-
-
-def empty_sset(truncation: int = 0) -> FinSSet:
-    return FinSSet(truncation, {}, {})
 
 
 def point(label: str = "pt", truncation: int = 0) -> FinSSet:

@@ -1,6 +1,9 @@
 """Test-side oracles built by independent routes from the library code."""
 
+import functools
 import itertools
+from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 
 from qckit.ordinals import (
@@ -9,6 +12,7 @@ from qckit.ordinals import (
     compose,
     degeneracy,
     epi_mono_factor,
+    epis_onto,
     face,
     identity,
 )
@@ -18,10 +22,9 @@ from qckit.scat import (
     NerveSSet,
     SimplicialFunctor,
     enumerate_functors,
-    precompose,
     rigidify,
 )
-from qckit.sset import FinSSet, SimplexRef, TruncationError, nondeg_ref
+from qckit.sset import FinSSet, SimplexRef, TruncationError, ValidationReport, nondeg_ref
 
 
 def bar_cell_id(entries):
@@ -393,15 +396,58 @@ def scan_scat_laws(d, cap):
     return problems
 
 
+@functools.lru_cache(maxsize=None)
+def _direct_image(op, cid):
+    """The normal form of the image of the chain cid under op."""
+    return normalize_chain([frozenset(op(v) for v in s) for s in _chain_sets(cid)])
+
+
+def scan_precompose(f, op):
+    """f composed with the rigidified op, chain by chain on refs: each
+    chain's direct image is normalized by ``_direct_image`` and its value
+    acted on through ``FinSSet.apply``; the result is built from its
+    assignments."""
+    if op.target_arity != f.arity:
+        raise TruncationError(f"operator into [{op.target_arity}] against arity {f.arity}")
+    l = op.source_arity
+    src = rigidify(l)
+    values = f.assignments
+    assignments = {}
+    for i in range(l + 1):
+        for j in range(i, l + 1):
+            h = f.target.hom(f.object_map[op(i)], f.object_map[op(j)])
+            table = assignments[(i, j)] = {}
+            for m in range(max(j - i, 1)):
+                for cid in src.hom(i, j).nondegenerate(m):
+                    img = _direct_image(op, cid)
+                    table[cid] = h.apply(values[(op(i), op(j))][img.cell], img.epi)
+    objs = tuple(f.object_map[op(v)] for v in range(l + 1))
+    return SimplicialFunctor(l, f.target, objs, assignments)
+
+
+def ref_signature(f):
+    """The nerve's cell order keyed by strings: arity, object map, then
+    per pair in order each chain id with its value's ``sort_key``."""
+    return (
+        f.arity,
+        f.object_map,
+        tuple(
+            (pair, tuple(sorted((c, r.sort_key()) for c, r in table.items())))
+            for pair, table in sorted(f.assignments.items())
+        ),
+    )
+
+
 def functor_normal_form(f: SimplicialFunctor) -> tuple[MonotoneMap, SimplicialFunctor]:
-    """Strip degeneracies: returns (epi, g) with f = g . rigidified epi."""
+    """Strip degeneracies: returns (epi, g) with f = g . rigidified epi,
+    testing each face by ``scan_precompose``."""
     epi = identity(f.arity)
     cur = f
     while True:
         n = cur.arity
         for i in range(n):
-            dropped = precompose(cur, face(n, i))
-            if precompose(dropped, degeneracy(n - 1, i)) == cur:
+            dropped = scan_precompose(cur, face(n, i))
+            if scan_precompose(dropped, degeneracy(n - 1, i)) == cur:
                 cur = dropped
                 epi = compose(degeneracy(n - 1, i), epi)
                 break
@@ -411,9 +457,9 @@ def functor_normal_form(f: SimplicialFunctor) -> tuple[MonotoneMap, SimplicialFu
 
 def scan_nerve(d, dim: int) -> NerveSSet:
     """The coherent nerve built by its own route: each functor is tested
-    for degeneracy by a double precompose per face, the nondegenerate
-    ones are sorted by signature, and every face is normalized afresh by
-    ``functor_normal_form``."""
+    for degeneracy by a double ``scan_precompose`` per face, the
+    nondegenerate ones are sorted and named by ``ref_signature``, and
+    every face is normalized afresh by ``functor_normal_form``."""
     if dim < 0:
         raise ValueError("dim must be >= 0")
     if dim - 1 > d.level_cap:
@@ -430,16 +476,16 @@ def scan_nerve(d, dim: int) -> NerveSSet:
         nondeg = []
         for f in fs:
             if all(
-                precompose(precompose(f, face(k, i)), degeneracy(k - 1, i)) != f
+                scan_precompose(scan_precompose(f, face(k, i)), degeneracy(k - 1, i)) != f
                 for i in range(k)
             ):
                 nondeg.append(f)
-        nondeg.sort(key=lambda f: f.signature())
+        nondeg.sort(key=ref_signature)
         cells[k] = []
         for idx, f in enumerate(nondeg):
             cid = f"n{k}c{idx}"
             cells[k].append(cid)
-            ids[f.signature()] = cid
+            ids[ref_signature(f)] = cid
             functor_of[cid] = f
     faces: dict[str, list[SimplexRef]] = {}
     for k in range(1, dim + 1):
@@ -447,8 +493,8 @@ def scan_nerve(d, dim: int) -> NerveSSet:
             f = functor_of[cid]
             entries = []
             for i in range(k + 1):
-                epi, g = functor_normal_form(precompose(f, face(k, i)))
-                entries.append(SimplexRef(epi, ids[g.signature()]))
+                epi, g = functor_normal_form(scan_precompose(f, face(k, i)))
+                entries.append(SimplexRef(epi, ids[ref_signature(g)]))
             faces[cid] = entries
     return NerveSSet(dim, cells, faces, functor_of)
 
@@ -475,3 +521,141 @@ def rref_rescaling_every_pivot(rows) -> tuple:
         if lead == len(mat):
             break
     return tuple(tuple(row) for row in mat[:lead])
+
+# -- helpers only the tests use ----------------------------------------
+
+
+def generator_word(f: MonotoneMap) -> list[MonotoneMap]:
+    """Write f as a composite of cofaces and codegeneracies.
+
+    Returns [g_1, ..., g_r] with f = g_r . ... . g_1 (g_1 applied first).
+    Codegeneracies come first, then cofaces, following the epi-mono
+    factorization; the identity yields the empty word.
+    """
+    epi, mono = epi_mono_factor(f)
+    word: list[MonotoneMap] = []
+    # Split off codegeneracies: repeatedly merge the first repeated pair.
+    cur = epi
+    while not cur.is_identity:
+        j = next(
+            i for i in range(cur.source_arity) if cur.values[i] == cur.values[i + 1]
+        )
+        word.append(degeneracy(cur.source_arity - 1, j))
+        cur = MonotoneMap(
+            cur.source_arity - 1,
+            cur.target_arity,
+            cur.values[:j] + cur.values[j + 1 :],
+        )
+    # Split off cofaces: add missing image values from the smallest up.
+    missing = sorted(set(range(f.target_arity + 1)) - set(mono.values))
+    arity = mono.source_arity
+    for idx, i in enumerate(missing):
+        word.append(face(arity + idx + 1, i))
+    return word
+
+
+def compose_word(word: list[MonotoneMap], n: int) -> MonotoneMap:
+    """Fold a generator word starting from the identity on [n]."""
+    cur = identity(n)
+    for g in word:
+        cur = compose(g, cur)
+    return cur
+
+
+def horn_compatibility(x: FinSSet, p: HornProblem) -> ValidationReport:
+    """Pairwise face agreement: face j of face j' must equal face j'-1
+    of face j whenever both are given."""
+    report = ValidationReport(f"horn({p.dim},{p.missing}) compatibility")
+    n = p.dim
+    for j in range(n + 1):
+        for jp in range(j + 1, n + 1):
+            if j == p.missing or jp == p.missing:
+                continue
+            lhs = x.apply(p.faces[jp], face(n - 1, j))
+            rhs = x.apply(p.faces[j], face(n - 1, jp - 1))
+            if lhs != rhs:
+                report.problems.append(
+                    f"faces {j} and {jp} disagree: "
+                    f"{lhs.sort_key()} vs {rhs.sort_key()}"
+                )
+    return report
+
+
+def cyclic_table(n: int) -> dict:
+    return {(i, j): (i + j) % n for i in range(n) for j in range(n)}
+
+
+def empty_sset(truncation: int = 0) -> FinSSet:
+    return FinSSet(truncation, {}, {})
+
+
+# -- the triple presentation of the join --------------------------------
+
+
+@dataclass(frozen=True)
+class JoinTriple:
+    """Cut position together with the two restrictions.  ``cut`` is the
+    last vertex mapped to the left end, -1 when everything lies right;
+    a part at dimension -1 is None."""
+
+    cut: int
+    left: SimplexRef | None
+    right: SimplexRef | None
+
+
+def _restrict(values: tuple[int, ...], dim: int,
+              c: str | None) -> SimplexRef | None:
+    """The part c of dimension dim under the epi with these values, or
+    the empty part."""
+    return None if c is None else SimplexRef(
+        MonotoneMap(len(values) - 1, dim, values), c)
+
+
+def triple_from_join_simplex(j, ref: SimplexRef) -> JoinTriple:
+    a, b = j.parts[ref.cell]
+    p = -1 if a is None else j.factors[0].dim_of(a)
+    q = -1 if b is None else j.factors[1].dim_of(b)
+    values = ref.epi.values
+    cut = bisect_right(values, p) - 1
+    return JoinTriple(
+        cut,
+        _restrict(values[: cut + 1], p, a),
+        _restrict(tuple(v - p - 1 for v in values[cut + 1 :]), q, b),
+    )
+
+
+def join_simplex_from_triple(j, n: int, t: JoinTriple) -> SimplexRef:
+    """The level-n simplex of the join with the triple's parts: the cell
+    whose parts they are, under the left epi followed by the right one
+    shifted past it."""
+    a = None if t.left is None else t.left.cell
+    b = None if t.right is None else t.right.cell
+    (cid,) = [c for c, ab in j.parts.items() if ab == (a, b)]
+    lv, lt = ((), -1) if t.left is None else (t.left.epi.values, t.left.epi.target_arity)
+    rv, rt = ((), -1) if t.right is None else (t.right.epi.values, t.right.epi.target_arity)
+    return SimplexRef(MonotoneMap(n, lt + rt + 1, lv + tuple(lt + 1 + v for v in rv)), cid)
+
+
+def formal_simplices(x: FinSSet, d: int) -> list[SimplexRef]:
+    """Level-d simplices of the degenerate extension: above the stored
+    truncation these are surjections onto nondegenerate cells."""
+    if d <= x.truncation:
+        return x.simplices(d)
+    out = []
+    for m in range(x.truncation + 1):
+        for c in x.nondegenerate(m):
+            out.extend(SimplexRef(e, c) for e in epis_onto(d, m))
+    return out
+
+
+def enumerate_triples(x: FinSSet, y: FinSSet, n: int) -> list[JoinTriple]:
+    """All (cut, left, right) triples at level n, the other presentation
+    of the join; the empty set below dimension 0 contributes one part."""
+    out = []
+    for cut in range(-1, n + 1):
+        lefts = [None] if cut == -1 else formal_simplices(x, cut)
+        rights = [None] if cut == n else formal_simplices(y, n - cut - 1)
+        for l in lefts:
+            for r in rights:
+                out.append(JoinTriple(cut, l, r))
+    return out

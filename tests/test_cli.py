@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import empty_sset
+
 import qckit
 from qckit.cli import main
 from qckit.monoids import (
@@ -24,7 +26,7 @@ from qckit.monoids import (
     monoid_spec_to_json,
 )
 from qckit.scat import from_finite_category, scat_to_manifest
-from qckit.sset import empty_sset, point, standard_simplex
+from qckit.sset import point, standard_simplex
 
 
 def run(capsys, *argv):

@@ -4,21 +4,20 @@ import math
 
 import pytest
 
+from oracles import enumerate_triples, join_simplex_from_triple, triple_from_join_simplex
+
 from qckit.join import (
     SlicePresentation,
     coslice_edge_anatomy,
     coslice_fastpath,
     coslice_projection,
     cross_validate_coslice,
-    enumerate_triples,
     join,
     join_inclusions,
     join_of_maps,
-    join_simplex_from_triple,
     simplex_join_iso,
     slice_projection,
     slice_sset,
-    triple_from_join_simplex,
     vertex_anchor,
 )
 from qckit.monoids import build_reference_monoid, deloop

@@ -3,6 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import compose_word, generator_word
+
 from qckit.ordinals import (
     ArityError,
     MonotoneMap,
@@ -10,11 +12,9 @@ from qckit.ordinals import (
     all_maps,
     all_monos,
     compose,
-    compose_word,
     degeneracy,
     epi_mono_factor,
     face,
-    generator_word,
     identity,
 )
 

@@ -6,6 +6,8 @@ import itertools
 import pytest
 
 from oracles import (
+    cyclic_table,
+    horn_compatibility,
     scan_apply,
     scan_core,
     scan_face_index,
@@ -26,9 +28,7 @@ from qckit.ordinals import MonotoneMap, all_maps, degeneracy, face
 from qckit.quasicat import (
     HornProblem,
     core,
-    cyclic_table,
     find_filler,
-    horn_compatibility,
     horn_problems,
     invertible_edge_cells,
     is_invertible_edge,

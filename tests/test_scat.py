@@ -7,9 +7,11 @@ import pytest
 from oracles import (
     bar_nerve,
     functor_normal_form,
+    ref_signature,
     scan_bilevel,
     scan_functors,
     scan_nerve,
+    scan_precompose,
     scan_scat_laws,
     strict_chain_count,
 )
@@ -42,7 +44,15 @@ from qckit.scat import (
     validate_functor,
     validate_scat,
 )
-from qckit.sset import BilevelMap, FinSSet, TruncationError, iso_search, standard_simplex, validate
+from qckit.sset import (
+    BilevelMap,
+    FinSSet,
+    TruncationError,
+    iso_search,
+    nondeg_ref,
+    standard_simplex,
+    validate,
+)
 
 
 def discrete_two_element_monoid():
@@ -72,12 +82,16 @@ def poset_category_012():
 
 @functools.lru_cache(maxsize=None)
 def delooped(name):
-    """The delooped reference monoids: default Z/2, Z/3 components, and
-    the discrete spec with one idempotent grade."""
+    """The delooped reference monoids: default Z/2, Z/3 components, four
+    Z/2 grades, and the discrete spec with one idempotent grade."""
     if name == "default":
         return deloop(build_reference_monoid())
     if name == "Z/3":
         spec = MonoidSpec(saturating_grades(2), {"1": "Z/3", "2+": "Z/3"}, 3)
+        return deloop(build_reference_monoid(spec))
+    if name == "four grades":
+        spec = MonoidSpec(
+            saturating_grades(3), {"1": "Z/2", "2": "Z/2", "3+": "Z/2"}, 3)
         return deloop(build_reference_monoid(spec))
     grades = GradeMonoid(
         ("1", "a"), "1",
@@ -224,6 +238,55 @@ def test_precompose_functorial_on_z2_deloop():
                 for l in range(3):
                     for b in all_maps(l, m):
                         assert precompose(fa, b) == precompose(f, compose(a, b))
+
+
+@pytest.mark.parametrize("name, k", [(n, k) for n in ("default", "Z/3") for k in range(4)])
+def test_precompose_matches_the_ref_scan(name, k):
+    # every operator [l] -> [k] with l <= k, and the degeneracies from [k + 1]
+    ops = [a for l in range(k + 1) for a in all_maps(l, k)]
+    ops += [degeneracy(k, i) for i in range(k + 1)]
+    for f in enumerate_functors(k, delooped(name)):
+        for op in ops:
+            assert precompose(f, op).assignments == scan_precompose(f, op).assignments
+
+
+def test_precompose_above_the_target_truncation_matches_the_ref_scan():
+    # rigidify(k)'s homs stop at level k - 1, so a rigidified degeneracy
+    # takes values at levels that have no positions
+    for src_op in (degeneracy(1, 0), degeneracy(2, 1)):
+        g = rigidify_map(src_op)
+        for l in range(4):
+            for op in all_maps(l, g.arity):
+                assert precompose(g, op).assignments == scan_precompose(g, op).assignments
+
+
+@pytest.mark.parametrize("name", ["default", "Z/3", "four grades"])
+def test_signature_sorts_as_the_ref_signature(name):
+    d = delooped(name)
+    for k in range(4):
+        fs = enumerate_functors(k, d)
+        by_code = sorted(fs, key=SimplicialFunctor.signature)
+        by_refs = sorted(fs, key=ref_signature)
+        assert [f.code for f in by_code] == [f.code for f in by_refs]
+
+
+def test_hand_built_functor_off_its_hom_stays_diagnosable():
+    d = delooped("default")
+    f = enumerate_functors(2, d)[-1]
+    h = d.hom("*", "*")
+    edge = h.simplices(1)[-1]
+    for pair, cid, value, problem in [
+        ((0, 1), "0.1", edge, "hom(0,1): cell '0.1' of dimension 0 mapped to a 1-simplex"),
+        ((0, 2), "0.2", nondeg_ref("ghost", 0),
+         "hom(0,2): cell '0.2' mapped to unknown cell 'ghost'"),
+    ]:
+        assignments = f.assignments
+        assignments[pair][cid] = value
+        bad = SimplicialFunctor(2, d, f.object_map, assignments)
+        assert bad.assignments == assignments
+        assert validate_functor(bad).problems == [problem]
+        assert (bad == f) is False
+        assert bad != f and len({bad, f}) == 2
 
 
 def test_normal_form_strips_degeneracy_on_z2_deloop():
