@@ -178,25 +178,30 @@ class SliceSSet(FinSSet):
 def _enumerate_anchored_maps(shape: JoinSSet, base: FinSSet, fixed: dict) -> list[tuple]:
     """All simplicial maps shape -> base extending the fixed assignment,
     as canonical sorted assignment tuples, in the leaf order of
-    :func:`~qckit.sset.depth_first` over the free cells by dimension,
-    drawing candidates from the base's face index."""
-    order = [
-        (d, c)
-        for d in range(shape.truncation + 1)
-        for c in shape.nondegenerate(d)
-        if c not in fixed
-    ]
-    assignment = dict(fixed)
+    :func:`~qckit.sset.depth_first` over the free cells by dimension.
+    The search holds positions in the base's ``simplices``: a cell's
+    candidates come from the base's ``position_index`` under its face
+    entries' values, each taken to the face's level by a kept action
+    table."""
+    cells = [(d, c) for d in range(shape.truncation + 1) for c in shape.nondegenerate(d)]
+    order = [(d, c) for d, c in cells if c not in fixed]
+    assignment = {c: base.position(shape.dim_of(c))[r] for c, r in fixed.items()}
+    # per free cell of dimension >= 1: (face cell, its value's table) per face
+    faces = {
+        c: [(r.cell, range(len(base.simplices(d - 1))) if r.epi.is_identity
+             else base.action(r.epi)) for r in shape.face_entries(c)]
+        for d, c in order if d
+    }
 
     def candidates(k: int):
         d, c = order[k]
         if d == 0:
-            return base.simplices(0)
-        key = tuple(base.apply(assignment[r.cell], r.epi)
-                    for r in shape.face_entries(c))
-        return base.faces_index(d).get(key, ())
+            return range(len(base.simplices(0)))
+        key = tuple([act[assignment[f]] for f, act in faces[c]])
+        return base.position_index(d).get(key, ())
 
-    return [tuple(sorted(assignment.items()))
+    sims = [base.simplices(d) for d in range(shape.truncation + 1)]
+    return [tuple(sorted((c, sims[d][assignment[c]]) for d, c in cells))
             for _ in depth_first([(assignment, c) for _, c in order], candidates)]
 
 

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ordinals import MonotoneMap, epis_onto
+from .ordinals import MonotoneMap, epis_onto, face
 from .quasicat import (
     core,
     is_kan_up_to,
@@ -658,10 +658,12 @@ def verify_proposition(m: GradedSimplicialMonoid, dims: int = 2) -> PropositionR
           f"invertible, all with unit middle grade")
 
     # (d) invertible edges correspond to monoid edges, orientation reversed
-    ends = total.face_table(1)
+    pos, names = total.position(1), total.nondegenerate(0)
+    d0, d1 = total.action(face(1, 0)), total.action(face(1, 1))
     d_fails = []
     for e, data in inverted:
-        tgt, src = (r.cell for r in ends[data.gamma])
+        p = pos[data.gamma]
+        tgt, src = names[d0[p]], names[d1[p]]
         if src != data.v02 or tgt != data.v01:
             d_fails.append(f"path of {e.sort_key()} runs {src!r} -> {tgt!r}, "
                            f"expected {data.v02!r} -> {data.v01!r}")

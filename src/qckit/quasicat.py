@@ -5,8 +5,10 @@ set: horn problems are enumerated with pairwise face compatibility as
 the constraint, and edge invertibility asks for a single two-sided
 witness pair sharing one candidate inverse.  Every "which simplices
 have these faces" question, the horn slots, the fillers, the witness
-triangles and the loop composites, is one lookup in
-:meth:`FinSSet.faces_index` ``(n, at)``.
+triangles and the loop composites, is one read of the one face lookup,
+:meth:`FinSSet.position_index` ``(n, at)``, and a simplex's own faces
+come from the kept action tables of the face operators.  The searches
+hold positions; refs are built only for the results.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .ordinals import degeneracy
+from .ordinals import degeneracy, face
 from .sset import (
     FinSSet,
     SimplexRef,
     TruncationError,
+    UnknownCellError,
     ValidationReport,
     depth_first,
     nondeg_ref,
@@ -52,8 +55,10 @@ def find_filler(x: FinSSet, p: HornProblem):
             f"fillers at dimension {n} exceed truncation {x.truncation}"
         )
     at = tuple(i for i in range(n + 1) if i != p.missing)
-    pool = x.faces_index(n, at).get(tuple(p.faces[i] for i in at), ())
-    return pool[0] if pool else None
+    # a face that is not an (n-1)-simplex of x has no position: no filler
+    pos = x.position(n - 1)
+    pool = x.position_index(n, at).get(tuple([pos.get(p.faces[i]) for i in at]), ())
+    return x.simplices(n)[pool[0]] if pool else None
 
 
 def horn_problems(x: FinSSet, n: int, k: int):
@@ -61,20 +66,26 @@ def horn_problems(x: FinSSet, n: int, k: int):
     :func:`~qckit.sset.depth_first` over the face slots in index order.
     A slot's candidates are the (n-1)-simplices, in ``simplices`` order,
     whose faces agree with the earlier slots by the simplicial
-    identities, so problems come lexicographically in that order."""
-    table = x.face_table(n - 1)
+    identities, so problems come lexicographically in that order.
+    Raises ValueError naming the shape unless n >= 2 and 0 <= k <= n."""
+    if n < 2 or not 0 <= k <= n:
+        raise ValueError(f"no ({n},{k})-horn: need n >= 2 and 0 <= k <= n")
     slots = [i for i in range(n + 1) if i != k]
     # the slots before slot t fix its faces at their own positions
-    pools = [x.faces_index(n - 1, slots[:t]) for t in range(len(slots))]
-    chosen: dict[int, SimplexRef] = {}
+    pools = [x.position_index(n - 1, slots[:t]) for t in range(len(slots))]
+    # face i - 1 of each earlier slot j is what face j of slot i must be
+    # (the first slot has no earlier one, and no table)
+    acts = {i: x.action(face(n - 1, i - 1)) for i in slots[1:]}
+    chosen: dict[int, int] = {}
 
     def candidates(t: int):
-        i = slots[t]
-        # face i - 1 of each earlier slot j is what face j of slot i must be
-        return pools[t].get(tuple(table[chosen[j]][i - 1] for j in slots[:t]), ())
+        act = acts.get(slots[t])
+        return pools[t].get(tuple([act[chosen[j]] for j in slots[:t]]), ())
 
+    sims = x.simplices(n - 1)
     for _ in depth_first([(chosen, i) for i in slots], candidates):
-        yield HornProblem(n, k, tuple(chosen.get(i) for i in range(n + 1)))
+        yield HornProblem(n, k, tuple(
+            None if i == k else sims[chosen[i]] for i in range(n + 1)))
 
 
 def _filler_survey(x: FinSSet, max_dim: int, inner_only: bool) -> ValidationReport:
@@ -128,15 +139,16 @@ def is_invertible_edge(x: FinSSet, e: SimplexRef) -> bool:
         return True
     if x.truncation < 2:
         return False
-    tgt, src = x.face_table(1)[e]
-    id_src = x.apply(src, degeneracy(0, 0))
-    id_tgt = x.apply(tgt, degeneracy(0, 0))
+    p = x.position(1)[e]
+    s0 = x.action(degeneracy(0, 0))
+    id_src = s0[x.action(face(1, 1))[p]]
+    id_tgt = s0[x.action(face(1, 0))[p]]
     # (d0, d1, d2) = (g, id_src, e) witnesses g . e, (e, id_tgt, g) e . g
-    table = x.face_table(2)
-    both = x.faces_index(2)
+    d0 = x.action(face(2, 0))
+    both = x.position_index(2)
     return any(
-        (e, id_tgt, table[t][0]) in both
-        for t in x.faces_index(2, (1, 2)).get((id_src, e), ())
+        (p, id_tgt, d0[t]) in both
+        for t in x.position_index(2, (1, 2)).get((id_src, p), ())
     )
 
 
@@ -189,15 +201,15 @@ def _union(parent, a, b) -> None:
 
 def pi0(x: FinSSet) -> tuple[tuple[str, ...], ...]:
     """Vertex components under zigzags of edges."""
-    parent = {v: v for v in x.nondegenerate(0)}
+    # the vertices are the 0-simplices, so positions stand for them
+    verts = x.nondegenerate(0)
+    parent = list(range(len(verts)))
     if x.truncation >= 1:
-        table = x.face_table(1)
-        for e in x.nondegenerate(1):
-            tgt, src = table[nondeg_ref(e, 1)]
-            _union(parent, src.cell, tgt.cell)
-    comps: dict[str, list[str]] = {}
-    for v in parent:
-        comps.setdefault(_root(parent, v), []).append(v)
+        for tgt, src in zip(x.action(face(1, 0)), x.action(face(1, 1))):
+            _union(parent, src, tgt)
+    comps: dict[int, list[str]] = {}
+    for v, name in enumerate(verts):
+        comps.setdefault(_root(parent, v), []).append(name)
     return tuple(sorted(tuple(sorted(vs)) for vs in comps.values()))
 
 
@@ -230,42 +242,42 @@ def pi1(x: FinSSet, basepoint: str) -> Pi1Result:
     horns fill (the problems list says when they do not)."""
     if x.truncation < 2:
         raise TruncationError("fundamental group needs 2-simplices")
-    b = nondeg_ref(basepoint, 0)
-    id_b = x.apply(b, degeneracy(0, 0))
-    loops = [r for r, faces in x.face_table(1).items() if faces == (b, b)]
-    index = {r: i for i, r in enumerate(loops)}
-    parent = list(range(len(loops)))
+    b = x.position(0).get(nondeg_ref(basepoint, 0))
+    if b is None:
+        raise UnknownCellError(f"basepoint {basepoint!r} is not a vertex")
+    id_b = x.action(degeneracy(0, 0))[b]
+    ends = zip(x.action(face(1, 0)), x.action(face(1, 1)))
+    # the loops at b by position, each its own class to begin with
+    parent = {p: p for p, (tgt, src) in enumerate(ends) if tgt == src == b}
 
-    triangles = x.face_table(2)
-    for d0, d1, d2 in triangles.values():
-        if d0 in index and d1 in index and d2 in index:
-            if d0 == id_b:
-                _union(parent, index[d2], index[d1])
-            if d2 == id_b:
-                _union(parent, index[d0], index[d1])
+    d1 = x.action(face(2, 1))
+    for t0, t1, t2 in zip(x.action(face(2, 0)), d1, x.action(face(2, 2))):
+        if t0 in parent and t1 in parent and t2 in parent:
+            if t0 == id_b:
+                _union(parent, t2, t1)
+            if t2 == id_b:
+                _union(parent, t0, t1)
 
-    roots = sorted({_root(parent, i) for i in range(len(loops))},
-                   key=lambda i: loops[i].sort_key())
-    root_pos = {r: t for t, r in enumerate(roots)}
-    classes = tuple(
-        tuple(sorted(
-            (loops[i] for i in range(len(loops)) if _root(parent, i) == r),
-            key=SimplexRef.sort_key,
-        ))
-        for r in roots
-    )
+    # classes come in their roots' sort_key order, loops in their own
+    edges = x.simplices(1)
+    key = lambda p: edges[p].sort_key()
+    roots = sorted({_root(parent, p) for p in parent}, key=key)
+    root_pos = {r: c for c, r in enumerate(roots)}
+    cls = {p: root_pos[_root(parent, p)] for p in parent}
+    members = [sorted((p for p in parent if cls[p] == c), key=key)
+               for c in range(len(roots))]
     result = Pi1Result(
-        basepoint, classes, root_pos[_root(parent, index[id_b])]
+        basepoint, tuple(tuple(edges[p] for p in ps) for ps in members), cls[id_b]
     )
 
     # a triangle with loops e, f as d0, d2 has a loop as d1: e after f
-    composites = x.faces_index(2, (0, 2))
-    for i, j in itertools.product(range(len(classes)), repeat=2):
-        values = set()
-        for e in classes[i]:
-            for f in classes[j]:
-                for t in composites.get((e, f), ()):
-                    values.add(root_pos[_root(parent, index[triangles[t][1]])])
+    composites = x.position_index(2, (0, 2))
+    for i, j in itertools.product(range(len(members)), repeat=2):
+        values = {
+            cls[d1[t]]
+            for e in members[i] for f in members[j]
+            for t in composites.get((e, f), ())
+        }
         if not values:
             result.problems.append(f"no composite for classes ({i}, {j})")
         elif len(values) > 1:
@@ -276,7 +288,7 @@ def pi1(x: FinSSet, basepoint: str) -> Pi1Result:
             result.table[i, j] = values.pop()
 
     if result.ok:
-        n = len(classes)
+        n = len(members)
         e = result.identity
         for i in range(n):
             if result.table[e, i] != i or result.table[i, e] != i:

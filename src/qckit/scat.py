@@ -100,9 +100,6 @@ class SCat:
         epi = MonotoneMap(level, 0, (0,) * (level + 1))
         return SimplexRef(epi, v)
 
-    def compose_refs(self, x, y, z, later: SimplexRef, earlier: SimplexRef) -> SimplexRef:
-        return self.comp[(x, y, z)].apply(later.dim, later, earlier)
-
 
 def validate_scat(d: SCat, max_level: int | None = None) -> ValidationReport:
     """Hom validity, unit vertices, composition on the right homs,
@@ -352,6 +349,12 @@ def _frame(d: SCat, k: int, objs: tuple) -> _Frame:
     return frame
 
 
+def _ref(h: FinSSet, m: int, v):
+    """The m-simplex of h behind code value v: its position read back,
+    or v itself where the code kept a ref."""
+    return h.simplices(m)[v] if type(v) is int else v
+
+
 def _candidates(step: tuple, vals: dict):
     """A slot's values once the slots before it are set: the simplices
     whose faces a free cell's faces hold, or a forced cell's composite."""
@@ -401,7 +404,7 @@ class SimplicialFunctor:
         homs = _frame(self.target, self.arity, self.object_map).homs
         for (pair, cid, m), h, v in zip(_layout(self.arity)[0], homs, self.code):
             if v is not None:
-                out.setdefault(pair, {})[cid] = h.simplices(m)[v] if type(v) is int else v
+                out.setdefault(pair, {})[cid] = _ref(h, m, v)
         return out
 
     def signature(self) -> tuple:
@@ -419,9 +422,15 @@ class SimplicialFunctor:
         return hash((self.object_map, self.code))
 
     def hom_map(self, i: int, j: int) -> SimplicialMap:
+        """The hom (i, j) part, read off that pair's code entries only."""
         src = rigidify(self.arity).hom(i, j)
         tgt = self.target.hom(self.object_map[i], self.object_map[j])
-        return SimplicialMap(src, tgt, self.assignments[(i, j)])
+        homs = _frame(self.target, self.arity, self.object_map).homs
+        return SimplicialMap(src, tgt, {
+            cid: _ref(h, m, v)
+            for (pair, cid, m), h, v in zip(_layout(self.arity)[0], homs, self.code)
+            if pair == (i, j) and v is not None
+        })
 
 
 def enumerate_functors(k: int, d: SCat) -> list[SimplicialFunctor]:
@@ -653,53 +662,54 @@ def _field_table(k: int) -> tuple:
 def classify_low_simplices(k: int, d: SCat) -> list:
     """Independent parametrizations of the k-cells, k <= 3, over a
     one-object target: vertices, connecting paths, and filling triangles,
-    scanned directly from the hom simplicial set."""
+    scanned directly from the hom simplicial set by position, through
+    its ``position_index``, its kept action tables and the composition
+    tables."""
     x = _the_object(d)
     h = d.hom(x, x)
-    mul = lambda late, early: d.compose_refs(x, x, x, late, early)
-    verts = [nondeg_ref(v, 0) for v in h.nondegenerate(0)]
+    names = h.nondegenerate(0)  # the vertices, by position
     if k == 1:
-        return [EdgeData(v.cell) for v in verts]
-    ends = h.face_table(1)  # edge -> (target, source)
-    by_target = h.faces_index(1, (0,))
-    by_ends = h.faces_index(1)
+        return [EdgeData(v) for v in names]
+    mul0 = d.comp[(x, x, x)].table(0)  # mul0[later][earlier]
+    src = h.action(face(1, 1))  # edge -> its source vertex
+    by_target = h.position_index(1, (0,))
+    edges = h.simplices(1)
+    verts = range(len(names))
     if k == 2:
-        out = []
-        for v01 in verts:
-            for v12 in verts:
-                for g in by_target.get((mul(v12, v01),), ()):
-                    out.append(
-                        TriangleData(v01.cell, v12.cell, ends[g][1].cell, g)
-                    )
-        return out
+        return [
+            TriangleData(names[v01], names[v12], names[src[g]], edges[g])
+            for v01 in verts for v12 in verts
+            for g in by_target.get((mul0[v12][v01],), ())
+        ]
     if k != 3:
         raise ValueError("classification covers k in {1, 2, 3}")
-    tri_by_faces = h.faces_index(2)
+    mul1 = d.comp[(x, x, x)].table(1)
+    s0 = h.action(degeneracy(0, 0))
+    by_ends = h.position_index(1)
+    tri_by_faces = h.position_index(2)
+    tris = h.simplices(2)
     out = []
-    for v01 in verts:
-        for v12 in verts:
-            for v23 in verts:
-                v012 = mul(v12, v01)
-                v123 = mul(v23, v12)
-                v0123 = mul(v23, v012)
-                for g02 in by_target.get((v012,), ()):
-                    s0v23 = h.apply(v23, degeneracy(0, 0))
-                    f2 = mul(s0v23, g02)
-                    for g13 in by_target.get((v123,), ()):
-                        s0v01 = h.apply(v01, degeneracy(0, 0))
-                        f1 = mul(g13, s0v01)
-                        v013 = mul(ends[g13][1], v01)
-                        v023 = mul(v23, ends[g02][1])
-                        for e3 in by_target.get((v0123,), ()):
-                            v03 = ends[e3][1]
-                            for e1 in by_ends.get((v013, v03), ()):
-                                for tl in tri_by_faces.get((f1, e3, e1), ()):
-                                    for e2 in by_ends.get((v023, v03), ()):
-                                        for tr in tri_by_faces.get((f2, e3, e2), ()):
-                                            out.append(TetrahedronData(
-                                                v01.cell, v12.cell, v23.cell,
-                                                g02, g13, e1, e2, e3, tl, tr,
-                                            ))
+    for v01, v12, v23 in itertools.product(verts, repeat=3):
+        v012 = mul0[v12][v01]
+        v123 = mul0[v23][v12]
+        v0123 = mul0[v23][v012]
+        for g02 in by_target.get((v012,), ()):
+            f2 = mul1[s0[v23]][g02]
+            for g13 in by_target.get((v123,), ()):
+                f1 = mul1[g13][s0[v01]]
+                v013 = mul0[src[g13]][v01]
+                v023 = mul0[v23][src[g02]]
+                for e3 in by_target.get((v0123,), ()):
+                    v03 = src[e3]
+                    for e1 in by_ends.get((v013, v03), ()):
+                        for tl in tri_by_faces.get((f1, e3, e1), ()):
+                            for e2 in by_ends.get((v023, v03), ()):
+                                for tr in tri_by_faces.get((f2, e3, e2), ()):
+                                    out.append(TetrahedronData(
+                                        names[v01], names[v12], names[v23],
+                                        edges[g02], edges[g13], edges[e1],
+                                        edges[e2], edges[e3], tris[tl], tris[tr],
+                                    ))
     return out
 
 
@@ -733,12 +743,19 @@ def classification_to_functor(k: int, d: SCat, data) -> SimplicialFunctor:
 
 
 def functor_to_classification(f: SimplicialFunctor):
-    """Inverse of classification_to_functor: each field read off its chain."""
+    """Inverse of classification_to_functor: each field read off its
+    chain's code entry."""
     kind, fields = _field_table(f.arity)
-    a = f.assignments
-    return kind(*(
-        a[pair][cid].cell if vertex else a[pair][cid] for pair, cid, vertex in fields
-    ))
+    entries, index, _ = _layout(f.arity)
+    homs = _frame(f.target, f.arity, f.object_map).homs
+    values = []
+    for pair, cid, vertex in fields:
+        e = index[pair, cid]
+        ref = _ref(homs[e], entries[e][2], f.code[e])
+        if ref is None:
+            raise KeyError(f"no value on chain {cid!r} of hom {pair}")
+        values.append(ref.cell if vertex else ref)
+    return kind(*values)
 
 
 # -- discrete enrichment ----------------------------------------------

@@ -20,17 +20,16 @@ An identity operator returns a normal-form reference itself and keeps no
 table, so callers need no shortcut of their own.  Truncation is strict: asking for simplices
 above the truncation raises, it is never silently completed.
 
-Searches read faces through two per-instance caches built on first
-use: :meth:`FinSSet.face_table` maps each n-simplex to its normal-form
-faces, read off the face operators' action tables, and
-:meth:`FinSSet.faces_index` ``(n, at)`` is its inverse view, from the
-faces at the positions ``at`` (all of them by default) to the
-n-simplices bearing them, read off :meth:`FinSSet.position_index`, the
-same view on positions.  It is the one face lookup: fillers, horn
-problems, invertibility witnesses and the slice ask it which simplices
-have given faces, and nerve enumeration asks the position view.  :meth:`FinSSet.simplices` and
-:meth:`FinSSet.position` are kept per dimension; :class:`BilevelMap`
-answers from its kept level tables.
+The one face lookup is :meth:`FinSSet.position_index` ``(n, at)``:
+the positions of the n-simplices keyed by the positions of their faces
+at ``at`` (all of them by default), read off the face operators' action
+tables and kept per (n, at).  Fillers, horn problems, invertibility
+witnesses, the fundamental group, the generic slice, nerve enumeration
+and the low-simplex classification ask it which simplices have given
+faces, read a simplex's own faces from the action tables
+``action(face(n, i))``, and build refs only for their results.
+:meth:`FinSSet.simplices` and :meth:`FinSSet.position` are kept per
+dimension; :class:`BilevelMap` answers from its kept level tables.
 
 Every exhaustive search runs through :func:`depth_first`, one iterative
 depth-first loop over slots of the caller's own dicts: nerve functors
@@ -180,8 +179,6 @@ class FinSSet:
         self._position: dict[int, dict] = {}
         # alpha -> (table, position at n, position at m, simplices at m)
         self._actions: dict[MonotoneMap, tuple] = {}
-        self._face_table: dict[int, dict] = {}
-        self._faces_index: dict[tuple, dict] = {}
         self._position_index: dict[tuple, dict] = {}
 
     # -- raw structure ------------------------------------------------
@@ -336,25 +333,6 @@ class FinSSet:
             self._position[dim] = pos
         return pos
 
-    def face_table(self, dim: int) -> dict[SimplexRef, tuple[SimplexRef, ...]]:
-        """Each dim-simplex (dim >= 1), in :meth:`simplices` order, mapped
-        to its normal-form faces (d_0 s, ..., d_dim s).
-
-        Read off the face operators' action tables on first use and
-        kept; its faces are the kept ``simplices(dim - 1)`` objects."""
-        if dim < 1:
-            raise ValueError("face_table needs dimension >= 1")
-        table = self._face_table.get(dim)
-        if table is None:
-            acts = [self.action(face(dim, i)) for i in range(dim + 1)]
-            lower = self.simplices(dim - 1)
-            table = {
-                s: tuple(lower[act[p]] for act in acts)
-                for p, s in enumerate(self.simplices(dim))
-            }
-            self._face_table[dim] = table
-        return table
-
     def position_index(
         self, dim: int, at: Iterable[int] | None = None
     ) -> dict[tuple, tuple[int, ...]]:
@@ -372,25 +350,6 @@ class FinSSet:
                 buckets.setdefault(tuple([act[p] for act in acts]), []).append(p)
             index = {key: tuple(ps) for key, ps in buckets.items()}
             self._position_index[(dim, at)] = index
-        return index
-
-    def faces_index(
-        self, dim: int, at: Iterable[int] | None = None
-    ) -> dict[tuple, tuple[SimplexRef, ...]]:
-        """The dim-simplices (dim >= 1) keyed by their normal-form faces
-        at the positions ``at`` (default: all, d_0 s, ..., d_dim s), the
-        key listing them in the order of ``at``; each tuple of simplices
-        is in :meth:`simplices` order.  :meth:`position_index` read as
-        simplices, built once per (dim, at) and kept."""
-        at = tuple(range(dim + 1)) if at is None else tuple(at)
-        index = self._faces_index.get((dim, at))
-        if index is None:
-            lower, upper = self.simplices(dim - 1), self.simplices(dim)
-            index = {
-                tuple([lower[q] for q in key]): tuple([upper[p] for p in ps])
-                for key, ps in self.position_index(dim, at).items()
-            }
-            self._faces_index[(dim, at)] = index
         return index
 
     # -- serialization ------------------------------------------------

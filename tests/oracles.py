@@ -245,6 +245,75 @@ def scan_core(x):
     }
 
 
+def scan_pi0(x):
+    """Vertex components, merged over every edge's ends computed through
+    ``FinSSet.apply``, as pi0 lists them."""
+    comp = {v: frozenset([v]) for v in x.nondegenerate(0)}
+    for e in x.simplices(1) if x.truncation >= 1 else ():
+        a, b = (x.apply(e, face(1, i)).cell for i in (0, 1))
+        merged = comp[a] | comp[b]
+        for v in merged:
+            comp[v] = merged
+    return tuple(sorted({tuple(sorted(c)) for c in comp.values()}))
+
+
+def scan_pi1(x, basepoint):
+    """pi1's (classes, identity, table, problems), every face computed
+    through ``FinSSet.apply``.  The loops are the edges with both ends at
+    the basepoint.  Triangles, in ``simplices`` order, with a degenerate
+    d0 join the classes of d2 and d1, with a degenerate d2 those of d0
+    and d1; each join hangs the tree of the first under the root of the
+    second, and classes are listed by their roots' ``sort_key``, so the
+    listing is the one pi1 promises.  A table entry is the class of d1
+    over every triangle whose d0 and d2 lie in the two classes."""
+    b = nondeg_ref(basepoint, 0)
+    id_b = x.apply(b, degeneracy(0, 0))
+    loops = [e for e in x.simplices(1)
+             if x.apply(e, face(1, 0)) == b == x.apply(e, face(1, 1))]
+    parent = {e: e for e in loops}
+
+    def root(e):
+        while parent[e] != e:
+            e = parent[e]
+        return e
+
+    triangles = [tuple(x.apply(t, face(2, i)) for i in range(3)) for t in x.simplices(2)]
+    for d0, d1, d2 in triangles:
+        if {d0, d1, d2} <= parent.keys():
+            for leg, other in ((d0, d2), (d2, d0)):
+                if leg == id_b and root(other) != root(d1):
+                    parent[root(other)] = root(d1)
+    roots = sorted({root(e) for e in loops}, key=SimplexRef.sort_key)
+    cls = {e: roots.index(root(e)) for e in loops}
+    classes = tuple(
+        tuple(sorted((e for e in loops if cls[e] == c), key=SimplexRef.sort_key))
+        for c in range(len(roots))
+    )
+    n = len(classes)
+    table, problems = {}, []
+    for i, j in itertools.product(range(n), repeat=2):
+        values = sorted({cls[d1] for d0, d1, d2 in triangles
+                         if d0 in classes[i] and d2 in classes[j]})
+        if not values:
+            problems.append(f"no composite for classes ({i}, {j})")
+        elif len(values) > 1:
+            problems.append(f"composite of classes ({i}, {j}) ambiguous: {values}")
+        else:
+            table[i, j] = values[0]
+    unit = cls[id_b]
+    if not problems:
+        for i in range(n):
+            if table[unit, i] != i or table[i, unit] != i:
+                problems.append(f"identity fails at class {i}")
+            if all(table[i, j] != unit or table[j, i] != unit for j in range(n)):
+                problems.append(f"no inverse for class {i}")
+        for i, j, k in itertools.product(range(n), repeat=3):
+            if table[table[i, j], k] != table[i, table[j, k]]:
+                problems.append(f"associativity fails at ({i}, {j}, {k})")
+                break
+    return classes, unit, table, problems
+
+
 def scan_filler(x, p, index=None):
     """A simplex matching every given face of the horn problem p, or
     None: the first in ``simplices`` order, found through

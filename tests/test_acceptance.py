@@ -122,7 +122,7 @@ def test_criterion_2_low_simplex_classification():
     h = cat.hom(o, o)
 
     def mul(late, early):
-        return cat.compose_refs(o, o, o, late, early)
+        return cat.comp[(o, o, o)].apply(late.dim, late, early)
 
     for k in (1, 2, 3):
         functors = enumerate_functors(k, cat)

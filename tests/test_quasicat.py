@@ -1,6 +1,7 @@
 """Horn filling, invertibility, core, and homotopy invariants."""
 
 import collections
+import functools
 import itertools
 
 import pytest
@@ -15,6 +16,8 @@ from oracles import (
     scan_filler,
     scan_horn_problems,
     scan_invertible_edge,
+    scan_pi0,
+    scan_pi1,
 )
 from qckit.join import coslice_fastpath
 from qckit.monoids import (
@@ -43,6 +46,7 @@ from qckit.sset import (
     FinSSet,
     SimplexRef,
     TruncationError,
+    UnknownCellError,
     horn,
     nondeg_ref,
     standard_simplex,
@@ -134,6 +138,25 @@ def test_find_filler_recovers_the_simplex():
                 None if i == k else x.apply(s, face(3, i)) for i in range(4)
             )
             assert find_filler(x, HornProblem(3, k, faces)) == s
+
+
+def test_find_filler_finds_nothing_for_a_face_outside_the_set():
+    # a given face that is not a simplex of x has no position, so no
+    # simplex bears it
+    x = standard_simplex(2)
+    for stranger in (nondeg_ref("0-9", 1), nondeg_ref("0", 0), nondeg_ref("0-1-2", 2)):
+        assert find_filler(x, HornProblem(2, 1, (nondeg_ref("1-2", 1), None, stranger))) is None
+        assert scan_filler(x, HornProblem(2, 1, (nondeg_ref("1-2", 1), None, stranger))) is None
+    assert find_filler(x, HornProblem(2, 1, (nondeg_ref("1-2", 1), None, nondeg_ref("0-1", 1)))) == (
+        nondeg_ref("0-1-2", 2)
+    )
+
+
+@pytest.mark.parametrize("n, k", [(0, 0), (1, 0), (1, 1), (2, -1), (2, 3), (3, 4)])
+def test_horn_problems_refuse_a_bad_shape(n, k):
+    problems = horn_problems(standard_simplex(3), n, k)
+    with pytest.raises(ValueError, match=rf"no \({n},{k}\)-horn"):
+        next(problems)
 
 
 def test_find_filler_respects_truncation():
@@ -234,14 +257,28 @@ def test_apply_walks_a_ref_without_a_position(monkeypatch):
     assert walks == {(ref, op): 1 for op in ops}
 
 
+def position_index_as_simplices(x, n, at=None):
+    """``x.position_index(n, at)`` with every position read back
+    through ``simplices``."""
+    lower, upper = x.simplices(n - 1), x.simplices(n)
+    return {
+        tuple(lower[q] for q in key): tuple(upper[p] for p in ps)
+        for key, ps in x.position_index(n, at).items()
+    }
+
+
 @pytest.mark.parametrize("name", ORACLE_FIXTURES)
 def test_face_table_matches_apply(name, request):
+    # the full position index lists every simplex once, under its faces
     x = oracle_fixture(name, request)
     for n in range(1, x.truncation + 1):
-        table = x.face_table(n)
-        assert list(table) == x.simplices(n)
-        for s, faces in table.items():
-            assert faces == tuple(x.apply(s, face(n, i)) for i in range(n + 1))
+        index = position_index_as_simplices(x, n)
+        assert sorted(p for ps in x.position_index(n).values() for p in ps) == (
+            list(range(len(x.simplices(n))))
+        )
+        for faces, simplices in index.items():
+            for s in simplices:
+                assert faces == tuple(x.apply(s, face(n, i)) for i in range(n + 1))
 
 
 @pytest.mark.parametrize("name", ORACLE_FIXTURES)
@@ -250,8 +287,8 @@ def test_faces_index_matches_the_apply_scan(name, request):
     for n in range(1, x.truncation + 1):
         for r in range(n + 2):
             for at in itertools.combinations(range(n + 1), r):
-                assert x.faces_index(n, at) == scan_faces_index(x, n, at)
-        assert x.faces_index(n) == x.faces_index(n, range(n + 1))
+                assert position_index_as_simplices(x, n, at) == scan_faces_index(x, n, at)
+        assert x.position_index(n) == x.position_index(n, range(n + 1))
 
 
 @pytest.mark.parametrize("name", ["b_z2", "b_absorbing", "default_coslice"])
@@ -348,14 +385,19 @@ CORE_SPECS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def spec_coslice(spec: str):
+    """The dimension-2 coslice at the one vertex of a spec's nerve."""
+    nerve = simplicial_nerve(deloop(build_reference_monoid(CORE_SPECS[spec])), 3)
+    return coslice_fastpath(nerve, nerve.nondegenerate(0)[0], 2)
+
+
 @pytest.mark.parametrize(
     "name", ORACLE_FIXTURES + [f"coslice({s})" for s in CORE_SPECS]
 )
 def test_core_matches_the_edge_scan(name, request):
     if name.startswith("coslice("):
-        spec = CORE_SPECS[name[len("coslice("):-1]]
-        nerve = simplicial_nerve(deloop(build_reference_monoid(spec)), 3)
-        x = coslice_fastpath(nerve, nerve.nondegenerate(0)[0], 2)
+        x = spec_coslice(name[len("coslice("):-1])
     else:
         x = oracle_fixture(name, request)
     result = core(x)
@@ -384,6 +426,59 @@ def test_pi0_counts_zigzag_components():
         },
     )
     assert pi0(x) == (("p", "q", "r"), ("s",))
+
+
+def one_sided_homotopies():
+    """One vertex and four loops: the triangle (id, f, e) joins e and f,
+    the triangle (g, h, id) joins g and h, each by one of pi1's two
+    rules, and no triangle composes anything else."""
+    b, s0b = nondeg_ref("b", 0), SimplexRef(degeneracy(0, 0), "b")
+    e, f, g, h = (nondeg_ref(c, 1) for c in "efgh")
+    return FinSSet(
+        2,
+        {0: ["b"], 1: ["e", "f", "g", "h"], 2: ["t", "u"]},
+        {**{c: [b, b] for c in "efgh"}, "t": [s0b, f, e], "u": [g, h, s0b]},
+    )
+
+
+def pi_fixture(name, request):
+    if name == "one-sided":
+        return one_sided_homotopies()
+    if name.startswith("coslice-core("):
+        return core(spec_coslice(name[len("coslice-core("):-1])).sset
+    return oracle_fixture(name, request)
+
+
+PI_FIXTURES = ORACLE_FIXTURES + ["one-sided"] + [
+    f"coslice-core({s})" for s in CORE_SPECS
+]
+
+
+@pytest.mark.parametrize("name", PI_FIXTURES)
+def test_pi0_matches_the_apply_scan(name, request):
+    x = pi_fixture(name, request)
+    assert pi0(x) == scan_pi0(x)
+
+
+@pytest.mark.parametrize("name", PI_FIXTURES)
+def test_pi1_matches_the_apply_scan(name, request):
+    x = pi_fixture(name, request)
+    if x.truncation < 2:
+        with pytest.raises(TruncationError):
+            pi1(x, x.nondegenerate(0)[0])
+        return
+    for v in x.nondegenerate(0):
+        got = pi1(x, v)
+        assert (got.classes, got.identity, got.table, got.problems) == scan_pi1(x, v)
+    if name.startswith("coslice-core("):
+        # a coslice core's groups are the components' groups: not all trivial
+        assert max(pi1(x, v).order for v in x.nondegenerate(0)) > 1
+
+
+@pytest.mark.parametrize("basepoint", ["nowhere", "0-1", "0-1-2"])
+def test_pi1_names_a_basepoint_that_is_not_a_vertex(basepoint):
+    with pytest.raises(UnknownCellError, match=f"basepoint '{basepoint}' is not a vertex"):
+        pi1(standard_simplex(2), basepoint)
 
 
 def test_pi1_of_group_nerve(b_z2):

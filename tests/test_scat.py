@@ -289,6 +289,17 @@ def test_hand_built_functor_off_its_hom_stays_diagnosable():
         assert bad != f and len({bad, f}) == 2
 
 
+def test_hand_built_functor_missing_a_hom_is_named():
+    d = delooped("default")
+    f = enumerate_functors(2, d)[-1]
+    assignments = f.assignments
+    del assignments[(0, 1)]
+    bad = SimplicialFunctor(2, d, f.object_map, assignments)
+    assert validate_functor(bad).problems == ["hom(0,1): cell '0.1' has no image"]
+    with pytest.raises(KeyError, match=r"chain '0\.1' of hom \(0, 1\)"):
+        functor_to_classification(bad)
+
+
 def test_normal_form_strips_degeneracy_on_z2_deloop():
     n = simplicial_nerve(delooped("default"), 3)
     for cid in n.nondegenerate(2):
