@@ -431,7 +431,8 @@ def test_pi0_counts_zigzag_components():
 def one_sided_homotopies():
     """One vertex and four loops: the triangle (id, f, e) joins e and f,
     the triangle (g, h, id) joins g and h, each by one of pi1's two
-    rules, and no triangle composes anything else."""
+    rules; no other triangle but the degenerate ones composes loops, so
+    pi1 reports missing composites."""
     b, s0b = nondeg_ref("b", 0), SimplexRef(degeneracy(0, 0), "b")
     e, f, g, h = (nondeg_ref(c, 1) for c in "efgh")
     return FinSSet(
