@@ -11,7 +11,9 @@ part, right part); the two are bijective level by level.
 
 Slices are simplicial sets of anchored maps out of joins with a standard
 simplex; the vertex-anchored under-slice has a fastpath through the cone
-identification point * simplex = next simplex.
+identification point * simplex = next simplex.  Both are materialized on
+positions in the base's ``simplices``, acted on by its kept action
+tables; refs are built once per cell at the end.
 """
 
 from __future__ import annotations
@@ -175,15 +177,15 @@ class SliceSSet(FinSSet):
         self.presentation: SlicePresentation = presentation
 
 
-def _enumerate_anchored_maps(shape: JoinSSet, base: FinSSet, fixed: dict) -> list[tuple]:
+def _enumerate_anchored_maps(shape: JoinSSet, cells: list, base: FinSSet,
+                             fixed: dict) -> list[tuple]:
     """All simplicial maps shape -> base extending the fixed assignment,
-    as canonical sorted assignment tuples, in the leaf order of
-    :func:`~qckit.sset.depth_first` over the free cells by dimension.
-    The search holds positions in the base's ``simplices``: a cell's
-    candidates come from the base's ``position_index`` under its face
-    entries' values, each taken to the face's level by a kept action
-    table."""
-    cells = [(d, c) for d in range(shape.truncation + 1) for c in shape.nondegenerate(d)]
+    as tuples of positions in the base's ``simplices``, one per entry of
+    ``cells`` (the shape's (dim, cell) pairs in cell order), in the leaf
+    order of :func:`~qckit.sset.depth_first` over the free cells by
+    dimension.  A cell's candidates come from the base's
+    ``position_index`` under its face entries' values, each taken to the
+    face's level by a kept action table."""
     order = [(d, c) for d, c in cells if c not in fixed]
     assignment = {c: base.position(shape.dim_of(c))[r] for c, r in fixed.items()}
     # per free cell of dimension >= 1: (face cell, its value's table) per face
@@ -193,15 +195,16 @@ def _enumerate_anchored_maps(shape: JoinSSet, base: FinSSet, fixed: dict) -> lis
         for d, c in order if d
     }
 
+    index = {d: base.position_index(d) for d, _ in order if d}
+
     def candidates(k: int):
         d, c = order[k]
         if d == 0:
             return range(len(base.simplices(0)))
         key = tuple([act[assignment[f]] for f, act in faces[c]])
-        return base.position_index(d).get(key, ())
+        return index[d].get(key, ())
 
-    sims = [base.simplices(d) for d in range(shape.truncation + 1)]
-    return [tuple(sorted((c, sims[d][assignment[c]]) for d, c in cells))
+    return [tuple([assignment[c] for _, c in cells])
             for _ in depth_first([(assignment, c) for _, c in order], candidates)]
 
 
@@ -210,20 +213,24 @@ def slice_sset(pres: SlicePresentation, dim: int) -> SliceSSet:
 
     Under side: cells at level n are maps K * simplex(n) -> base that
     restrict to the anchor on K; over side puts K on the right.  The
-    truncation of the base must reach dim + trunc(K) + 1.
+    truncation of the base must reach dim + trunc(K) + 1.  The maps are
+    materialized as base positions; ``cell_assignments`` is built last.
     """
     k_set = pres.anchor.source
+    base = pres.base
     need = dim + k_set.truncation + 1
-    if need > pres.base.truncation:
+    if need > base.truncation:
         raise TruncationError(
             f"slice dimension {dim} needs base truncation {need}, "
-            f"have {pres.base.truncation}"
+            f"have {base.truncation}"
         )
     under = pres.side == "under"
     shapes: list[JoinSSet] = []
     for n in range(dim + 1):
         sx = standard_simplex(n)
         shapes.append(join(k_set, sx) if under else join(sx, k_set))
+    shape_cells = [[(d, c) for d in range(s.truncation + 1) for c in s.nondegenerate(d)]
+                   for s in shapes]
 
     # the anchor's part of every level's maps, on K's cells in the join
     fixed = {
@@ -233,17 +240,17 @@ def slice_sset(pres: SlicePresentation, dim: int) -> SliceSSet:
         for c in k_set.nondegenerate(d)
     }
     levels = [
-        _enumerate_anchored_maps(shapes[n], pres.base, fixed)
+        _enumerate_anchored_maps(shapes[n], shape_cells[n], base, fixed)
         for n in range(dim + 1)
     ]
 
-    # alpha -> the join map's image of each nondegenerate cell of the
-    # source shape, in cell order, as (cell, image); built once per operator.
-    join_images: dict[MonotoneMap, list[tuple]] = {}
+    # alpha: [l] -> [n] -> per cell of shapes[l], the index in shape_cells[n]
+    # of its join-map image and the table of the image's epi; once per alpha
+    plans: dict[MonotoneMap, list[tuple]] = {}
 
     def act(value: tuple, alpha: MonotoneMap) -> tuple:
-        images = join_images.get(alpha)
-        if images is None:
+        plan = plans.get(alpha)
+        if plan is None:
             n = alpha.target_arity
             l = alpha.source_arity
             amap = standard_map(alpha)
@@ -252,16 +259,10 @@ def slice_sset(pres: SlicePresentation, dim: int) -> SliceSSet:
                 if under
                 else join_of_maps(amap, identity_map(k_set), shapes[l], shapes[n])
             )
-            images = sorted(
-                (c, jm.assignment[c])
-                for d in range(shapes[l].truncation + 1)
-                for c in shapes[l].nondegenerate(d)
-            )
-            join_images[alpha] = images
-        table = dict(value)
-        return tuple(
-            (c, pres.base.apply(table[r.cell], r.epi)) for c, r in images
-        )
+            at = {c: t for t, (_, c) in enumerate(shape_cells[n])}
+            images = [jm.assignment[c] for _, c in shape_cells[l]]
+            plan = plans[alpha] = [(at[r.cell], base.action(r.epi)) for r in images]
+        return tuple([table[value[t]] for t, table in plan])
 
     counter = [0]
 
@@ -270,7 +271,12 @@ def slice_sset(pres: SlicePresentation, dim: int) -> SliceSSet:
         return f"m{n}_{counter[0] - 1}"
 
     cells, faces, value_of = materialize_presheaf(levels, act, id_fn)
-    return SliceSSet(dim, cells, faces, value_of, pres)
+    cell_assignments = {
+        cid: tuple(sorted((c, base.simplices(d)[p])
+                          for (d, c), p in zip(shape_cells[n], value_of[cid])))
+        for n in range(dim + 1) for cid in cells[n]
+    }
+    return SliceSSet(dim, cells, faces, cell_assignments, pres)
 
 
 def slice_projection(s: SliceSSet) -> SimplicialMap:
@@ -316,7 +322,8 @@ class CosliceSSet(FinSSet):
 
 
 def coslice_fastpath(base: FinSSet, vertex: str, dim: int) -> CosliceSSet:
-    """The under-slice at a vertex, one dimension shift down the base."""
+    """The under-slice at a vertex, one dimension shift down the base,
+    on positions acted on by ``base.action(cone_operator(alpha))``."""
     if dim + 1 > base.truncation:
         raise TruncationError(
             f"coslice dimension {dim} needs base truncation {dim + 1}, "
@@ -324,29 +331,26 @@ def coslice_fastpath(base: FinSSet, vertex: str, dim: int) -> CosliceSSet:
         )
     if not base.has_cell(vertex) or base.dim_of(vertex) != 0:
         raise UnknownCellError(f"{vertex!r} is not a vertex")
-    # vertex 0 of every (n+1)-simplex, read off the kept table of [0] -> [n+1]
+    # the positions in base.simplices(n + 1) whose vertex 0, read off
+    # the kept table of [0] -> [n + 1], is the anchor
     anchor = base.position(0)[nondeg_ref(vertex, 0)]
     levels = [
-        [
-            s
-            for s, v in zip(
-                base.simplices(n + 1), base.action(MonotoneMap(0, n + 1, (0,)))
-            )
-            if v == anchor
-        ]
+        [p for p, v in enumerate(base.action(MonotoneMap(0, n + 1, (0,))))
+         if v == anchor]
         for n in range(dim + 1)
     ]
 
-    def act(value: SimplexRef, alpha: MonotoneMap) -> SimplexRef:
-        return base.apply(value, cone_operator(alpha))
+    def act(value: int, alpha: MonotoneMap) -> int:
+        return base.action(cone_operator(alpha))[value]
 
-    def id_fn(n: int, value: SimplexRef) -> str:
-        if value.epi.is_identity:
-            return f"c:{value.cell}"
-        return f"c:s0:{value.cell}"
+    def id_fn(n: int, value: int) -> str:
+        s = base.simplices(n + 1)[value]
+        return f"c:{s.cell}" if s.epi.is_identity else f"c:s0:{s.cell}"
 
     cells, faces, value_of = materialize_presheaf(levels, act, id_fn)
-    return CosliceSSet(dim, cells, faces, value_of, base, vertex)
+    underlying = {c: base.simplices(n + 1)[value_of[c]]
+                  for n in range(dim + 1) for c in cells[n]}
+    return CosliceSSet(dim, cells, faces, underlying, base, vertex)
 
 
 def coslice_projection(c: CosliceSSet) -> SimplicialMap:
@@ -369,15 +373,19 @@ def cross_validate_coslice(base: FinSSet, vertex: str, dim: int):
     fast = coslice_fastpath(base, vertex, dim)
     pres = SlicePresentation(base, vertex_anchor(base, vertex), "under")
     generic = slice_sset(pres, dim)
+
+    def top(c: str) -> SimplexRef:
+        """The base simplex under the top join cell of the generic cell c."""
+        table = dict(generic.cell_assignments[c])
+        return table[_join_id("pt", simplex_cell_id(range(generic.dim_of(c) + 1)))]
+
     for n in range(dim + 1):
         fast_cells = {}
         for c in fast.nondegenerate(n):
             fast_cells.setdefault(fast.underlying[c], c)
         gen_cells = {}
         for c in generic.nondegenerate(n):
-            table = dict(generic.cell_assignments[c])
-            top = table[_join_id("pt", simplex_cell_id(range(n + 1)))]
-            gen_cells.setdefault(top, c)
+            gen_cells.setdefault(top(c), c)
         if set(fast_cells) != set(gen_cells):
             report.problems.append(
                 f"level {n}: top-cell images differ: "
@@ -394,12 +402,8 @@ def cross_validate_coslice(base: FinSSet, vertex: str, dim: int):
             for i in range(n + 1) if n >= 1 else ():
                 fr = fast.face_entry(fc, i)
                 gr = generic.face_entry(gc, i)
-                m = gr.epi.target_arity
-                top_image = dict(generic.cell_assignments[gr.cell])[
-                    _join_id("pt", simplex_cell_id(range(m + 1)))
-                ]
                 if fast.underlying_ref(fr) != base.apply(
-                    top_image, cone_operator(gr.epi)
+                    top(gr.cell), cone_operator(gr.epi)
                 ):
                     report.problems.append(
                         f"level {n}: face {i} disagrees at {fc!r} / {gc!r}"

@@ -8,7 +8,9 @@ have these faces" question, the horn slots, the fillers, the witness
 triangles and the loop composites, is one read of the one face lookup,
 :meth:`FinSSet.position_index` ``(n, at)``, and a simplex's own faces
 come from the kept action tables of the face operators.  The searches
-hold positions; refs are built only for the results.
+hold positions; refs are built only for the results: one horn search
+serves :func:`horn_problems` and the surveys, which test each horn
+against ``position_index`` and build refs for the first unfillable one.
 """
 
 from __future__ import annotations
@@ -61,15 +63,10 @@ def find_filler(x: FinSSet, p: HornProblem):
     return x.simplices(n)[pool[0]] if pool else None
 
 
-def horn_problems(x: FinSSet, n: int, k: int):
-    """All compatible horn problems of this shape, lazily, from
-    :func:`~qckit.sset.depth_first` over the face slots in index order.
-    A slot's candidates are the (n-1)-simplices, in ``simplices`` order,
-    whose faces agree with the earlier slots by the simplicial
-    identities, so problems come lexicographically in that order.
-    Raises ValueError naming the shape unless n >= 2 and 0 <= k <= n."""
-    if n < 2 or not 0 <= k <= n:
-        raise ValueError(f"no ({n},{k})-horn: need n >= 2 and 0 <= k <= n")
+def _horn_search(x: FinSSet, n: int, k: int):
+    """The horn search on positions: yields its own ``chosen`` dict, face
+    index -> position in ``simplices(n - 1)``, once per compatible horn,
+    from :func:`~qckit.sset.depth_first` over the face slots in order."""
     slots = [i for i in range(n + 1) if i != k]
     # the slots before slot t fix its faces at their own positions
     pools = [x.position_index(n - 1, slots[:t]) for t in range(len(slots))]
@@ -82,8 +79,20 @@ def horn_problems(x: FinSSet, n: int, k: int):
         act = acts.get(slots[t])
         return pools[t].get(tuple([act[chosen[j]] for j in slots[:t]]), ())
 
-    sims = x.simplices(n - 1)
     for _ in depth_first([(chosen, i) for i in slots], candidates):
+        yield chosen
+
+
+def horn_problems(x: FinSSet, n: int, k: int):
+    """All compatible horn problems of this shape, lazily.  A face slot's
+    candidates are the (n-1)-simplices, in ``simplices`` order, whose
+    faces agree with the earlier slots by the simplicial identities, so
+    problems come lexicographically in that order.  Raises ValueError
+    naming the shape unless n >= 2 and 0 <= k <= n."""
+    if n < 2 or not 0 <= k <= n:
+        raise ValueError(f"no ({n},{k})-horn: need n >= 2 and 0 <= k <= n")
+    sims = x.simplices(n - 1)
+    for chosen in _horn_search(x, n, k):
         yield HornProblem(n, k, tuple(
             None if i == k else sims[chosen[i]] for i in range(n + 1)))
 
@@ -98,16 +107,19 @@ def _filler_survey(x: FinSSet, max_dim: int, inner_only: bool) -> ValidationRepo
     for n in range(2, max_dim + 1):
         ks = range(1, n) if inner_only else range(n + 1)
         for k in ks:
+            at = tuple(i for i in range(n + 1) if i != k)
+            fillers = x.position_index(n, at)
             unfilled = 0
             first = None
-            for p in horn_problems(x, n, k):
-                if find_filler(x, p) is None:
+            for chosen in _horn_search(x, n, k):
+                if tuple([chosen[i] for i in at]) not in fillers:
                     unfilled += 1
                     if first is None:
-                        first = p
+                        first = dict(chosen)
             if unfilled:
                 shown = tuple(
-                    None if f is None else f.sort_key() for f in first.faces
+                    None if i == k else x.simplices(n - 1)[first[i]].sort_key()
+                    for i in range(n + 1)
                 )
                 report.problems.append(
                     f"{unfilled} unfillable ({n},{k})-horns, first {shown}"

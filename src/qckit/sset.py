@@ -12,10 +12,12 @@ integer positions: entry p is the position in ``simplices(m)`` of
 ``simplices(n)[p]`` acted on by alpha.  ``apply`` answers from it.  On
 a miss it walks: it acts by the face entry for one vertex the operator
 misses, hands the rest of the operator to the tables again, and records
-the position, so each (simplex, operator) is walked once.  The tables
-are sound because cells and face entries never change after
-construction, so an entry, once walked, holds for the life of the set.
-They hold integers, not simplices, so they cost a list slot per entry.
+the position, so each (simplex, operator) is walked once.  A step's
+operator arithmetic depends only on the two operators and is factored
+once per pair for every set, so a miss costs one face-entry read and
+one table read.  The tables are sound because cells and face entries
+never change after construction, so an entry, once walked, holds for
+the life of the set.  They hold integers, a list slot per entry.
 An identity operator returns a normal-form reference itself and keeps no
 table, so callers need no shortcut of their own.  Truncation is strict: asking for simplices
 above the truncation raises, it is never silently completed.
@@ -45,6 +47,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 from .ordinals import (
@@ -142,6 +145,22 @@ class ValidationReport:
         return {"subject": self.subject, "ok": self.ok, "problems": self.problems}
 
 
+@lru_cache(maxsize=None)
+def _step(epi: MonotoneMap, alpha: MonotoneMap) -> tuple:
+    """(epi', i, mu2) with epi . alpha = face(m, i) . mu2 . epi' and i the
+    last vertex missed, or (epi', None, None) if none is; kept per pair."""
+    epi2, mono = epi_mono_factor(compose(epi, alpha))
+    if mono.is_identity:
+        return epi2, None, None
+    i = max(set(range(mono.target_arity + 1)) - set(mono.values))
+    values = tuple(v - (v > i) for v in mono.values)
+    return epi2, i, MonotoneMap(mono.source_arity, mono.target_arity - 1, values)
+
+
+# compose(g, f), kept per pair for the face walk
+_composite = lru_cache(maxsize=None)(lambda g, f: compose(g, f))
+
+
 class FinSSet:
     """Immutable-by-convention finite truncated simplicial set.
 
@@ -179,6 +198,7 @@ class FinSSet:
         self._position: dict[int, dict] = {}
         # alpha -> (table, position at n, position at m, simplices at m)
         self._actions: dict[MonotoneMap, tuple] = {}
+        self._complete: dict[MonotoneMap, list[int]] = {}  # filled by action()
         self._position_index: dict[tuple, dict] = {}
 
     # -- raw structure ------------------------------------------------
@@ -266,11 +286,13 @@ class FinSSet:
         of ``simplices(n)[p]`` acted on by alpha.  Completed through
         :meth:`apply` on first use; a value that is not an m-simplex of
         the set (a malformed set) raises KeyError."""
-        table, _, there, _ = self._kept_action(alpha)
-        if None in table:
+        table = self._complete.get(alpha)
+        if table is None:
+            table, _, there, _ = self._kept_action(alpha)
             for p, s in enumerate(self.simplices(alpha.target_arity)):
                 if table[p] is None:
                     table[p] = there[self.apply(s, alpha)]
+            self._complete[alpha] = table
         return table
 
     def _kept_action(self, alpha: MonotoneMap) -> tuple:
@@ -283,23 +305,15 @@ class FinSSet:
         return kept
 
     def _act(self, ref: SimplexRef, alpha: MonotoneMap) -> SimplexRef:
-        """The face walk behind :meth:`apply`: factor ref.epi . alpha as
-        mono . epi and act by the face entry for the last vertex the mono
-        misses; the rest of the mono acts on that entry through the kept
-        tables, so each step is walked once too."""
-        epi, mono = epi_mono_factor(compose(ref.epi, alpha))
-        if mono.is_identity:
+        """The face walk behind :meth:`apply`: act by the face entry for
+        the last vertex the mono of ref.epi . alpha misses, as
+        :func:`_step` says; the rest of the mono acts on that entry
+        through the kept tables, so each step is walked once too."""
+        epi, i, mu2 = _step(ref.epi, alpha)
+        if i is None:
             return SimplexRef(epi, ref.cell)
-        m = mono.target_arity
-        i = max(set(range(m + 1)) - set(mono.values))
-        # mono = face(m, i) . mu2, so act by the face entry first.
-        mu2 = MonotoneMap(
-            mono.source_arity,
-            m - 1,
-            tuple(v if v < i else v - 1 for v in mono.values),
-        )
         res = self._lookup(self.face_entry(ref.cell, i), mu2)
-        return SimplexRef(compose(res.epi, epi), res.cell)
+        return SimplexRef(_composite(res.epi, epi), res.cell)
 
     def simplices(self, dim: int) -> list[SimplexRef]:
         """All dim-simplices, degenerate included, in canonical order.
@@ -761,9 +775,10 @@ def materialize_presheaf(levels, act, id_fn):
     applies a monotone operator; ``id_fn(n, v)`` names nondegenerate
     values, called in level order.  Degeneracy of v is detected by
     v == (v . d_i) . s_i, and the normal form accumulates the collapsing
-    surjection.  This is the one normal-form path: the coherent nerve,
-    group nerves, the generic slice and the coslice fastpath all build
-    through it.
+    surjection.  Values are compared only within a level, one normal-form
+    dict each, so plain positions in a base's ``simplices`` are legal
+    values.  This is the one normal-form path: the coherent nerve, group
+    nerves, the generic slice and the coslice fastpath all build through it.
 
     Returns ``(cells, faces, value_of)``: the nondegenerate cell ids per
     dimension 0..len(levels)-1, each positive-dimensional cell's
@@ -771,21 +786,20 @@ def materialize_presheaf(levels, act, id_fn):
     """
     cells: dict[int, list[str]] = {d: [] for d in range(len(levels))}
     faces: dict[str, list[SimplexRef]] = {}
-    normal: dict = {}
     value_of: dict[str, object] = {}
+    normal: list[dict] = [{} for _ in levels]
     for n, vals in enumerate(levels):
+        ops = [(face(n, i), degeneracy(n - 1, i)) for i in range(n)]
         for v in vals:
-            if v in normal:
+            if v in normal[n]:
                 continue
             ref = None
             dropped_faces = []
-            for i in range(n):
-                dropped = act(v, face(n, i))
-                if act(dropped, degeneracy(n - 1, i)) == v:
-                    base = normal[dropped]
-                    ref = SimplexRef(
-                        compose(base.epi, degeneracy(n - 1, i)), base.cell
-                    )
+            for d_i, s_i in ops:
+                dropped = act(v, d_i)
+                if act(dropped, s_i) == v:
+                    base = normal[n - 1][dropped]
+                    ref = SimplexRef(compose(base.epi, s_i), base.cell)
                     break
                 dropped_faces.append(dropped)
             if ref is None:
@@ -796,8 +810,8 @@ def materialize_presheaf(levels, act, id_fn):
                 if n:
                     # the test computed faces 0..n-1; only face n is new
                     dropped_faces.append(act(v, face(n, n)))
-                    faces[cid] = [normal[w] for w in dropped_faces]
-            normal[v] = ref
+                    faces[cid] = [normal[n - 1][w] for w in dropped_faces]
+            normal[n][v] = ref
     return cells, faces, value_of
 
 

@@ -6,6 +6,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
+from qckit.join import CosliceSSet, SliceSSet, join, join_of_maps
 from qckit.ordinals import (
     MonotoneMap,
     all_monos,
@@ -24,7 +25,16 @@ from qckit.scat import (
     enumerate_functors,
     rigidify,
 )
-from qckit.sset import FinSSet, SimplexRef, TruncationError, ValidationReport, nondeg_ref
+from qckit.sset import (
+    FinSSet,
+    SimplexRef,
+    TruncationError,
+    ValidationReport,
+    identity_map,
+    nondeg_ref,
+    standard_map,
+    standard_simplex,
+)
 
 
 def bar_cell_id(entries):
@@ -728,3 +738,140 @@ def enumerate_triples(x: FinSSet, y: FinSSet, n: int) -> list[JoinTriple]:
             for r in rights:
                 out.append(JoinTriple(cut, l, r))
     return out
+
+
+# -- slices and horn surveys by the ref-valued route ---------------------
+
+
+def scan_materialize(levels, act, id_fn):
+    """``materialize_presheaf``'s (cells, faces, value_of) by its own
+    route: every value is stripped of degeneracies one face test at a
+    time, as ``functor_normal_form`` does, and every face is normalized
+    afresh the same way.  Values are keyed by (level, value)."""
+
+    def strip(n, v):
+        epi = identity(n)
+        while True:
+            for i in range(n):
+                dropped = act(v, face(n, i))
+                if act(dropped, degeneracy(n - 1, i)) == v:
+                    v, epi, n = dropped, compose(degeneracy(n - 1, i), epi), n - 1
+                    break
+            else:
+                return epi, v
+
+    cells = {n: [] for n in range(len(levels))}
+    ids, value_of = {}, {}
+    for n, vals in enumerate(levels):
+        for v in vals:
+            if (n, v) not in ids and strip(n, v)[0].is_identity:
+                ids[n, v] = cid = id_fn(n, v)
+                cells[n].append(cid)
+                value_of[cid] = v
+    faces = {}
+    for n in range(1, len(levels)):
+        for cid in cells[n]:
+            entries = []
+            for i in range(n + 1):
+                epi, w = strip(n - 1, act(value_of[cid], face(n, i)))
+                entries.append(SimplexRef(epi, ids[epi.target_arity, w]))
+            faces[cid] = entries
+    return cells, faces, value_of
+
+
+def _cone(alpha):
+    return MonotoneMap(alpha.source_arity + 1, alpha.target_arity + 1,
+                       (0,) + tuple(v + 1 for v in alpha.values))
+
+
+def scan_coslice(base, vertex, dim):
+    """``coslice_fastpath`` with refs as values: the (n+1)-simplices of
+    the base whose vertex 0, computed through ``FinSSet.apply``, is the
+    anchor, acted on by ``FinSSet.apply`` along the cone operator, and
+    normalized by ``scan_materialize``."""
+    anchor = nondeg_ref(vertex, 0)
+    levels = [
+        [s for s in base.simplices(n + 1)
+         if base.apply(s, MonotoneMap(0, n + 1, (0,))) == anchor]
+        for n in range(dim + 1)
+    ]
+
+    def id_fn(n, value):
+        return f"c:{value.cell}" if value.epi.is_identity else f"c:s0:{value.cell}"
+
+    cells, faces, value_of = scan_materialize(
+        levels, lambda v, alpha: base.apply(v, _cone(alpha)), id_fn)
+    return CosliceSSet(dim, cells, faces, value_of, base, vertex)
+
+
+def scan_slice(pres, dim):
+    """``slice_sset`` with sorted (shape cell, base simplex) tuples as
+    values: the anchored maps found by backtracking over the shape's
+    cells by dimension, each candidate's faces computed through
+    ``FinSSet.apply``; a value acted on by ``FinSSet.apply`` once per
+    image cell of the join map; normalized by ``scan_materialize``."""
+    base, k_set = pres.base, pres.anchor.source
+    under = pres.side == "under"
+    shapes = [join(k_set, standard_simplex(n)) if under
+              else join(standard_simplex(n), k_set) for n in range(dim + 1)]
+    fixed = {(f"{c}|" if under else f"|{c}"): r
+             for c, r in pres.anchor.assignment.items()}
+    by_faces = {d: scan_faces_index(base, d, range(d + 1))
+                for d in range(1, dim + k_set.truncation + 2)}
+
+    def anchored_maps(shape):
+        order = [(d, c) for d in range(shape.truncation + 1)
+                 for c in shape.nondegenerate(d) if c not in fixed]
+        table, out = dict(fixed), []
+
+        def fill(t):
+            if t == len(order):
+                out.append(tuple(sorted(table.items())))
+                return
+            d, c = order[t]
+            want = tuple(base.apply(table[r.cell], r.epi) for r in shape.face_entries(c))
+            for s in by_faces[d].get(want, ()) if d else base.simplices(0):
+                table[c] = s
+                fill(t + 1)
+                del table[c]
+
+        fill(0)
+        return out
+
+    @functools.lru_cache(maxsize=None)
+    def join_map(alpha):
+        l, n = alpha.source_arity, alpha.target_arity
+        ident, amap = identity_map(k_set), standard_map(alpha)
+        return (join_of_maps(ident, amap, shapes[l], shapes[n]) if under
+                else join_of_maps(amap, ident, shapes[l], shapes[n]))
+
+    def act(value, alpha):
+        jm, table = join_map(alpha), dict(value)
+        return tuple(sorted(
+            (c, base.apply(table[r.cell], r.epi)) for c, r in jm.assignment.items()
+        ))
+
+    counter = itertools.count()
+    cells, faces, value_of = scan_materialize(
+        [anchored_maps(shape) for shape in shapes], act,
+        lambda n, value: f"m{n}_{next(counter)}")
+    return SliceSSet(dim, cells, faces, value_of, pres)
+
+
+def scan_survey(x, max_dim, inner_only):
+    """``is_quasicategory_up_to`` (inner only) or ``is_kan_up_to``: the
+    horns of ``scan_horn_problems`` that ``scan_filler`` cannot fill,
+    counted per shape, the first one shown by its faces' sort keys."""
+    kind = "inner horns" if inner_only else "horns"
+    report = ValidationReport(f"{kind} up to dimension {max_dim}")
+    for n in range(2, max_dim + 1):
+        index = scan_face_index(x, n)
+        for k in range(1, n) if inner_only else range(n + 1):
+            unfilled = [p for p in scan_horn_problems(x, n, k)
+                        if scan_filler(x, p, index) is None]
+            if unfilled:
+                shown = tuple(None if f is None else f.sort_key()
+                              for f in unfilled[0].faces)
+                report.problems.append(
+                    f"{len(unfilled)} unfillable ({n},{k})-horns, first {shown}")
+    return report

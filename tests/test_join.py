@@ -1,10 +1,17 @@
 """Joins, the triple presentation, slices, and the coslice fastpath."""
 
+import functools
 import math
 
 import pytest
 
-from oracles import enumerate_triples, join_simplex_from_triple, triple_from_join_simplex
+from oracles import (
+    enumerate_triples,
+    join_simplex_from_triple,
+    scan_coslice,
+    scan_slice,
+    triple_from_join_simplex,
+)
 
 from qckit.join import (
     SlicePresentation,
@@ -20,7 +27,7 @@ from qckit.join import (
     slice_sset,
     vertex_anchor,
 )
-from qckit.monoids import build_reference_monoid, deloop
+from qckit.monoids import MonoidSpec, build_reference_monoid, deloop, saturating_grades
 from qckit.ordinals import degeneracy
 from qckit.scat import from_finite_category, simplicial_nerve
 from qckit.sset import (
@@ -283,3 +290,43 @@ def test_coslice_on_coherent_nerve_and_edge_anatomy():
         data = coslice_edge_anatomy(c, n, nondeg_ref(edge_cell, 1))
         assert {data.v01, data.v12, data.v02} <= {"1", "a"}
         assert data.gamma.dim == 1
+
+
+@functools.lru_cache(maxsize=None)
+def slice_base(name):
+    """The bases the slice oracles run on: three nerves and simplex(3)."""
+    if name == "simplex(3)":
+        return standard_simplex(3)
+    spec = {
+        "default": None,
+        "Z/3": MonoidSpec(saturating_grades(2), {"1": "Z/3", "2+": "Z/3"}, 3),
+        "four grades": MonoidSpec(
+            saturating_grades(3), {"1": "Z/2", "2": "Z/2", "3+": "Z/2"}, 3),
+    }[name]
+    return simplicial_nerve(deloop(build_reference_monoid(spec)), 3)
+
+
+@pytest.mark.parametrize("name", ["default", "Z/3", "four grades", "simplex(3)"])
+def test_slices_match_the_apply_scan(name):
+    # both routes of the cross-validation share materialize_presheaf, so
+    # each is also checked against the ref-valued route, which acts by
+    # FinSSet.apply per value and normalizes by its own routine
+    base = slice_base(name)
+    v = base.nondegenerate(0)[0]
+    report, fast, generic = cross_validate_coslice(base, v, 2)
+    assert report.ok, report.problems
+    want = scan_coslice(base, v, 2)
+    assert fast.to_json() == want.to_json()
+    assert list(fast.underlying.items()) == list(want.underlying.items())
+    want = scan_slice(generic.presentation, 2)
+    assert generic.to_json() == want.to_json()
+    assert list(generic.cell_assignments.items()) == list(want.cell_assignments.items())
+
+
+@pytest.mark.parametrize("name", ["default", "simplex(3)"])
+def test_over_slice_matches_the_apply_scan(name):
+    base = slice_base(name)
+    pres = SlicePresentation(base, vertex_anchor(base, base.nondegenerate(0)[-1]), "over")
+    got, want = slice_sset(pres, 2), scan_slice(pres, 2)
+    assert got.to_json() == want.to_json()
+    assert list(got.cell_assignments.items()) == list(want.cell_assignments.items())

@@ -18,6 +18,7 @@ from oracles import (
     scan_invertible_edge,
     scan_pi0,
     scan_pi1,
+    scan_survey,
 )
 from qckit.join import coslice_fastpath
 from qckit.monoids import (
@@ -321,6 +322,23 @@ def test_horn_search_matches_the_apply_scan(name, request):
             assert problems == scan_horn_problems(x, n, k)
             for p in problems:
                 assert find_filler(x, p) == scan_filler(x, p, index)
+
+
+@pytest.mark.parametrize("name", ORACLE_FIXTURES + ["b_absorbing"])
+def test_surveys_match_the_apply_scan(name, request):
+    # the surveys test horns on positions; the scan builds every horn
+    # problem as refs and fills it through FinSSet.apply, as find_filler's
+    # oracle does, so the counts and the first horn shown are both checked
+    if name == "b_absorbing":
+        x = request.getfixturevalue(name)
+    else:
+        x = oracle_fixture(name, request)
+    for top in range(2, x.truncation + 1):
+        for survey, inner in ((is_quasicategory_up_to, True), (is_kan_up_to, False)):
+            got, want = survey(x, top), scan_survey(x, top, inner)
+            assert (got.subject, got.problems) == (want.subject, want.problems)
+    if name in ("simplex(3)", "horn(2,1)", "b_absorbing"):
+        assert not is_kan_up_to(x, x.truncation).ok
 
 
 def test_simplex_is_a_quasicategory_but_not_kan():

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from oracles import scan_apply
 from qckit.ordinals import MonotoneMap, all_maps, compose, degeneracy, face, identity
 from qckit.sset import (
     FinSSet,
@@ -13,6 +14,7 @@ from qckit.sset import (
     horn,
     identity_map,
     iso_search,
+    materialize_presheaf,
     nondeg_ref,
     point,
     standard_map,
@@ -181,3 +183,63 @@ def test_collapsing_standard_map_hits_degeneracies():
     assert validate_map(f).ok
     img = f.assignment["0-1-2"]
     assert img.is_degenerate and img.cell == "0-1"
+
+
+@pytest.mark.parametrize("x", [standard_simplex(1, truncation=2), degenerate_sphere()],
+                         ids=["simplex(1)", "degenerate-sphere"])
+def test_materialize_accepts_values_repeated_across_levels(x):
+    # positions repeat across levels (0 is a vertex, an edge and a
+    # triangle of both sets); as values they give the same cells and
+    # faces as the refs they stand for, named alike.  The sphere's
+    # triangle has degenerate edges as faces, which share position 0
+    # with its vertex.
+    sims = [x.simplices(n) for n in range(3)]
+
+    def name(n, s):
+        return f"{n}:{s.cell}"
+
+    by_ref = materialize_presheaf(sims, x.apply, name)
+    by_pos = materialize_presheaf(
+        [range(len(level)) for level in sims],
+        lambda p, alpha: x.action(alpha)[p],
+        lambda n, p: name(n, sims[n][p]),
+    )
+    assert by_pos[:2] == by_ref[:2]
+    assert {c: sims[int(c[0])][p] for c, p in by_pos[2].items()} == by_ref[2]
+    assert [len(by_ref[0][n]) for n in range(3)] == [
+        x.cell_count(n) for n in range(3)]
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+def test_the_operator_step_cache_holds_no_per_set_state():
+    # fill the cache from a well-formed set, then act on broken copies
+    # whose face entries differ from it under the same operators
+    good = standard_simplex(3)
+    calls = [(s, op) for n in range(4) for s in good.simplices(n)
+             for m in range(4) for op in all_maps(m, n)]
+    for s, op in calls:
+        good.apply(s, op)
+    cells = {d: good.nondegenerate(d) for d in range(4)}
+    faces = {c: list(good.face_entries(c)) for d in range(1, 4) for c in cells[d]}
+    d0, d1, d2 = faces["0-1-2"]
+
+    bad = FinSSet(3, cells, {**faces, "0-1-2": [d0, nondeg_ref("ghost", 1), d2]})
+    named = "face 1 of cell '0-1-2' references unknown cell 'ghost'"
+    for s, op in [(nondeg_ref("0-1-2", 2), face(2, 1)),
+                  (nondeg_ref("0-1-2-3", 3), MonotoneMap(1, 3, (0, 2)))]:
+        with pytest.raises(UnknownCellError, match=named):
+            bad.apply(s, op)
+        with pytest.raises(UnknownCellError, match=named):
+            scan_apply(bad, s, op)
+
+    swapped = {**faces, "0-1-2": [d1, d0, d2]}
+    bad = FinSSet(3, cells, swapped)
+    got = [outcome(bad.apply, s, op) for s, op in calls]
+    assert got == [outcome(scan_apply, bad, s, op) for s, op in calls]
+    assert got != [("value", good.apply(s, op)) for s, op in calls]
