@@ -6,7 +6,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qckit.join import CosliceSSet, SliceSSet, join, join_of_maps
+from qckit.join import CosliceSSet, SliceSSet, cone_operator, join, join_of_maps
 from qckit.ordinals import (
     MonotoneMap,
     all_monos,
@@ -779,11 +779,6 @@ def scan_materialize(levels, act, id_fn):
     return cells, faces, value_of
 
 
-def _cone(alpha):
-    return MonotoneMap(alpha.source_arity + 1, alpha.target_arity + 1,
-                       (0,) + tuple(v + 1 for v in alpha.values))
-
-
 def scan_coslice(base, vertex, dim):
     """``coslice_fastpath`` with refs as values: the (n+1)-simplices of
     the base whose vertex 0, computed through ``FinSSet.apply``, is the
@@ -800,7 +795,7 @@ def scan_coslice(base, vertex, dim):
         return f"c:{value.cell}" if value.epi.is_identity else f"c:s0:{value.cell}"
 
     cells, faces, value_of = scan_materialize(
-        levels, lambda v, alpha: base.apply(v, _cone(alpha)), id_fn)
+        levels, lambda v, alpha: base.apply(v, cone_operator(alpha)), id_fn)
     return CosliceSSet(dim, cells, faces, value_of, base, vertex)
 
 
