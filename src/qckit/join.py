@@ -5,9 +5,12 @@ The join X * Y is built by one rule: a nondegenerate n-cell is a pair
 part may be the empty part (None, of dimension -1), so a cell of X or of
 Y alone is a pair with an empty part.  Face i of (a, b) is face i of a
 when i <= dim a and face i - dim a - 1 of b otherwise; the face of a
-vertex is the empty part.  The test oracles cross-check it against the
-equivalent presentation by triples (projection to the interval, left
-part, right part); the two are bijective level by level.
+vertex is the empty part.  Maps of joins (:func:`join_of_maps`) go part
+by part by the same rule.  The test oracles hold what only the tests
+read: the cofactor inclusions, the isomorphism simplex(k) * simplex(l)
+= simplex(k+1+l), the slice and coslice projections, and the equivalent
+presentation by triples (projection to the interval, left part, right
+part), bijective with the pairs level by level.
 
 Slices are simplicial sets of anchored maps out of joins with a standard
 simplex; the vertex-anchored under-slice has a fastpath through the cone
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ordinals import MonotoneMap, face
+from .ordinals import MonotoneMap
 from .sset import (
     FinSSet,
     SimplexRef,
@@ -107,18 +110,6 @@ def join(x: FinSSet, y: FinSSet) -> JoinSSet:
     return JoinSSet(trunc, cells, faces, parts, (x, y))
 
 
-def join_inclusions(j: JoinSSet) -> tuple[SimplicialMap, SimplicialMap]:
-    """The two cofactor inclusions into the join: a factor's cell c goes
-    to the pair with c in that factor's place and the other part empty."""
-    return tuple(
-        SimplicialMap(s, j, {
-            ab[k]: nondeg_ref(cid, j.dim_of(cid))
-            for cid, ab in j.parts.items() if ab[1 - k] is None
-        })
-        for k, s in enumerate(j.factors)
-    )
-
-
 def join_of_maps(f: SimplicialMap, g: SimplicialMap,
                  source: JoinSSet | None = None,
                  target: JoinSSet | None = None) -> SimplicialMap:
@@ -131,19 +122,6 @@ def join_of_maps(f: SimplicialMap, g: SimplicialMap,
         for cid, (a, b) in src.parts.items()
     }
     return SimplicialMap(src, tgt, assignment)
-
-
-def simplex_join_iso(k: int, l: int) -> SimplicialMap:
-    """The canonical isomorphism simplex(k) * simplex(l) = simplex(k+1+l),
-    vertex i on the left to i, vertex i on the right to k+1+i."""
-    j = join(standard_simplex(k), standard_simplex(l))
-    tgt = standard_simplex(k + 1 + l)
-    assignment = {}
-    for cid, (a, b) in j.parts.items():
-        va = () if a is None else tuple(int(v) for v in a.split("-"))
-        vb = () if b is None else tuple(k + 1 + int(v) for v in b.split("-"))
-        assignment[cid] = nondeg_ref(simplex_cell_id(va + vb), len(va) + len(vb) - 1)
-    return SimplicialMap(j, tgt, assignment)
 
 
 # -- slices -----------------------------------------------------------
@@ -190,8 +168,7 @@ def _enumerate_anchored_maps(shape: JoinSSet, cells: list, base: FinSSet,
     assignment = {c: base.position(shape.dim_of(c))[r] for c, r in fixed.items()}
     # per free cell of dimension >= 1: (face cell, its value's table) per face
     faces = {
-        c: [(r.cell, range(len(base.simplices(d - 1))) if r.epi.is_identity
-             else base.action(r.epi)) for r in shape.face_entries(c)]
+        c: [(r.cell, base.action(r.epi)) for r in shape.face_entries(c)]
         for d, c in order if d
     }
 
@@ -279,19 +256,6 @@ def slice_sset(pres: SlicePresentation, dim: int) -> SliceSSet:
     return SliceSSet(dim, cells, faces, cell_assignments, pres)
 
 
-def slice_projection(s: SliceSSet) -> SimplicialMap:
-    """Restriction to the simplex factor: the forgetful map to the base."""
-    under = s.presentation.side == "under"
-    assignment = {}
-    for d in range(s.truncation + 1):
-        top = simplex_cell_id(range(d + 1))
-        jid = _join_id(None, top) if under else _join_id(top, None)
-        for c in s.nondegenerate(d):
-            table = dict(s.cell_assignments[c])
-            assignment[c] = table[jid]
-    return SimplicialMap(s, s.presentation.base, assignment)
-
-
 # -- the vertex-anchored coslice fastpath -----------------------------
 
 
@@ -309,11 +273,10 @@ class CosliceSSet(FinSSet):
     """Vertex coslice via the cone identification: an n-cell is an
     (n+1)-simplex of the base starting at the anchor vertex."""
 
-    def __init__(self, truncation, cells, faces, underlying, base, at):
+    def __init__(self, truncation, cells, faces, underlying, base):
         super().__init__(truncation, cells, faces)
         self.underlying: dict[str, SimplexRef] = underlying
         self.base: FinSSet = base
-        self.at: str = at
 
     def underlying_ref(self, ref: SimplexRef) -> SimplexRef:
         """The base simplex beneath any coslice simplex."""
@@ -350,17 +313,7 @@ def coslice_fastpath(base: FinSSet, vertex: str, dim: int) -> CosliceSSet:
     cells, faces, value_of = materialize_presheaf(levels, act, id_fn)
     underlying = {c: base.simplices(n + 1)[value_of[c]]
                   for n in range(dim + 1) for c in cells[n]}
-    return CosliceSSet(dim, cells, faces, underlying, base, vertex)
-
-
-def coslice_projection(c: CosliceSSet) -> SimplicialMap:
-    """Forgets the anchor leg: an n-cell goes to the face of its
-    underlying simplex opposite the cone vertex."""
-    assignment = {}
-    for d in range(c.truncation + 1):
-        for cell in c.nondegenerate(d):
-            assignment[cell] = c.base.apply(c.underlying[cell], face(d + 1, 0))
-    return SimplicialMap(c, c.base, assignment)
+    return CosliceSSet(dim, cells, faces, underlying, base)
 
 
 def cross_validate_coslice(base: FinSSet, vertex: str, dim: int):

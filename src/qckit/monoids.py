@@ -35,6 +35,7 @@ from .sset import (
     FinSSet,
     SimplexRef,
     ValidationReport,
+    associativity_failures,
     iso_search,
     materialize_presheaf,
     validate,
@@ -365,15 +366,12 @@ def validate_monoid(m: GradedSimplicialMonoid) -> ValidationReport:
             t_hk = m.product[(h, k)].table(level)
             lhs = m.product[(gh, k)].table(level)
             rhs = m.product[(g, hk)].table(level)
-            # (ab)c against a(bc), a whole row of c at a time
-            for row_ab, r_a in zip(t_gh, rhs):
-                for ab, bcs in zip(row_ab, t_hk):
-                    if lhs[ab] != [r_a[bc] for bc in bcs]:
-                        report.problems.append(
-                            f"associativity fails at grades "
-                            f"({g!r}, {h!r}, {k!r}) level {level}"
-                        )
-                        return report
+            for _ in associativity_failures(t_gh, t_hk, lhs, rhs):
+                report.problems.append(
+                    f"associativity fails at grades "
+                    f"({g!r}, {h!r}, {k!r}) level {level}"
+                )
+                return report
     return report
 
 

@@ -71,10 +71,6 @@ class MonotoneMap:
         return self.values == _iota(self.target_arity)
 
     @property
-    def is_injective(self) -> bool:
-        return len(set(self.values)) == len(self.values)
-
-    @property
     def is_surjective(self) -> bool:
         return _image_size(self.values) == self.target_arity + 1
 
@@ -129,15 +125,6 @@ def all_maps(m: int, n: int) -> list[MonotoneMap]:
 
 def all_epis(m: int, n: int) -> list[MonotoneMap]:
     return [f for f in all_maps(m, n) if f.is_surjective]
-
-
-def all_monos(m: int, n: int) -> list[MonotoneMap]:
-    if m > n:
-        return []
-    return [
-        MonotoneMap(m, n, vals)
-        for vals in itertools.combinations(range(n + 1), m + 1)
-    ]
 
 
 @lru_cache(maxsize=None)

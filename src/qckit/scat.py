@@ -12,8 +12,9 @@ the one path that strips degeneracies and normalizes faces.
 
 A functor is stored as its object map and a code: per nondegenerate
 chain of rigidify(k), in a fixed layout, the position of the chain's
-value in its target hom's ``simplices``.  Refs appear only when a
-functor is read back as chain-keyed assignments.
+value in its target hom's ``simplices``.  There is no chain-keyed
+view of a whole functor: refs appear only where one pair is read back
+by ``hom_map`` or one field by the classification.
 
 Free versus forced cells: a nondegenerate chain of P(i,j) whose least
 element is the bottom {i, j} is free; any other chain has an interior
@@ -59,6 +60,7 @@ from .sset import (
     SimplicialMap,
     TruncationError,
     ValidationReport,
+    associativity_failures,
     depth_first,
     materialize_presheaf,
     nondeg_ref,
@@ -159,27 +161,14 @@ def validate_scat(d: SCat, max_level: int | None = None) -> ValidationReport:
                             f"right unit law fails at level {m} on "
                             f"({x!r},{y!r}): {f.cell!r}"
                         )
-    for w in d.objects:
-        for x in d.objects:
-            for y in d.objects:
-                for z in d.objects:
-                    for m in range(cap + 1):
-                        t_ab = tables[(x, y, z)][m]
-                        t_bc = tables[(w, x, y)][m]
-                        lhs = tables[(w, x, z)][m]
-                        rhs = tables[(w, y, z)][m]
-                        # (ab)c against a(bc), a whole row of c at a time
-                        for row_ab, r_a in zip(t_ab, rhs):
-                            for ab, bcs in zip(row_ab, t_bc):
-                                l_row = lhs[ab]
-                                r_row = [r_a[bc] for bc in bcs]
-                                if l_row != r_row:
-                                    report.problems.extend(
-                                        f"associativity fails at level {m} on "
-                                        f"({w!r},{x!r},{y!r},{z!r})"
-                                        for lc, rc in zip(l_row, r_row)
-                                        if lc != rc
-                                    )
+    for w, x, y, z in itertools.product(d.objects, repeat=4):
+        for m in range(cap + 1):
+            report.problems.extend(
+                f"associativity fails at level {m} on ({w!r},{x!r},{y!r},{z!r})"
+                for _ in associativity_failures(
+                    tables[(x, y, z)][m], tables[(w, x, y)][m],
+                    tables[(w, x, z)][m], tables[(w, y, z)][m])
+            )
     return report
 
 
@@ -255,13 +244,10 @@ def _layout(k: int) -> tuple[tuple, dict, tuple]:
 
 
 def _act(h: FinSSet, epi: MonotoneMap):
-    """epi's action on h's code values: its kept action table, a range
-    for the identity, and an :class:`_ActAbove` at a level above h's
-    truncation."""
+    """epi's action on h's code values: its kept action table, or an
+    :class:`_ActAbove` at a level above h's truncation."""
     if max(epi.source_arity, epi.target_arity) > h.truncation:
         return _ActAbove(h, epi)
-    if epi.is_identity:
-        return range(len(h.simplices(epi.source_arity)))
     return h.action(epi)
 
 
@@ -373,8 +359,9 @@ class SimplicialFunctor:
     simplex of its hom at the chain's dimension, or above the hom's
     truncation) is kept as the ref itself, so a functor built by hand
     from chain-keyed assignments stays diagnosable by
-    :func:`validate_functor`.  :attr:`assignments` reads the code back
-    as refs.  Functors are equal when their object maps and codes are."""
+    :func:`validate_functor`.  :meth:`hom_map` reads a pair's entries
+    back as refs.  Functors are equal when their object maps and codes
+    are."""
 
     __slots__ = ("arity", "target", "object_map", "code")
 
@@ -396,16 +383,6 @@ class SimplicialFunctor:
         f = cls.__new__(cls)
         f.arity, f.target, f.object_map, f.code = arity, target, object_map, code
         return f
-
-    @property
-    def assignments(self) -> dict[tuple, dict[str, SimplexRef]]:
-        """The code as refs, per pair and chain id."""
-        out: dict[tuple, dict[str, SimplexRef]] = {}
-        homs = _frame(self.target, self.arity, self.object_map).homs
-        for (pair, cid, m), h, v in zip(_layout(self.arity)[0], homs, self.code):
-            if v is not None:
-                out.setdefault(pair, {})[cid] = _ref(h, m, v)
-        return out
 
     def signature(self) -> tuple:
         """The sort key of the nerve's cell order: the object map, then
@@ -491,19 +468,6 @@ def _image_chains(op: MonotoneMap) -> tuple:
         img = normalize_chain([frozenset(op(v) for v in s) for s in chain_sets(cid)])
         out.append((index[(op(i), op(j)), img.cell], img.epi))
     return tuple(out)
-
-
-def rigidify_map(op: MonotoneMap) -> SimplicialFunctor:
-    """The functor rigidify(l) -> rigidify(k) induced by op: [l] -> [k]."""
-    return precompose(_identity_functor(op.target_arity), op)
-
-
-@lru_cache(maxsize=None)
-def _identity_functor(k: int) -> SimplicialFunctor:
-    assignments: dict[tuple, dict[str, SimplexRef]] = {}
-    for pair, cid, m in _layout(k)[0]:
-        assignments.setdefault(pair, {})[cid] = nondeg_ref(cid, m)
-    return SimplicialFunctor(k, rigidify(k), tuple(range(k + 1)), assignments)
 
 
 def validate_functor(f: SimplicialFunctor) -> ValidationReport:
@@ -817,9 +781,11 @@ def scat_to_manifest(d: SCat, directory: str, stem: str = "scat") -> str:
     for (x, y, z), bm in d.comp.items():
         levels = {}
         for m in range(d.level_cap + 1):
+            zs = bm.target.simplices(m)
             levels[str(m)] = [
-                [a.to_json(), b.to_json(), out.to_json()]
-                for a, b, out in bm.level_table(m)
+                [a.to_json(), b.to_json(), zs[t].to_json()]
+                for a, row in zip(bm.x.simplices(m), bm.table(m))
+                for b, t in zip(bm.y.simplices(m), row)
             ]
         comp_tables[f"{x}|{y}|{z}"] = levels
     manifest = {

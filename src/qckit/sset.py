@@ -18,9 +18,11 @@ once per pair for every set, so a miss costs one face-entry read and
 one table read.  The tables are sound because cells and face entries
 never change after construction, so an entry, once walked, holds for
 the life of the set.  They hold integers, a list slot per entry.
-An identity operator returns a normal-form reference itself and keeps no
-table, so callers need no shortcut of their own.  Truncation is strict: asking for simplices
-above the truncation raises, it is never silently completed.
+An identity operator keeps no table: ``apply`` returns a normal-form
+reference itself and :meth:`FinSSet.action` answers with a range of
+positions, so callers need no shortcut of their own.  Truncation is
+strict: asking for simplices above the truncation raises, it is never
+silently completed.
 
 The one face lookup is :meth:`FinSSet.position_index` ``(n, at)``:
 the positions of the n-simplices keyed by the positions of their faces
@@ -140,9 +142,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.problems
-
-    def to_json(self) -> dict:
-        return {"subject": self.subject, "ok": self.ok, "problems": self.problems}
 
 
 @lru_cache(maxsize=None)
@@ -285,9 +284,12 @@ class FinSSet:
         truncation: entry p is the position in :meth:`simplices` ``(m)``
         of ``simplices(n)[p]`` acted on by alpha.  Completed through
         :meth:`apply` on first use; a value that is not an m-simplex of
-        the set (a malformed set) raises KeyError."""
+        the set (a malformed set) raises KeyError.  An identity is
+        answered by a range and keeps no table."""
         table = self._complete.get(alpha)
         if table is None:
+            if alpha.is_identity:
+                return range(len(self.simplices(alpha.source_arity)))
             table, _, there, _ = self._kept_action(alpha)
             for p, s in enumerate(self.simplices(alpha.target_arity)):
                 if table[p] is None:
@@ -514,13 +516,6 @@ class SimplicialMap:
             raise UnknownCellError(ref.cell)
         return self.target.apply(self.assignment[ref.cell], ref.epi)
 
-    def compose_with(self, other: "SimplicialMap") -> "SimplicialMap":
-        """self after other."""
-        assignment = {
-            c: self.image(r) for c, r in other.assignment.items()
-        }
-        return SimplicialMap(other.source, self.target, assignment)
-
 
 def identity_map(x: FinSSet) -> SimplicialMap:
     assignment = {}
@@ -720,14 +715,6 @@ class BilevelMap:
             self._tables[level] = rows
         return rows
 
-    def level_table(self, level: int) -> list[tuple[SimplexRef, SimplexRef, SimplexRef]]:
-        zs = self.target.simplices(level)
-        return [
-            (a, b, zs[t])
-            for a, row in zip(self.x.simplices(level), self.table(level))
-            for b, t in zip(self.y.simplices(level), row)
-        ]
-
 
 def validate_bilevel(bm: BilevelMap, max_dim: int) -> ValidationReport:
     """Every value is a simplex of the target, and every face and
@@ -763,6 +750,21 @@ def validate_bilevel(bm: BilevelMap, max_dim: int) -> ValidationReport:
                             f"({a.cell!r}.{a.epi.values}, {b.cell!r}.{b.epi.values})"
                         )
     return report
+
+
+def associativity_failures(t_ab, t_bc, lhs, rhs):
+    """Yields (ab, c) once per entry where (ab)c != a(bc), over level
+    tables of positions: ``t_ab[a][b]`` is ab, ``t_bc[b][c]`` is bc,
+    and ``lhs[ab][c]`` and ``rhs[a][bc]`` are the two composites.  A
+    whole row of c is compared at a time; entries are listed only
+    where a row differs."""
+    for row_ab, r_a in zip(t_ab, rhs):
+        for ab, bcs in zip(row_ab, t_bc):
+            r_row = [r_a[bc] for bc in bcs]
+            if lhs[ab] != r_row:
+                for c, (lc, rc) in enumerate(zip(lhs[ab], r_row)):
+                    if lc != rc:
+                        yield ab, c
 
 
 # -- materializing an abstract presheaf ------------------------------

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from qckit.join import CosliceSSet, SliceSSet, cone_operator, join, join_of_maps
+from qckit.monoids import GradeMonoid, MonoidSpec
 from qckit.ordinals import (
     MonotoneMap,
-    all_monos,
     compose,
     degeneracy,
     epi_mono_factor,
@@ -23,15 +23,19 @@ from qckit.scat import (
     NerveSSet,
     SimplicialFunctor,
     enumerate_functors,
+    from_finite_category,
+    precompose,
     rigidify,
 )
 from qckit.sset import (
     FinSSet,
     SimplexRef,
+    SimplicialMap,
     TruncationError,
     ValidationReport,
     identity_map,
     nondeg_ref,
+    simplex_cell_id,
     standard_map,
     standard_simplex,
 )
@@ -490,18 +494,18 @@ def scan_precompose(f, op):
         raise TruncationError(f"operator into [{op.target_arity}] against arity {f.arity}")
     l = op.source_arity
     src = rigidify(l)
-    values = f.assignments
-    assignments = {}
+    values = assignments(f)
+    out = {}
     for i in range(l + 1):
         for j in range(i, l + 1):
             h = f.target.hom(f.object_map[op(i)], f.object_map[op(j)])
-            table = assignments[(i, j)] = {}
+            table = out[(i, j)] = {}
             for m in range(max(j - i, 1)):
                 for cid in src.hom(i, j).nondegenerate(m):
                     img = _direct_image(op, cid)
                     table[cid] = h.apply(values[(op(i), op(j))][img.cell], img.epi)
     objs = tuple(f.object_map[op(v)] for v in range(l + 1))
-    return SimplicialFunctor(l, f.target, objs, assignments)
+    return SimplicialFunctor(l, f.target, objs, out)
 
 
 def ref_signature(f):
@@ -512,7 +516,7 @@ def ref_signature(f):
         f.object_map,
         tuple(
             (pair, tuple(sorted((c, r.sort_key()) for c, r in table.items())))
-            for pair, table in sorted(f.assignments.items())
+            for pair, table in sorted(assignments(f).items())
         ),
     )
 
@@ -660,12 +664,122 @@ def horn_compatibility(x: FinSSet, p: HornProblem) -> ValidationReport:
     return report
 
 
+def discrete_spec() -> MonoidSpec:
+    """Grades 1 and a with a.a = a, a trivial component: no higher cells."""
+    grades = GradeMonoid(
+        ("1", "a"), "1",
+        {("1", "1"): "1", ("1", "a"): "a", ("a", "1"): "a", ("a", "a"): "a"},
+    )
+    return MonoidSpec(grades, {"a": "trivial"}, 3)
+
+
+def one_object_category(names, mul, truncation: int = 3):
+    """One object '*' with discrete homs on the morphisms ``names``, the
+    first the identity, composed by ``mul(later, earlier)``."""
+    return from_finite_category(
+        ("*",), {("*", "*"): list(names)},
+        lambda x, y, z, later, earlier: mul(later, earlier),
+        {"*": names[0]}, truncation)
+
+
 def cyclic_table(n: int) -> dict:
     return {(i, j): (i + j) % n for i in range(n) for j in range(n)}
 
 
 def empty_sset(truncation: int = 0) -> FinSSet:
     return FinSSet(truncation, {}, {})
+
+
+def all_monos(m: int, n: int) -> list[MonotoneMap]:
+    """Every injective monotone map [m] -> [n], lexicographic."""
+    return [MonotoneMap(m, n, vals) for vals in itertools.combinations(range(n + 1), m + 1)]
+
+
+def is_injective(f: MonotoneMap) -> bool:
+    return len(set(f.values)) == len(f.values)
+
+
+def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
+    """g after f."""
+    return SimplicialMap(f.source, g.target,
+                         {c: g.image(r) for c, r in f.assignment.items()})
+
+
+def assignments(f: SimplicialFunctor) -> dict:
+    """f's values as refs, per pair and chain id, read through
+    ``hom_map``; a pair with no value is left out."""
+    out = {}
+    for i in range(f.arity + 1):
+        for j in range(i, f.arity + 1):
+            table = f.hom_map(i, j).assignment
+            if table:
+                out[(i, j)] = table
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def identity_functor(k: int) -> SimplicialFunctor:
+    """rigidify(k) -> rigidify(k), each chain to itself."""
+    src = rigidify(k)
+    return SimplicialFunctor(k, src, tuple(range(k + 1)), {
+        pair: {c: nondeg_ref(c, d) for d in range(h.truncation + 1)
+               for c in h.nondegenerate(d)}
+        for pair, h in src.homs.items()
+    })
+
+
+def rigidify_map(op: MonotoneMap) -> SimplicialFunctor:
+    """The functor rigidify(l) -> rigidify(k) induced by op: [l] -> [k]."""
+    return precompose(identity_functor(op.target_arity), op)
+
+
+# -- maps into and out of joins and slices ------------------------------
+
+
+def join_inclusions(j) -> tuple[SimplicialMap, SimplicialMap]:
+    """The two cofactor inclusions into the join: a factor's cell c goes
+    to the pair with c in that factor's place and the other part empty."""
+    return tuple(
+        SimplicialMap(s, j, {
+            ab[k]: nondeg_ref(cid, j.dim_of(cid))
+            for cid, ab in j.parts.items() if ab[1 - k] is None
+        })
+        for k, s in enumerate(j.factors)
+    )
+
+
+def simplex_join_iso(k: int, l: int) -> SimplicialMap:
+    """The canonical isomorphism simplex(k) * simplex(l) = simplex(k+1+l),
+    vertex i on the left to i, vertex i on the right to k+1+i."""
+    j = join(standard_simplex(k), standard_simplex(l))
+    assignment = {}
+    for cid, (a, b) in j.parts.items():
+        va = () if a is None else tuple(int(v) for v in a.split("-"))
+        vb = () if b is None else tuple(k + 1 + int(v) for v in b.split("-"))
+        assignment[cid] = nondeg_ref(simplex_cell_id(va + vb), len(va) + len(vb) - 1)
+    return SimplicialMap(j, standard_simplex(k + 1 + l), assignment)
+
+
+def slice_projection(s: SliceSSet) -> SimplicialMap:
+    """Restriction to the simplex factor: the forgetful map to the base."""
+    under = s.presentation.side == "under"
+    assignment = {}
+    for d in range(s.truncation + 1):
+        top = simplex_cell_id(range(d + 1))
+        jid = f"|{top}" if under else f"{top}|"
+        for c in s.nondegenerate(d):
+            assignment[c] = dict(s.cell_assignments[c])[jid]
+    return SimplicialMap(s, s.presentation.base, assignment)
+
+
+def coslice_projection(c: CosliceSSet) -> SimplicialMap:
+    """Forgets the anchor leg: an n-cell goes to the face of its
+    underlying simplex opposite the cone vertex."""
+    assignment = {
+        cell: c.base.apply(c.underlying[cell], face(d + 1, 0))
+        for d in range(c.truncation + 1) for cell in c.nondegenerate(d)
+    }
+    return SimplicialMap(c, c.base, assignment)
 
 
 # -- the triple presentation of the join --------------------------------
@@ -796,7 +910,7 @@ def scan_coslice(base, vertex, dim):
 
     cells, faces, value_of = scan_materialize(
         levels, lambda v, alpha: base.apply(v, cone_operator(alpha)), id_fn)
-    return CosliceSSet(dim, cells, faces, value_of, base, vertex)
+    return CosliceSSet(dim, cells, faces, value_of, base)
 
 
 def scan_slice(pres, dim):

@@ -3,21 +3,14 @@ budget enforced and a single summary line printed on success."""
 
 import itertools
 import json
-import math
 import random
 import time
 
 import oracles
 
 from qckit.cli import main
-from qckit.join import (
-    coslice_fastpath,
-    cross_validate_coslice,
-    join_inclusions,
-    simplex_join_iso,
-)
+from qckit.join import coslice_fastpath, cross_validate_coslice
 from qckit.monoids import (
-    GradeMonoid,
     MonoidSpec,
     boxplus,
     build_reference_monoid,
@@ -66,14 +59,6 @@ class Budget:
         )
         assert elapsed <= self.seconds, line.replace("PASS", "OVER BUDGET")
         print(line)
-
-
-def discrete_spec() -> MonoidSpec:
-    grades = GradeMonoid(
-        ("1", "a"), "1",
-        {("1", "1"): "1", ("1", "a"): "a", ("a", "1"): "a", ("a", "a"): "a"},
-    )
-    return MonoidSpec(grades, {"a": "trivial"}, 3)
 
 
 def reference_nerve(dim: int = 3):
@@ -146,7 +131,7 @@ def test_criterion_2_low_simplex_classification():
 
 def test_criterion_3_discrete_enrichment_oracle():
     budget = Budget("3 (discrete enrichment)", 5.0)
-    x = simplicial_nerve(deloop(build_reference_monoid(discrete_spec())), 3)
+    x = simplicial_nerve(deloop(build_reference_monoid(oracles.discrete_spec())), 3)
     assert [len(x.simplices(d)) for d in range(4)] == [1, 2, 4, 8]
 
     table = {("1", "1"): "1", ("1", "a"): "a", ("a", "1"): "a", ("a", "a"): "a"}
@@ -161,14 +146,14 @@ def test_criterion_4_join_canonical_iso():
     budget = Budget("4 (join canonical iso)", 5.0)
     for k in range(4):
         for l in range(4):
-            iso = simplex_join_iso(k, l)
+            iso = oracles.simplex_join_iso(k, l)
             assert validate_map(iso).ok
             j, tgt = iso.source, iso.target
             for d in range(k + l + 2):
                 images = {iso.image(r) for r in j.simplices(d)}
                 assert len(images) == len(j.simplices(d))
                 assert images == set(tgt.simplices(d))
-            left, right = join_inclusions(j)
+            left, right = oracles.join_inclusions(j)
             for i in range(k + 1):
                 v = left.image(nondeg_ref(str(i), 0))
                 assert iso.image(v).cell == str(i)
@@ -185,7 +170,7 @@ def test_criterion_5_coslice_anatomy():
         standard_simplex(3),
         boundary(3),
         group_nerve(cyclic_group(2), 3),
-        simplicial_nerve(deloop(build_reference_monoid(discrete_spec())), 3),
+        simplicial_nerve(deloop(build_reference_monoid(oracles.discrete_spec())), 3),
         nerve3,
     ]
     for fix in fixtures:
@@ -275,7 +260,7 @@ def test_criterion_9_self_consistency(tmp_path):
     # every pipeline artifact re-validates under the checker
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(
-        json.dumps(monoid_spec_to_json(discrete_spec()))
+        json.dumps(monoid_spec_to_json(oracles.discrete_spec()))
     )
     nerve_path = tmp_path / "nerve.json"
     cos_path = tmp_path / "coslice.json"
@@ -288,7 +273,7 @@ def test_criterion_9_self_consistency(tmp_path):
     poset_path = tmp_path / "poset_nerve.json"
     poset_path.write_text(nerve(mapping_poset(0, 3, 3)).to_json_str())
     manifest = scat_to_manifest(
-        deloop(build_reference_monoid(discrete_spec())), str(tmp_path)
+        deloop(build_reference_monoid(oracles.discrete_spec())), str(tmp_path)
     )
     for artifact in (spec_path, nerve_path, cos_path, core_path,
                      poset_path, manifest):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import empty_sset
+from oracles import discrete_spec, empty_sset, one_object_category
 
 import qckit
 from qckit.cli import main
@@ -25,7 +25,7 @@ from qckit.monoids import (
     group_nerve,
     monoid_spec_to_json,
 )
-from qckit.scat import from_finite_category, scat_to_manifest
+from qckit.scat import scat_to_manifest
 from qckit.sset import point, standard_simplex
 
 
@@ -43,15 +43,6 @@ def run_json(capsys, *argv):
 def write_json(path, blob):
     path.write_text(json.dumps(blob))
     return str(path)
-
-
-def discrete_spec():
-    # unit plus one idempotent, no higher cells anywhere
-    grades = GradeMonoid(
-        ("1", "a"), "1",
-        {("1", "1"): "1", ("1", "a"): "a", ("a", "1"): "a", ("a", "a"): "a"},
-    )
-    return MonoidSpec(grades, {"a": "trivial"}, 3)
 
 
 def trivial_spec():
@@ -185,12 +176,7 @@ def test_check_rejects_group_grades(tmp_path, capsys):
 
 
 def test_check_scat_manifest(tmp_path, capsys):
-    def comp(x, y, z, later, earlier):
-        return "1"
-
-    cat = from_finite_category(
-        ["*"], {("*", "*"): ["1"]}, comp, {"*": "1"}, truncation=2
-    )
+    cat = one_object_category(["1"], lambda later, earlier: "1", truncation=2)
     manifest = scat_to_manifest(cat, str(tmp_path))
     rc, env = run_json(capsys, "check", manifest)
     assert rc == 0
@@ -220,12 +206,7 @@ def test_check_scat_manifest(tmp_path, capsys):
          "objects-repeated", "homs-key-not-an-object"],
 )
 def test_malformed_manifest_exits_two(tmp_path, capsys, key, value):
-    def comp(x, y, z, later, earlier):
-        return "1"
-
-    cat = from_finite_category(
-        ["*"], {("*", "*"): ["1"]}, comp, {"*": "1"}, truncation=2
-    )
+    cat = one_object_category(["1"], lambda later, earlier: "1", truncation=2)
     path = scat_to_manifest(cat, str(tmp_path))
     with open(path) as fh:
         manifest = json.load(fh)

@@ -6,10 +6,15 @@ import math
 import pytest
 
 from oracles import (
+    coslice_projection,
     enumerate_triples,
+    join_inclusions,
     join_simplex_from_triple,
+    one_object_category,
     scan_coslice,
     scan_slice,
+    simplex_join_iso,
+    slice_projection,
     triple_from_join_simplex,
 )
 
@@ -17,19 +22,15 @@ from qckit.join import (
     SlicePresentation,
     coslice_edge_anatomy,
     coslice_fastpath,
-    coslice_projection,
     cross_validate_coslice,
     join,
-    join_inclusions,
     join_of_maps,
-    simplex_join_iso,
-    slice_projection,
     slice_sset,
     vertex_anchor,
 )
 from qckit.monoids import MonoidSpec, build_reference_monoid, deloop, saturating_grades
 from qckit.ordinals import degeneracy
-from qckit.scat import from_finite_category, simplicial_nerve
+from qckit.scat import simplicial_nerve
 from qckit.sset import (
     FinSSet,
     SimplexRef,
@@ -274,12 +275,8 @@ def test_over_slice_of_simplex_at_last_vertex():
 
 
 def test_coslice_on_coherent_nerve_and_edge_anatomy():
-    def comp(x, y, z, later, earlier):
-        return "a" if "a" in (later, earlier) else "1"
-
-    d = from_finite_category(
-        ("*",), {("*", "*"): ["1", "a"]}, comp, {"*": "1"}, truncation=3,
-    )
+    d = one_object_category(
+        ["1", "a"], lambda later, earlier: "a" if "a" in (later, earlier) else "1")
     n = simplicial_nerve(d, 3)
     (v,) = n.nondegenerate(0)
     c = coslice_fastpath(n, v, 2)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     bar_nerve,
+    discrete_spec,
     rref_rescaling_every_pivot,
     scan_bilevel,
     scan_monoid_laws,
@@ -548,11 +549,7 @@ def test_proposition_on_trivial_monoid():
 
 def test_proposition_on_discrete_idempotent_monoid():
     # both elements appear as vertices and nothing else is invertible
-    grades = GradeMonoid(
-        ("1", "a"), "1",
-        {("1", "1"): "1", ("1", "a"): "a", ("a", "1"): "a", ("a", "a"): "a"},
-    )
-    m = build_reference_monoid(MonoidSpec(grades, {"a": "trivial"}, 3))
+    m = build_reference_monoid(discrete_spec())
     report = verify_proposition(m, 2)
     assert report.ok
     assert "2 core vertices match 2 monoid vertices" in (

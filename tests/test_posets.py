@@ -1,6 +1,8 @@
+from oracles import rigidify_map
+
 from qckit.ordinals import MonotoneMap
 from qckit.posets import chain_cell_id, chain_sets, mapping_poset, nerve, normalize_chain
-from qckit.scat import rigidify, rigidify_map
+from qckit.scat import rigidify
 from qckit.sset import validate, validate_bilevel, validate_map
 
 

@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     cyclic_table,
     horn_compatibility,
+    one_object_category,
     scan_apply,
     scan_core,
     scan_face_index,
@@ -42,7 +43,7 @@ from qckit.quasicat import (
     pi1,
     tables_isomorphic,
 )
-from qckit.scat import from_finite_category, simplicial_nerve
+from qckit.scat import simplicial_nerve
 from qckit.sset import (
     FinSSet,
     SimplexRef,
@@ -55,27 +56,15 @@ from qckit.sset import (
 )
 
 
-def cyclic_category(n: int, truncation: int = 3):
-    def comp(x, y, z, later, earlier):
-        return str((int(later) + int(earlier)) % n)
-
-    return from_finite_category(
-        ("*",),
-        {("*", "*"): [str(i) for i in range(n)]},
-        comp,
-        {"*": "0"},
-        truncation=truncation,
-    )
+def cyclic_category(n: int):
+    return one_object_category(
+        [str(i) for i in range(n)],
+        lambda later, earlier: str((int(later) + int(earlier)) % n))
 
 
-def absorbing_category(truncation: int = 3):
-    def comp(x, y, z, later, earlier):
-        return "a" if "a" in (later, earlier) else "1"
-
-    return from_finite_category(
-        ("*",), {("*", "*"): ["1", "a"]}, comp, {"*": "1"},
-        truncation=truncation,
-    )
+def absorbing_category():
+    return one_object_category(
+        ["1", "a"], lambda later, earlier: "a" if "a" in (later, earlier) else "1")
 
 
 @pytest.fixture(scope="module")

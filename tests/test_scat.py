@@ -1,13 +1,18 @@
 import functools
+import json
 import math
 import sys
 
 import pytest
 
 from oracles import (
+    assignments,
     bar_nerve,
+    discrete_spec,
     functor_normal_form,
+    one_object_category,
     ref_signature,
+    rigidify_map,
     scan_bilevel,
     scan_functors,
     scan_nerve,
@@ -16,9 +21,8 @@ from oracles import (
     strict_chain_count,
 )
 
-from qckit.ordinals import MonotoneMap, all_maps, compose, degeneracy, face, identity
+from qckit.ordinals import all_maps, compose, degeneracy, face, identity
 from qckit.monoids import (
-    GradeMonoid,
     MonoidSpec,
     build_reference_monoid,
     deloop,
@@ -37,7 +41,6 @@ from qckit.scat import (
     functor_to_classification,
     precompose,
     rigidify,
-    rigidify_map,
     scat_from_manifest,
     scat_to_manifest,
     simplicial_nerve,
@@ -57,13 +60,8 @@ from qckit.sset import (
 
 def discrete_two_element_monoid():
     """One object; morphisms 1 and a with a.a = a."""
-
-    def comp(x, y, z, later, earlier):
-        return "1" if later == "1" and earlier == "1" else "a"
-
-    return from_finite_category(
-        ["*"], {("*", "*"): ["1", "a"]}, comp, {"*": "1"}, truncation=3
-    )
+    return one_object_category(
+        ["1", "a"], lambda later, earlier: "1" if later == earlier == "1" else "a")
 
 
 def poset_category_012():
@@ -93,11 +91,7 @@ def delooped(name):
         spec = MonoidSpec(
             saturating_grades(3), {"1": "Z/2", "2": "Z/2", "3+": "Z/2"}, 3)
         return deloop(build_reference_monoid(spec))
-    grades = GradeMonoid(
-        ("1", "a"), "1",
-        {("1", "1"): "1", ("1", "a"): "a", ("a", "1"): "a", ("a", "a"): "a"},
-    )
-    return deloop(build_reference_monoid(MonoidSpec(grades, {"a": "trivial"}, 3)))
+    return deloop(build_reference_monoid(discrete_spec()))
 
 
 # -- rigidification ---------------------------------------------------
@@ -155,12 +149,8 @@ def test_validate_functor_names_a_failing_composition_square():
     # to the same homs composed as Z/2, where a.a = 1
     d = discrete_two_element_monoid()
 
-    def z2(x, y, z, later, earlier):
-        return "a" if (later == "a") != (earlier == "a") else "1"
-
-    twisted = from_finite_category(
-        ["*"], {("*", "*"): ["1", "a"]}, z2, {"*": "1"}, truncation=3
-    )
+    twisted = one_object_category(
+        ["1", "a"], lambda later, earlier: "a" if (later == "a") != (earlier == "a") else "1")
     comp = {
         key: BilevelMap(bm.x, bm.y, bm.target, twisted.comp[key].fn)
         for key, bm in d.comp.items()
@@ -168,9 +158,9 @@ def test_validate_functor_names_a_failing_composition_square():
     target = SCat(d.objects, d.homs, d.identities, comp)
     (f,) = [
         f for f in enumerate_functors(2, d)
-        if f.assignments[(0, 1)]["0.1"].cell == f.assignments[(1, 2)]["1.2"].cell == "a"
+        if assignments(f)[(0, 1)]["0.1"].cell == assignments(f)[(1, 2)]["1.2"].cell == "a"
     ]
-    rebound = SimplicialFunctor(2, target, f.object_map, f.assignments)
+    rebound = SimplicialFunctor(2, target, f.object_map, assignments(f))
     assert validate_functor(f).ok
     assert validate_functor(rebound).problems == [
         f"composition square fails at level {m} on (0,1,2): '1.2' over '0.1'"
@@ -179,28 +169,18 @@ def test_validate_functor_names_a_failing_composition_square():
 
 
 def test_truncation_guard():
-    def comp(x, y, z, later, earlier):
-        return "1"
-
-    low = from_finite_category(
-        ["*"], {("*", "*"): ["1"]}, comp, {"*": "1"}, truncation=1
-    )
+    low = one_object_category(["1"], lambda later, earlier: "1", truncation=1)
     with pytest.raises(TruncationError):
         enumerate_functors(3, low)
 
 
 def test_enumeration_deeper_than_the_recursion_limit():
     # one search level per slot: thousands of them, and a single functor
-    def comp(x, y, z, later, earlier):
-        return "1"
-
-    d = from_finite_category(
-        ["*"], {("*", "*"): ["1"]}, comp, {"*": "1"}, truncation=5
-    )
+    d = one_object_category(["1"], lambda later, earlier: "1", truncation=5)
     (f,) = enumerate_functors(6, d)
-    slots = sum(len(table) for table in f.assignments.values())
+    slots = sum(len(table) for table in assignments(f).values())
     assert slots > sys.getrecursionlimit()
-    assert {r.cell for table in f.assignments.values() for r in table.values()} == {"1"}
+    assert {r.cell for table in assignments(f).values() for r in table.values()} == {"1"}
 
 
 def test_precompose_functorial():
@@ -225,7 +205,7 @@ def test_enumeration_matches_brute_force_scan(name, k):
     assert len(fs) == len(expected)
     for got, want in zip(fs, expected):
         assert got.object_map == want.object_map
-        assert got.assignments == want.assignments
+        assert assignments(got) == assignments(want)
 
 
 def test_precompose_functorial_on_z2_deloop():
@@ -247,7 +227,7 @@ def test_precompose_matches_the_ref_scan(name, k):
     ops += [degeneracy(k, i) for i in range(k + 1)]
     for f in enumerate_functors(k, delooped(name)):
         for op in ops:
-            assert precompose(f, op).assignments == scan_precompose(f, op).assignments
+            assert assignments(precompose(f, op)) == assignments(scan_precompose(f, op))
 
 
 def test_precompose_above_the_target_truncation_matches_the_ref_scan():
@@ -257,7 +237,7 @@ def test_precompose_above_the_target_truncation_matches_the_ref_scan():
         g = rigidify_map(src_op)
         for l in range(4):
             for op in all_maps(l, g.arity):
-                assert precompose(g, op).assignments == scan_precompose(g, op).assignments
+                assert assignments(precompose(g, op)) == assignments(scan_precompose(g, op))
 
 
 @pytest.mark.parametrize("name", ["default", "Z/3", "four grades"])
@@ -280,10 +260,10 @@ def test_hand_built_functor_off_its_hom_stays_diagnosable():
         ((0, 2), "0.2", nondeg_ref("ghost", 0),
          "hom(0,2): cell '0.2' mapped to unknown cell 'ghost'"),
     ]:
-        assignments = f.assignments
-        assignments[pair][cid] = value
-        bad = SimplicialFunctor(2, d, f.object_map, assignments)
-        assert bad.assignments == assignments
+        values = assignments(f)
+        values[pair][cid] = value
+        bad = SimplicialFunctor(2, d, f.object_map, values)
+        assert assignments(bad) == values
         assert validate_functor(bad).problems == [problem]
         assert (bad == f) is False
         assert bad != f and len({bad, f}) == 2
@@ -292,9 +272,9 @@ def test_hand_built_functor_off_its_hom_stays_diagnosable():
 def test_hand_built_functor_missing_a_hom_is_named():
     d = delooped("default")
     f = enumerate_functors(2, d)[-1]
-    assignments = f.assignments
-    del assignments[(0, 1)]
-    bad = SimplicialFunctor(2, d, f.object_map, assignments)
+    values = assignments(f)
+    del values[(0, 1)]
+    bad = SimplicialFunctor(2, d, f.object_map, values)
     assert validate_functor(bad).problems == ["hom(0,1): cell '0.1' has no image"]
     with pytest.raises(KeyError, match=r"chain '0\.1' of hom \(0, 1\)"):
         functor_to_classification(bad)
@@ -441,12 +421,9 @@ def test_classification_shapes():
 def broken_unit_category():
     """One object, morphisms 1 and a, where 1 is no unit: 1.a = a.1 = 1."""
 
-    def comp(x, y, z, later, earlier):
-        return "a" if later == earlier == "a" else "1"
-
-    return from_finite_category(
-        ["*"], {("*", "*"): ["1", "a"]}, comp, {"*": "1"}, truncation=2
-    )
+    return one_object_category(
+        ["1", "a"], lambda later, earlier: "a" if later == earlier == "a" else "1",
+        truncation=2)
 
 
 @pytest.mark.parametrize("name", ["rigidify-2", "rigidify-3", "discrete", "poset012", "broken-unit"])
@@ -468,10 +445,7 @@ def test_scat_validation_matches_the_apply_scan(name):
 
 
 def test_off_hom_composite_is_a_named_problem():
-    d = from_finite_category(
-        ["*"], {("*", "*"): ["1"]}, lambda *args: "ghost", {"*": "1"},
-        truncation=1,
-    )
+    d = one_object_category(["1"], lambda later, earlier: "ghost", truncation=1)
     problems = validate_scat(d).problems
     assert problems == [
         "comp('*','*','*'): level 0: value at ('1'.(0,), '1'.(0,)) is not "
@@ -505,3 +479,19 @@ def test_scat_manifest_round_trip(tmp_path):
     n_orig = simplicial_nerve(d, 2)
     n_loaded = simplicial_nerve(loaded, 2)
     assert iso_search(n_orig, n_loaded, 2) is not None
+
+
+def test_manifest_rows_list_every_pair_and_read_back(tmp_path):
+    d = delooped("default")
+    path = scat_to_manifest(d, str(tmp_path))
+    with open(path) as fh:
+        rows = json.load(fh)["comp"]
+    loaded = scat_from_manifest(path)
+    for (x, y, z), bm in d.comp.items():
+        for m in range(d.level_cap + 1):
+            # every (a, b), x-major, with its value
+            assert rows[f"{x}|{y}|{z}"][str(m)] == [
+                [a.to_json(), b.to_json(), bm.apply(m, a, b).to_json()]
+                for a in bm.x.simplices(m) for b in bm.y.simplices(m)
+            ]
+            assert loaded.comp[(x, y, z)].table(m) == bm.table(m)

@@ -3,8 +3,10 @@ import sys
 
 import pytest
 
-from oracles import scan_apply
+from oracles import compose_maps, scan_apply
+from qckit.monoids import build_reference_monoid, deloop
 from qckit.ordinals import MonotoneMap, all_maps, compose, degeneracy, face, identity
+from qckit.scat import simplicial_nerve
 from qckit.sset import (
     FinSSet,
     SimplexRef,
@@ -174,7 +176,7 @@ def test_standard_map_functorial():
     b = MonotoneMap(2, 1, (0, 0, 1))
     g = standard_map(b)
     gf = standard_map(compose(a, b))
-    assert f.compose_with(g).assignment == gf.assignment
+    assert compose_maps(f, g).assignment == gf.assignment
 
 
 def test_collapsing_standard_map_hits_degeneracies():
@@ -208,6 +210,19 @@ def test_materialize_accepts_values_repeated_across_levels(x):
     assert {c: sims[int(c[0])][p] for c, p in by_pos[2].items()} == by_ref[2]
     assert [len(by_ref[0][n]) for n in range(3)] == [
         x.cell_count(n) for n in range(3)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: standard_simplex(3),
+    lambda: simplicial_nerve(deloop(build_reference_monoid()), 3),
+], ids=["simplex(3)", "nerve"])
+def test_identity_action_is_a_range_and_keeps_no_table(make):
+    x = make()
+    for n in range(x.truncation + 1):
+        x.action(face(n, 0) if n else degeneracy(0, 0))
+        kept = (dict(x._actions), dict(x._complete))
+        assert x.action(identity(n)) == range(len(x.simplices(n)))
+        assert (x._actions, x._complete) == kept
 
 
 def outcome(fn, *args):
