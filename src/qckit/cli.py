@@ -7,8 +7,10 @@ exports small complexes to DOT.
 
 Exit codes: 0 success, 1 semantic failure (an object that parsed but
 violates its laws, or a check that came back false), 2 usage and parse
-errors.  Every JSON report embeds the tool version, the seed, and the
-dimension caps in force so a run can be reproduced exactly.
+errors; a stdout closed early (``qckit nerve default | head -c 0``)
+also exits 1, without a traceback.  Every JSON report embeds the tool
+version, the seed, and the dimension caps in force so a run can be
+reproduced exactly.
 """
 
 from __future__ import annotations
@@ -556,12 +558,19 @@ def main(argv=None) -> int:
         # argparse prints its own message; fold --help into success
         return int(e.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CommandError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so that the flush at
+        # exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -38,6 +38,7 @@ from .sset import (
     associativity_failures,
     iso_search,
     materialize_presheaf,
+    unit_failures,
     validate,
     validate_bilevel,
 )
@@ -340,24 +341,15 @@ def validate_monoid(m: GradedSimplicialMonoid) -> ValidationReport:
     # validate_bilevel has built: every value is a simplex of its target.
     unit = m.grades.unit
     for g in m.grades.elements:
-        right = m.product[(g, unit)]
-        left = m.product[(unit, g)]
         for level in range(m.truncation + 1):
             u = SimplexRef(epis_onto(level, 0)[0], m.unit_vertex)
             ju = m.component(unit).position(level)[u]
-            r_rows = right.table(level)
-            l_row = left.table(level)[ju]
-            for i, row in enumerate(r_rows):
-                if row[ju] != i:
-                    report.problems.append(
-                        f"right unit fails at grade {g!r} level {level}"
-                    )
-                    break
-                if l_row[i] != i:
-                    report.problems.append(
-                        f"left unit fails at grade {g!r} level {level}"
-                    )
-                    break
+            for _, left, right in unit_failures(
+                    m.product[(unit, g)].table(level)[ju],
+                    m.product[(g, unit)].table(level), ju):
+                side = "right" if right else "left"
+                report.problems.append(f"{side} unit fails at grade {g!r} level {level}")
+                break
     for g, h, k in itertools.product(m.grades.elements, repeat=3):
         gh = m.grades.product(g, h)
         hk = m.grades.product(h, k)

@@ -2,7 +2,8 @@
 
 The mapping poset P(i, j) consists of the subsets of the integer
 interval {i, ..., j} that contain both endpoints, ordered by inclusion;
-it is empty when i > j and a single point when i == j.  Its nerve has
+it is empty when i > j and a single point when i == j.  Its nerve is
+built by :func:`sset.poset_nerve`, as the standard simplex is, and has
 one nondegenerate m-cell per strictly increasing chain of m+1 subsets.
 Unions of levelwise chains give the strictly associative composition.
 """
@@ -14,7 +15,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .ordinals import MonotoneMap
-from .sset import FinSSet, SimplexRef, nondeg_ref
+from .sset import FinSSet, SimplexRef, poset_nerve
 
 
 def element_label(e: frozenset) -> str:
@@ -54,35 +55,8 @@ def chain_cell_id(chain: Sequence[frozenset]) -> str:
 
 
 def nerve(p: MappingPoset, truncation: int | None = None) -> FinSSet:
-    """Nondegenerate m-cells are the strictly increasing (m+1)-chains.
-
-    Faces drop one entry; since a strict chain stays strict under
-    deletion, face references are never degenerate.
-    """
-    chains: list[list[tuple]] = [[(e,) for e in p.elements]]
-    while chains[-1]:
-        chains.append([
-            chain + (e,)
-            for chain in chains[-1]
-            for e in p.elements
-            if chain[-1] < e
-        ])
-    chains.pop()
-    top = len(chains) - 1
-    if truncation is None:
-        truncation = max(top, 0)
-    cells: dict[int, list[str]] = {d: [] for d in range(truncation + 1)}
-    faces: dict[str, list[SimplexRef]] = {}
-    for m, level in enumerate(chains[: truncation + 1]):
-        for chain in level:
-            cid = chain_cell_id(chain)
-            cells[m].append(cid)
-            if m >= 1:
-                faces[cid] = [
-                    nondeg_ref(chain_cell_id(chain[:i] + chain[i + 1 :]), m - 1)
-                    for i in range(m + 1)
-                ]
-    return FinSSet(truncation, cells, faces)
+    """The nerve of P(i, j), its chains named by :func:`chain_cell_id`."""
+    return poset_nerve(p.elements, chain_cell_id, truncation)
 
 
 def normalize_chain(chain: Sequence[frozenset]) -> SimplexRef:

@@ -12,9 +12,12 @@ the one path that strips degeneracies and normalizes faces.
 
 A functor is stored as its object map and a code: per nondegenerate
 chain of rigidify(k), in a fixed layout, the position of the chain's
-value in its target hom's ``simplices``.  There is no chain-keyed
-view of a whole functor: refs appear only where one pair is read back
-by ``hom_map`` or one field by the classification.
+value in its target hom's ``simplices``, given to the one constructor
+``SimplicialFunctor(arity, target, object_map, code)``.  There is no
+chain-keyed view of a whole functor: refs appear only where one pair is
+read back by ``hom_map`` or one field by the classification.  Truncation
+is strict: :func:`precompose`, like :func:`enumerate_functors`, raises
+above the target's level cap.
 
 Free versus forced cells: a nondegenerate chain of P(i,j) whose least
 element is the bottom {i, j} is free; any other chain has an interior
@@ -64,6 +67,7 @@ from .sset import (
     depth_first,
     materialize_presheaf,
     nondeg_ref,
+    unit_failures,
     validate,
     validate_bilevel,
     validate_map,
@@ -148,19 +152,13 @@ def validate_scat(d: SCat, max_level: int | None = None) -> ValidationReport:
             for m in range(cap + 1):
                 jx = d.hom(x, x).position(m)[d.identity_ref(x, m)]
                 jy = d.hom(y, y).position(m)[d.identity_ref(y, m)]
-                left = tables[(x, y, y)][m][jy]
-                right = tables[(x, x, y)][m]
-                for i, f in enumerate(h.simplices(m)):
-                    if left[i] != i:
-                        report.problems.append(
-                            f"left unit law fails at level {m} on "
-                            f"({x!r},{y!r}): {f.cell!r}"
-                        )
-                    if right[i][jx] != i:
-                        report.problems.append(
-                            f"right unit law fails at level {m} on "
-                            f"({x!r},{y!r}): {f.cell!r}"
-                        )
+                for i, left, right in unit_failures(
+                        tables[(x, y, y)][m][jy], tables[(x, x, y)][m], jx):
+                    where = f"at level {m} on ({x!r},{y!r}): {h.simplices(m)[i].cell!r}"
+                    if left:
+                        report.problems.append(f"left unit law fails {where}")
+                    if right:
+                        report.problems.append(f"right unit law fails {where}")
     for w, x, y, z in itertools.product(d.objects, repeat=4):
         for m in range(cap + 1):
             report.problems.extend(
@@ -243,30 +241,6 @@ def _layout(k: int) -> tuple[tuple, dict, tuple]:
     return entries, index, tuple(slots)
 
 
-def _act(h: FinSSet, epi: MonotoneMap):
-    """epi's action on h's code values: its kept action table, or an
-    :class:`_ActAbove` at a level above h's truncation."""
-    if max(epi.source_arity, epi.target_arity) > h.truncation:
-        return _ActAbove(h, epi)
-    return h.action(epi)
-
-
-class _ActAbove(dict):
-    """epi's action on code values of h where a level lies above h's
-    truncation and has no positions, so its values are refs: walked by
-    ``apply`` on first use and kept."""
-
-    def __init__(self, h: FinSSet, epi: MonotoneMap):
-        super().__init__()
-        self.h, self.epi = h, epi
-
-    def __missing__(self, v):
-        h, m = self.h, self.epi.source_arity
-        out = h.apply(h.simplices(self.epi.target_arity)[v] if type(v) is int else v, self.epi)
-        self[v] = out = h.position(m).get(out, out) if m <= h.truncation else out
-        return out
-
-
 class _Frame:
     """The target side of the k-functors with one object map, as
     position tables: the hom of each code entry and, kept from first
@@ -296,8 +270,8 @@ class _Frame:
             self._steps = [
                 (e, homs[e].position_index(m, range(len(faces))), faces, None)
                 if split is None else
-                (e, None, (), (split[3], _act(homs[split[3]], split[4]),
-                               split[5], _act(homs[split[5]], split[6]),
+                (e, None, (), (split[3], homs[split[3]].action(split[4]),
+                               split[5], homs[split[5]].action(split[6]),
                                self.d.comp[tuple(objs[v] for v in split[:3])].table(m)))
                 for e, m, faces, split in _layout(self.k)[2]
             ]
@@ -324,7 +298,7 @@ class _Frame:
         plan = self._plans.get(op)
         if plan is None:
             plan = self._plans[op] = tuple(
-                (e, _act(self.homs[e], epi)) for e, epi in _image_chains(op))
+                (e, self.homs[e].action(epi)) for e, epi in _image_chains(op))
         return plan
 
 
@@ -355,34 +329,16 @@ class SimplicialFunctor:
     """A functor from rigidify(arity) to target: its object map and its
     code, one entry per nondegenerate chain of rigidify(arity) in the
     layout of :func:`_layout`, each the position of the chain's value in
-    its target hom's ``simplices``.  A value without a position (not a
-    simplex of its hom at the chain's dimension, or above the hom's
-    truncation) is kept as the ref itself, so a functor built by hand
-    from chain-keyed assignments stays diagnosable by
-    :func:`validate_functor`.  :meth:`hom_map` reads a pair's entries
-    back as refs.  Functors are equal when their object maps and codes
-    are."""
+    its target hom's ``simplices``; the one constructor.  A functor
+    built by hand may hold a ref where its value is off its hom, so
+    that :func:`validate_functor` can name it.  :meth:`hom_map` reads a
+    pair's entries back as refs.  Functors are equal when their object
+    maps and codes are."""
 
     __slots__ = ("arity", "target", "object_map", "code")
 
-    def __init__(self, arity: int, target: SCat, object_map: tuple,
-                 assignments: Mapping[tuple, Mapping[str, SimplexRef]]):
-        self.arity = arity
-        self.target = target
-        self.object_map = tuple(object_map)
-        code = []
-        homs = _frame(target, arity, self.object_map).homs
-        for (pair, cid, m), h in zip(_layout(arity)[0], homs):
-            ref = assignments.get(pair, {}).get(cid)
-            code.append(h.position(m).get(ref, ref) if m <= h.truncation else ref)
-        self.code = tuple(code)
-
-    @classmethod
-    def from_code(cls, arity: int, target: SCat, object_map: tuple,
-                  code: tuple) -> "SimplicialFunctor":
-        f = cls.__new__(cls)
-        f.arity, f.target, f.object_map, f.code = arity, target, object_map, code
-        return f
+    def __init__(self, arity: int, target: SCat, object_map: tuple, code: tuple):
+        self.arity, self.target, self.object_map, self.code = arity, target, object_map, code
 
     def signature(self) -> tuple:
         """The sort key of the nerve's cell order: the object map, then
@@ -410,6 +366,12 @@ class SimplicialFunctor:
         })
 
 
+def _check_level_cap(d: SCat, k: int) -> None:
+    """Truncation is strict: k-functors need d's homs to level k - 1."""
+    if k - 1 > d.level_cap:
+        raise TruncationError(f"homs truncated at {d.level_cap}, too low for {k}-functors")
+
+
 def enumerate_functors(k: int, d: SCat) -> list[SimplicialFunctor]:
     """All simplicial functors rigidify(k) -> d, each exactly once.
 
@@ -425,10 +387,7 @@ def enumerate_functors(k: int, d: SCat) -> list[SimplicialFunctor]:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k - 1 > d.level_cap:
-        raise TruncationError(
-            f"homs truncated at {d.level_cap}, too low for {k}-functors"
-        )
+    _check_level_cap(d, k)
     size = len(_layout(k)[0])
     results: list[SimplicialFunctor] = []
     for objs in itertools.product(d.objects, repeat=k + 1):
@@ -438,21 +397,23 @@ def enumerate_functors(k: int, d: SCat) -> list[SimplicialFunctor]:
         slots = [(vals, step[0]) for step in steps]
         for _ in depth_first(slots, lambda s: _candidates(steps[s], vals)):
             code = tuple([vals[e] for e in range(size)])
-            results.append(SimplicialFunctor.from_code(k, d, objs, code))
+            results.append(SimplicialFunctor(k, d, objs, code))
     return results
 
 
 def precompose(f: SimplicialFunctor, op: MonotoneMap) -> SimplicialFunctor:
     """f composed with the rigidified op: a functor of op's source arity.
     Its code gathers f's positions through the plan of op kept for f's
-    target and object map."""
+    target and object map.  Above the target's level cap it raises, as
+    :func:`enumerate_functors` does."""
     if op.target_arity != f.arity:
         raise TruncationError(
             f"operator into [{op.target_arity}] against arity {f.arity}"
         )
+    _check_level_cap(f.target, op.source_arity)
     code = f.code
     plan = _frame(f.target, f.arity, f.object_map).plan(op)
-    return SimplicialFunctor.from_code(
+    return SimplicialFunctor(
         op.source_arity, f.target, tuple([f.object_map[v] for v in op.values]),
         tuple([act[code[e]] for e, act in plan]),
     )
@@ -703,7 +664,7 @@ def classification_to_functor(k: int, d: SCat, data) -> SimplicialFunctor:
             (i, j), _, _ = entries[e]
             top = chain_cell_id([frozenset({i, j}), frozenset(range(i, j + 1))])
             vals[e] = h.action(face(1, 1))[vals[index[(i, j), top]]]
-    return SimplicialFunctor.from_code(k, d, objs, tuple([vals[e] for e in range(len(entries))]))
+    return SimplicialFunctor(k, d, objs, tuple([vals[e] for e in range(len(entries))]))
 
 
 def functor_to_classification(f: SimplicialFunctor):

@@ -33,7 +33,10 @@ and the low-simplex classification ask it which simplices have given
 faces, read a simplex's own faces from the action tables
 ``action(face(n, i))``, and build refs only for their results.
 :meth:`FinSSet.simplices` and :meth:`FinSSet.position` are kept per
-dimension; :class:`BilevelMap` answers from its kept level tables.
+dimension; :class:`BilevelMap` answers from its kept level tables, which
+the unit and associativity sweeps read (:func:`unit_failures`,
+:func:`associativity_failures`).  :func:`poset_nerve` builds both the
+standard simplices and the mapping-poset nerves.
 
 Every exhaustive search runs through :func:`depth_first`, one iterative
 depth-first loop over slots of the caller's own dicts: nerve functors
@@ -50,7 +53,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .ordinals import (
     ArityError,
@@ -459,25 +462,37 @@ def simplex_cell_id(values: Iterable[int]) -> str:
     return "-".join(str(v) for v in values)
 
 
+def poset_nerve(elements: Sequence, cell_id: Callable[[tuple], str],
+                truncation: int | None = None) -> FinSSet:
+    """The nerve of finitely many elements ordered by ``<``: m-cells are
+    the strict chains of m + 1 elements, named ``cell_id(chain)``, each
+    level extending the one below in order (for a range, the order of
+    ``itertools.combinations``).  Faces drop one entry, so they are
+    never degenerate.  Truncated at the longest chain by default."""
+    levels = [[(e,) for e in elements]]
+    while levels[-1] and (truncation is None or len(levels) <= truncation):
+        levels.append([c + (e,) for c in levels[-1] for e in elements if c[-1] < e])
+    if truncation is None:
+        truncation = max(len(levels) - 2, 0)  # the last level is empty
+    cells: dict[int, list[str]] = {}
+    faces: dict[str, list[SimplexRef]] = {}
+    for m, level in enumerate(levels[:truncation + 1]):
+        cells[m] = [cell_id(c) for c in level]
+        if m:
+            for c, cid in zip(level, cells[m]):
+                faces[cid] = [nondeg_ref(cell_id(c[:i] + c[i + 1:]), m - 1)
+                              for i in range(m + 1)]
+    return FinSSet(truncation, cells, faces)
+
+
 def standard_simplex(n: int, truncation: int | None = None) -> FinSSet:
-    """The n-simplex: nondegenerate m-cells are the injections [m] -> [n].
-    Truncated at n unless told otherwise."""
+    """The n-simplex, the nerve of [n]: nondegenerate m-cells are the
+    injections [m] -> [n].  Truncated at n unless told otherwise."""
     if truncation is None:
         truncation = n
     if truncation < n:
         raise TruncationError("truncation below the top cell")
-    cells: dict[int, list[str]] = {}
-    faces: dict[str, list[SimplexRef]] = {}
-    for m in range(n + 1):
-        for vals in itertools.combinations(range(n + 1), m + 1):
-            cid = simplex_cell_id(vals)
-            cells.setdefault(m, []).append(cid)
-            if m >= 1:
-                faces[cid] = [
-                    nondeg_ref(simplex_cell_id(vals[:i] + vals[i + 1 :]), m - 1)
-                    for i in range(m + 1)
-                ]
-    return FinSSet(truncation, cells, faces)
+    return poset_nerve(range(n + 1), simplex_cell_id, truncation)
 
 
 def boundary(n: int) -> FinSSet:
@@ -750,6 +765,15 @@ def validate_bilevel(bm: BilevelMap, max_dim: int) -> ValidationReport:
                             f"({a.cell!r}.{a.epi.values}, {b.cell!r}.{b.epi.values})"
                         )
     return report
+
+
+def unit_failures(left, right, j):
+    """Yields (i, left fails, right fails) once per position i where a
+    unit law fails, over level tables: ``left[i]`` is the unit composed
+    after i, and ``right[i][j]`` is i composed after the unit at j."""
+    for i, (l, row) in enumerate(zip(left, right)):
+        if l != i or row[j] != i:
+            yield i, l != i, row[j] != i
 
 
 def associativity_failures(t_ab, t_bc, lhs, rhs):

@@ -17,10 +17,11 @@ from qckit.ordinals import (
     face,
     identity,
 )
-from qckit.posets import chain_cell_id, normalize_chain
+from qckit.posets import chain_cell_id, mapping_poset, nerve, normalize_chain, union_chains
 from qckit.quasicat import HornProblem
 from qckit.scat import (
     NerveSSet,
+    SCat,
     SimplicialFunctor,
     enumerate_functors,
     from_finite_category,
@@ -28,6 +29,7 @@ from qckit.scat import (
     rigidify,
 )
 from qckit.sset import (
+    BilevelMap,
     FinSSet,
     SimplexRef,
     SimplicialMap,
@@ -103,6 +105,24 @@ def strict_chain_count(elements, leq, length):
     return count
 
 
+def combinations_nerve(elements, cell_id, truncation):
+    """The nerve of elements listed in a linear extension of ``<``,
+    truncated at ``truncation``: its m-cells are the (m + 1)-element
+    ``itertools.combinations`` that are chains, named by ``cell_id``,
+    and faces drop one entry."""
+    cells, faces = {}, {}
+    for m in range(truncation + 1):
+        cells[m] = []
+        for chain in itertools.combinations(elements, m + 1):
+            if all(chain[t] < chain[t + 1] for t in range(m)):
+                cid = cell_id(chain)
+                cells[m].append(cid)
+                if m >= 1:
+                    faces[cid] = [nondeg_ref(cell_id(chain[:i] + chain[i + 1:]), m - 1)
+                                  for i in range(m + 1)]
+    return FinSSet(truncation, cells, faces)
+
+
 def _chain_sets(cid):
     return [frozenset(int(v) for v in label.split(".")) for label in cid.split("<")]
 
@@ -153,7 +173,7 @@ def scan_functors(k, d):
 
         def fill(s):
             if s == len(slots):
-                results.append(SimplicialFunctor(k, d, objs, assignments))
+                results.append(functor_from_assignments(k, d, objs, assignments))
                 return
             i, j, cid, m, p = slots[s]
             table = assignments[(i, j)]
@@ -505,7 +525,7 @@ def scan_precompose(f, op):
                     img = _direct_image(op, cid)
                     table[cid] = h.apply(values[(op(i), op(j))][img.cell], img.epi)
     objs = tuple(f.object_map[op(v)] for v in range(l + 1))
-    return SimplicialFunctor(l, f.target, objs, out)
+    return functor_from_assignments(l, f.target, objs, out)
 
 
 def ref_signature(f):
@@ -717,14 +737,41 @@ def assignments(f: SimplicialFunctor) -> dict:
     return out
 
 
+def functor_from_assignments(arity, target, object_map, values) -> SimplicialFunctor:
+    """The functor with chain-keyed values ``values[(i, j)][chain id]``.
+    Its code is laid out from rigidify(arity)'s homs: pairs in order,
+    chains by id within a pair, each the position of its value in the
+    target hom, or the value itself where it has none (a missing value,
+    or one off its hom)."""
+    src = rigidify(arity)
+    code = []
+    for i in range(arity + 1):
+        for j in range(i, arity + 1):
+            h, chains = target.hom(object_map[i], object_map[j]), src.hom(i, j)
+            for cid in sorted(c for m in range(chains.truncation + 1)
+                              for c in chains.nondegenerate(m)):
+                m = chains.dim_of(cid)
+                ref = values.get((i, j), {}).get(cid)
+                code.append(h.position(m).get(ref, ref) if m <= h.truncation else ref)
+    return SimplicialFunctor(arity, target, tuple(object_map), tuple(code))
+
+
 @functools.lru_cache(maxsize=None)
 def identity_functor(k: int) -> SimplicialFunctor:
-    """rigidify(k) -> rigidify(k), each chain to itself."""
-    src = rigidify(k)
-    return SimplicialFunctor(k, src, tuple(range(k + 1)), {
+    """Each chain of rigidify(k) to itself, in the nerves of the same
+    posets listed to level 3 and composed by union of chains: the
+    rigidified degeneracies out of [k + 1] take values up to level k,
+    above what rigidify(k)'s own homs keep."""
+    objs = tuple(range(k + 1))
+    homs = {(i, j): nerve(mapping_poset(i, j, k), 3) for i in objs for j in objs}
+    target = SCat(objs, homs, {i: chain_cell_id([frozenset({i})]) for i in objs}, {
+        (i, j, p): BilevelMap(homs[(j, p)], homs[(i, j)], homs[(i, p)], union_chains)
+        for i in objs for j in objs for p in objs
+    })
+    return functor_from_assignments(k, target, objs, {
         pair: {c: nondeg_ref(c, d) for d in range(h.truncation + 1)
                for c in h.nondegenerate(d)}
-        for pair, h in src.homs.items()
+        for pair, h in rigidify(k).homs.items()
     })
 
 

@@ -773,6 +773,27 @@ def test_commands_import_only_the_modules_they_run(tmp_path):
     assert {"qckit.scat", "qckit.monoids", "qckit.posets"}.isdisjoint(at_end)
 
 
+@pytest.mark.parametrize("argv", [["nerve", "default", "--dim", "3"], ["export-dot", "d2"]],
+                         ids=["nerve", "export-dot"])
+def test_closed_stdout_exits_one_without_a_traceback(tmp_path, argv):
+    # the read end of the pipe is closed before qckit writes a byte
+    d2 = write_json(tmp_path / "d2.json", standard_simplex(2).to_json())
+    argv = [str(d2) if a == "d2" else a for a in argv]
+    src = os.path.dirname(os.path.dirname(qckit.__file__))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "qckit.cli", *argv], stdout=w,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(w)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+
+
 def test_runtime_loads_only_the_standard_library():
     # isolated (-I) and without site-packages (-S): every qckit module
     # must import, and nothing outside the standard library may load

@@ -435,6 +435,25 @@ def test_delooped_broken_product_matches_the_apply_scan(z3_monoid, broken):
     assert problems and problems == scanned_scat_problems(d, 2)
 
 
+def test_unit_laws_failing_from_both_sides_on_one_simplex(z3_monoid):
+    # doubling, which is inversion on Z/3, on both (a, unit) and
+    # (unit, a): natural, and both unit laws first fail on the same edge
+    m = z3_monoid
+    double = m.product[("1", "1")].fn
+    bad = with_product(with_product(m, ("1", "0"), doubling(double)),
+                       ("0", "1"), lambda level, a, b: double(level, b, b))
+    problems = validate_monoid(bad).problems
+    assert problems == scanned_problems(bad)
+    assert [p for p in problems if "unit" in p] == [
+        f"right unit fails at grade '1' level {level}" for level in (1, 2, 3)
+    ]
+    d = deloop(bad)
+    problems = validate_scat(d, max_level=2).problems
+    assert problems == scanned_scat_problems(d, 2)
+    assert problems[0].startswith("left unit law fails at level 1 on ")
+    assert problems[1] == problems[0].replace("left", "right")
+
+
 def test_each_product_is_evaluated_once_per_pair(monkeypatch):
     counters = []
 

@@ -1,4 +1,8 @@
-from oracles import rigidify_map
+import json
+
+import pytest
+
+from oracles import combinations_nerve, rigidify_map
 
 from qckit.ordinals import MonotoneMap
 from qckit.posets import chain_cell_id, chain_sets, mapping_poset, nerve, normalize_chain
@@ -43,6 +47,17 @@ def test_mapping_poset_03_nerve_counts():
             [frozenset({0, 3}), frozenset({0, 2, 3}), frozenset({0, 1, 2, 3})]
         ),
     }
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_nerve_matches_the_combinations_oracle(k):
+    # cell ids, cell order and face order, key order included; the
+    # longest chain of P(i, j) adds the j - i - 1 interior points one by one
+    for i in range(k + 1):
+        for j in range(k + 1):
+            p = mapping_poset(i, j, k)
+            want = combinations_nerve(p.elements, chain_cell_id, max(j - i - 1, 0))
+            assert json.dumps(nerve(p).to_json()) == json.dumps(want.to_json())
 
 
 def test_nerve_faces_never_degenerate():

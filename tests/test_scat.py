@@ -9,6 +9,7 @@ from oracles import (
     assignments,
     bar_nerve,
     discrete_spec,
+    functor_from_assignments,
     functor_normal_form,
     one_object_category,
     ref_signature,
@@ -160,7 +161,7 @@ def test_validate_functor_names_a_failing_composition_square():
         f for f in enumerate_functors(2, d)
         if assignments(f)[(0, 1)]["0.1"].cell == assignments(f)[(1, 2)]["1.2"].cell == "a"
     ]
-    rebound = SimplicialFunctor(2, target, f.object_map, assignments(f))
+    rebound = functor_from_assignments(2, target, f.object_map, assignments(f))
     assert validate_functor(f).ok
     assert validate_functor(rebound).problems == [
         f"composition square fails at level {m} on (0,1,2): '1.2' over '0.1'"
@@ -231,13 +232,23 @@ def test_precompose_matches_the_ref_scan(name, k):
 
 
 def test_precompose_above_the_target_truncation_matches_the_ref_scan():
-    # rigidify(k)'s homs stop at level k - 1, so a rigidified degeneracy
-    # takes values at levels that have no positions
+    # the rigidified degeneracies take values in the oracle's homs,
+    # listed to level 3, above the level k - 1 where rigidify(k)'s own
+    # homs stop
     for src_op in (degeneracy(1, 0), degeneracy(2, 1)):
         g = rigidify_map(src_op)
         for l in range(4):
             for op in all_maps(l, g.arity):
                 assert assignments(precompose(g, op)) == assignments(scan_precompose(g, op))
+
+
+def test_precompose_above_the_level_cap_raises():
+    # a 3-functor needs values at level 2, which homs truncated at 1 lack
+    d = one_object_category(["1"], lambda later, earlier: "1", truncation=1)
+    f = enumerate_functors(2, d)[0]
+    with pytest.raises(TruncationError, match="homs truncated at 1, too low for 3-functors"):
+        precompose(f, degeneracy(2, 0))
+    assert precompose(f, face(2, 0)).arity == 1
 
 
 @pytest.mark.parametrize("name", ["default", "Z/3", "four grades"])
@@ -262,7 +273,7 @@ def test_hand_built_functor_off_its_hom_stays_diagnosable():
     ]:
         values = assignments(f)
         values[pair][cid] = value
-        bad = SimplicialFunctor(2, d, f.object_map, values)
+        bad = functor_from_assignments(2, d, f.object_map, values)
         assert assignments(bad) == values
         assert validate_functor(bad).problems == [problem]
         assert (bad == f) is False
@@ -274,7 +285,7 @@ def test_hand_built_functor_missing_a_hom_is_named():
     f = enumerate_functors(2, d)[-1]
     values = assignments(f)
     del values[(0, 1)]
-    bad = SimplicialFunctor(2, d, f.object_map, values)
+    bad = functor_from_assignments(2, d, f.object_map, values)
     assert validate_functor(bad).problems == ["hom(0,1): cell '0.1' has no image"]
     with pytest.raises(KeyError, match=r"chain '0\.1' of hom \(0, 1\)"):
         functor_to_classification(bad)

@@ -1,9 +1,10 @@
+import json
 import math
 import sys
 
 import pytest
 
-from oracles import compose_maps, scan_apply
+from oracles import combinations_nerve, compose_maps, scan_apply
 from qckit.monoids import build_reference_monoid, deloop
 from qckit.ordinals import MonotoneMap, all_maps, compose, degeneracy, face, identity
 from qckit.scat import simplicial_nerve
@@ -19,6 +20,7 @@ from qckit.sset import (
     materialize_presheaf,
     nondeg_ref,
     point,
+    simplex_cell_id,
     standard_map,
     standard_simplex,
     validate,
@@ -39,6 +41,15 @@ def test_standard_simplex_total_counts(n):
     X = standard_simplex(n, truncation=n + 2)
     for k in range(n + 3):
         assert len(X.simplices(k)) == math.comb(n + k + 1, k + 1)
+
+
+@pytest.mark.parametrize("n", range(0, 5))
+@pytest.mark.parametrize("extra", [0, 2])
+def test_standard_simplex_matches_the_combinations_oracle(n, extra):
+    # cell ids, cell order and face order, key order included
+    got = standard_simplex(n, truncation=n + extra).to_json()
+    want = combinations_nerve(range(n + 1), simplex_cell_id, n + extra).to_json()
+    assert json.dumps(got) == json.dumps(want)
 
 
 def test_simplices_below_zero_and_above_truncation():
