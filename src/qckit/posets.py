@@ -2,15 +2,16 @@
 
 The mapping poset P(i, j) consists of the subsets of the integer
 interval {i, ..., j} that contain both endpoints, ordered by inclusion;
-it is empty when i > j and a single point when i == j.  Its nerve is
-built by :func:`sset.poset_nerve`, as the standard simplex is, and has
-one nondegenerate m-cell per strictly increasing chain of m+1 subsets.
+it is empty when i > j and a single point when i == j, and
+:func:`mapping_poset` returns its elements as a tuple.  :func:`nerve`
+hands that tuple to :func:`sset.poset_nerve`, as the standard simplex
+does, and has one nondegenerate m-cell per strictly increasing chain of
+m+1 subsets; the ``FinSSet`` it builds checks its own truncation.
 Unions of levelwise chains give the strictly associative composition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -22,29 +23,20 @@ def element_label(e: frozenset) -> str:
     return ".".join(str(v) for v in sorted(e))
 
 
-@dataclass(frozen=True)
-class MappingPoset:
-    """Subsets of {i..j} containing i and j, under inclusion, inside [k]."""
-
-    i: int
-    j: int
-    k: int
-    elements: tuple[frozenset, ...]
-
-
 @lru_cache(maxsize=None)
-def mapping_poset(i: int, j: int, k: int) -> MappingPoset:
+def mapping_poset(i: int, j: int, k: int) -> tuple[frozenset, ...]:
+    """The elements of P(i, j) inside [k], by size and then members."""
     if not (0 <= i <= k and 0 <= j <= k):
         raise ValueError(f"endpoints ({i}, {j}) outside [0, {k}]")
     if i > j:
-        return MappingPoset(i, j, k, ())
+        return ()
     interior = list(range(i + 1, j))
     elements = []
     for mask in range(1 << len(interior)):
         s = {i, j} | {interior[t] for t in range(len(interior)) if mask >> t & 1}
         elements.append(frozenset(s))
     elements.sort(key=lambda s: (len(s), sorted(s)))
-    return MappingPoset(i, j, k, tuple(elements))
+    return tuple(elements)
 
 
 # -- nerves -----------------------------------------------------------
@@ -54,9 +46,9 @@ def chain_cell_id(chain: Sequence[frozenset]) -> str:
     return "<".join(element_label(e) for e in chain)
 
 
-def nerve(p: MappingPoset, truncation: int | None = None) -> FinSSet:
-    """The nerve of P(i, j), its chains named by :func:`chain_cell_id`."""
-    return poset_nerve(p.elements, chain_cell_id, truncation)
+def nerve(elements: Sequence, truncation: int | None = None) -> FinSSet:
+    """The nerve of P(i, j) from its elements, named by :func:`chain_cell_id`."""
+    return poset_nerve(elements, chain_cell_id, truncation)
 
 
 def normalize_chain(chain: Sequence[frozenset]) -> SimplexRef:

@@ -50,12 +50,8 @@ class HornProblem:
 
 def find_filler(x: FinSSet, p: HornProblem):
     """The first simplex, in ``simplices`` order, matching every given
-    face, or None."""
+    face, or None.  Above x's truncation the set's own check raises."""
     n = p.dim
-    if n > x.truncation:
-        raise TruncationError(
-            f"fillers at dimension {n} exceed truncation {x.truncation}"
-        )
     at = tuple(i for i in range(n + 1) if i != p.missing)
     # a face that is not an (n-1)-simplex of x has no position: no filler
     pos = x.position(n - 1)

@@ -16,8 +16,9 @@ value in its target hom's ``simplices``, given to the one constructor
 ``SimplicialFunctor(arity, target, object_map, code)``.  There is no
 chain-keyed view of a whole functor: refs appear only where one pair is
 read back by ``hom_map`` or one field by the classification.  Truncation
-is strict: :func:`precompose`, like :func:`enumerate_functors`, raises
-above the target's level cap.
+is strict: ``_check_level_cap`` is the one check that k-functors find
+the target's homs to level k - 1, for :func:`enumerate_functors`,
+:func:`precompose` and :func:`simplicial_nerve`.
 
 Free versus forced cells: a nondegenerate chain of P(i,j) whose least
 element is the bottom {i, j} is free; any other chain has an interior
@@ -367,7 +368,7 @@ class SimplicialFunctor:
 
 
 def _check_level_cap(d: SCat, k: int) -> None:
-    """Truncation is strict: k-functors need d's homs to level k - 1."""
+    """The one level cap: k-functors need d's homs to level k - 1."""
     if k - 1 > d.level_cap:
         raise TruncationError(f"homs truncated at {d.level_cap}, too low for {k}-functors")
 
@@ -385,8 +386,6 @@ def enumerate_functors(k: int, d: SCat) -> list[SimplicialFunctor]:
     composition table there composes them.  Functors come in the
     search's leaf order.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     _check_level_cap(d, k)
     size = len(_layout(k)[0])
     results: list[SimplicialFunctor] = []
@@ -504,10 +503,7 @@ def simplicial_nerve(d: SCat, dim: int) -> NerveSSet:
     """
     if dim < 0:
         raise ValueError("dim must be >= 0")
-    if dim - 1 > d.level_cap:
-        raise TruncationError(
-            f"homs truncated at {d.level_cap} cannot support a dim-{dim} nerve"
-        )
+    _check_level_cap(d, dim)
     levels = [
         sorted(enumerate_functors(k, d), key=SimplicialFunctor.signature)
         for k in range(dim + 1)

@@ -21,8 +21,9 @@ the life of the set.  They hold integers, a list slot per entry.
 An identity operator keeps no table: ``apply`` returns a normal-form
 reference itself and :meth:`FinSSet.action` answers with a range of
 positions, so callers need no shortcut of their own.  Truncation is
-strict: asking for simplices above the truncation raises, it is never
-silently completed.
+strict and checked once, by :meth:`FinSSet.nondegenerate`: ``simplices``,
+:func:`subcomplex` and ``quasicat.find_filler`` raise through it, and no
+level above the truncation is ever silently completed.
 
 The one face lookup is :meth:`FinSSet.position_index` ``(n, at)``:
 the positions of the n-simplices keyed by the positions of their faces
@@ -328,10 +329,7 @@ class FinSSet:
             return []
         out = self._simplices.get(dim)
         if out is None:
-            if dim > self.truncation:
-                raise TruncationError(
-                    f"dimension {dim} above truncation {self.truncation}"
-                )
+            self.nondegenerate(dim)  # raises above the truncation
             out = [
                 SimplexRef(epi, c)
                 for m in range(dim + 1)
@@ -432,10 +430,6 @@ def subcomplex(x: FinSSet, keep: Callable[[str, int], bool],
     whose face went goes too, so the result is always a sub-complex."""
     if truncation is None:
         truncation = x.truncation
-    if truncation > x.truncation:
-        raise TruncationError(
-            f"cannot extend truncation {x.truncation} to {truncation}"
-        )
     kept: set[str] = set()
     cells: dict[int, list[str]] = {}
     faces: dict[str, tuple[SimplexRef, ...]] = {}
@@ -612,19 +606,14 @@ def validate(x: FinSSet) -> ValidationReport:
     if report.problems:
         return report
     # d_i d_j = d_{j-1} d_i for i < j, on every nondegenerate cell.
+    # No walk fails: the pass above checked every face entry's cell and epi.
     for d in range(2, x.truncation + 1):
         for c in x.nondegenerate(d):
             top = nondeg_ref(c, d)
             for j in range(1, d + 1):
                 for i in range(j):
-                    try:
-                        lhs = x.apply(x.apply(top, face(d, j)), face(d - 1, i))
-                        rhs = x.apply(x.apply(top, face(d, i)), face(d - 1, j - 1))
-                    except (UnknownCellError, ArityError) as exc:
-                        report.problems.append(
-                            f"cell {c!r}: faces (d{i}, d{j}) not computable: {exc}"
-                        )
-                        continue
+                    lhs = x.apply(x.apply(top, face(d, j)), face(d - 1, i))
+                    rhs = x.apply(x.apply(top, face(d, i)), face(d - 1, j - 1))
                     if lhs != rhs:
                         report.problems.append(
                             f"cell {c!r}: identity d{i} d{j} = d{j - 1} d{i} "

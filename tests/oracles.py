@@ -566,9 +566,7 @@ def scan_nerve(d, dim: int) -> NerveSSet:
     if dim < 0:
         raise ValueError("dim must be >= 0")
     if dim - 1 > d.level_cap:
-        raise TruncationError(
-            f"homs truncated at {d.level_cap} cannot support a dim-{dim} nerve"
-        )
+        raise TruncationError(f"homs truncated at {d.level_cap}, too low for {dim}-functors")
     by_level: list[list[SimplicialFunctor]] = [
         enumerate_functors(k, d) for k in range(dim + 1)
     ]

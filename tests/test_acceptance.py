@@ -77,18 +77,18 @@ def same_cells(x, y) -> bool:
 def test_criterion_1_rigidification_fidelity():
     budget = Budget("1 (rigidification fidelity)", 1.0)
     p02 = mapping_poset(0, 2, 2)
-    assert len(p02.elements) == 2
+    assert len(p02) == 2
     assert nerve(p02).cell_count(1) == 1
 
     p03 = mapping_poset(0, 3, 3)
-    assert len(p03.elements) == 4
+    assert len(p03) == 4
     assert nerve(p03).cell_count(2) == 2
 
     # brute-force subset oracle over the full interval
     for j in range(1, 6):
         for i in range(j):
             p = mapping_poset(i, j, 5)
-            assert len(p.elements) == 2 ** (j - i - 1)
+            assert len(p) == 2 ** (j - i - 1)
             members = range(i, j + 1)
             keep = {
                 frozenset(c)
@@ -96,7 +96,7 @@ def test_criterion_1_rigidification_fidelity():
                 for c in itertools.combinations(members, r)
                 if i in c and j in c
             }
-            assert set(p.elements) == keep
+            assert set(p) == keep
     budget.finish()
 
 

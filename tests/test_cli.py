@@ -175,6 +175,27 @@ def test_check_rejects_group_grades(tmp_path, capsys):
     assert any("left translation" in p for p in env["problems"])
 
 
+@pytest.mark.parametrize("elements, table, problems", [
+    (["0", "a"], [["0", "a"], ["0", "a"]], [
+        "unit law fails at 'a'",
+        "left translation by 'a' is a bijection: {'0': '0', 'a': 'a'}",
+    ]),
+    (["0", "a", "b"], [["0", "a", "b"], ["a", "a", "a"], ["b", "b", "a"]], [
+        "associativity fails at ('b', 'a', 'b')",
+        "associativity fails at ('b', 'b', 'b')",
+    ]),
+], ids=["unit", "associativity"])
+def test_check_names_a_grade_law_that_fails(tmp_path, capsys, elements, table, problems):
+    blob = {
+        "grades": {"elements": elements, "unit": "0", "table": table},
+        "components": {g: {"group": "Z/2"} for g in elements[1:]},
+        "truncation": 3,
+    }
+    rc, env = run_json(capsys, "check", write_json(tmp_path / "spec.json", blob))
+    assert rc == 1
+    assert env["problems"] == ["grade monoid rejected:", *problems]
+
+
 def test_check_scat_manifest(tmp_path, capsys):
     cat = one_object_category(["1"], lambda later, earlier: "1", truncation=2)
     manifest = scat_to_manifest(cat, str(tmp_path))
@@ -796,7 +817,8 @@ def test_closed_stdout_exits_one_without_a_traceback(tmp_path, argv):
 
 def test_runtime_loads_only_the_standard_library():
     # isolated (-I) and without site-packages (-S): every qckit module
-    # must import, and nothing outside the standard library may load
+    # must import, and nothing outside the standard library may load;
+    # -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps src free of bytecode
     src = os.path.dirname(os.path.dirname(qckit.__file__))
     code = (
         "import json, pkgutil, sys\n"
@@ -807,7 +829,7 @@ def test_runtime_loads_only_the_standard_library():
         "print(json.dumps(sorted(sys.modules)))\n"
     )
     done = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code],
+        [sys.executable, "-I", "-S", "-B", "-c", code],
         capture_output=True, text=True, check=True,
     )
     loaded = json.loads(done.stdout)

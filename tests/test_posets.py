@@ -17,23 +17,23 @@ def test_mapping_poset_sizes():
             for j in range(k + 1):
                 p = mapping_poset(i, j, k)
                 if i > j:
-                    assert len(p.elements) == 0
+                    assert len(p) == 0
                 elif i == j:
-                    assert len(p.elements) == 1
+                    assert len(p) == 1
                 else:
-                    assert len(p.elements) == 2 ** (j - i - 1)
+                    assert len(p) == 2 ** (j - i - 1)
 
 
 def test_mapping_poset_02():
     p = mapping_poset(0, 2, 2)
-    assert list(p.elements) == [frozenset({0, 2}), frozenset({0, 1, 2})]
+    assert list(p) == [frozenset({0, 2}), frozenset({0, 1, 2})]
     n = nerve(p)
     assert [n.cell_count(d) for d in range(n.truncation + 1)] == [2, 1]
 
 
 def test_mapping_poset_03_nerve_counts():
     p = mapping_poset(0, 3, 3)
-    assert len(p.elements) == 4
+    assert len(p) == 4
     n = nerve(p)
     assert validate(n).ok
     # the diamond: 4 vertices, 5 strict 2-chains, 2 strict 3-chains
@@ -56,7 +56,7 @@ def test_nerve_matches_the_combinations_oracle(k):
     for i in range(k + 1):
         for j in range(k + 1):
             p = mapping_poset(i, j, k)
-            want = combinations_nerve(p.elements, chain_cell_id, max(j - i - 1, 0))
+            want = combinations_nerve(p, chain_cell_id, max(j - i - 1, 0))
             assert json.dumps(nerve(p).to_json()) == json.dumps(want.to_json())
 
 

@@ -150,9 +150,11 @@ def test_horn_problems_refuse_a_bad_shape(n, k):
 
 
 def test_find_filler_respects_truncation():
+    # the set's own check raises, at the first level above its truncation
     x = standard_simplex(2)
-    with pytest.raises(TruncationError):
-        find_filler(x, HornProblem(3, 1, (None,) * 4))
+    for n in (3, 4):
+        with pytest.raises(TruncationError, match=r"^dimension 3 above truncation 2$"):
+            find_filler(x, HornProblem(n, 1, (None,) * (n + 1)))
 
 
 def test_horn_problem_enumeration_counts_on_simplex():
@@ -509,6 +511,16 @@ def test_pi1_of_simplex_is_trivial():
     result = pi1(standard_simplex(3), "0")
     assert result.ok
     assert result.order == 1
+
+
+def test_tables_isomorphic_tells_z4_from_the_klein_group():
+    # equal orders, so only the search over bijections can say no
+    klein = {(i, j): i ^ j for i in range(4) for j in range(4)}
+    assert not tables_isomorphic(cyclic_table(4), klein)
+    assert not tables_isomorphic(klein, cyclic_table(4))
+    p = (2, 0, 3, 1)
+    relabelled = {(p[i], p[j]): p[v] for (i, j), v in cyclic_table(4).items()}
+    assert tables_isomorphic(cyclic_table(4), relabelled)
 
 
 def test_tables_isomorphic_rejects_partial_tables():

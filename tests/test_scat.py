@@ -110,7 +110,7 @@ def test_rigidify_hom_cell_counts(k):
                 continue
             for m in range(min(h.truncation, max(j - i - 1, 0)) + 1):
                 expected = strict_chain_count(
-                    p.elements, lambda a, b: a <= b, m + 1
+                    p, lambda a, b: a <= b, m + 1
                 )
                 assert h.cell_count(m) == expected
 
@@ -173,6 +173,22 @@ def test_truncation_guard():
     low = one_object_category(["1"], lambda later, earlier: "1", truncation=1)
     with pytest.raises(TruncationError):
         enumerate_functors(3, low)
+
+
+def test_nerve_above_the_level_cap_raises_the_functor_message():
+    # one level cap for functors and nerves; the oracle words it alike
+    d = one_object_category(["1"], lambda later, earlier: "1", truncation=1)
+    for build in (enumerate_functors, lambda k, d: simplicial_nerve(d, k),
+                  lambda k, d: scan_nerve(d, k)):
+        with pytest.raises(TruncationError, match="^homs truncated at 1, too low for 3-functors$"):
+            build(3, d)
+    assert simplicial_nerve(d, 2).truncation == 2
+
+
+def test_enumerate_functors_leaves_a_negative_arity_to_rigidify():
+    d = one_object_category(["1"], lambda later, earlier: "1", truncation=1)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        enumerate_functors(-1, d)
 
 
 def test_enumeration_deeper_than_the_recursion_limit():

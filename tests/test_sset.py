@@ -23,6 +23,7 @@ from qckit.sset import (
     simplex_cell_id,
     standard_map,
     standard_simplex,
+    truncate,
     validate,
     validate_map,
 )
@@ -59,6 +60,16 @@ def test_simplices_below_zero_and_above_truncation():
         X.simplices(3)
     with pytest.raises(TruncationError):
         X.nondegenerate(3)
+
+
+@pytest.mark.parametrize("x", [point(), standard_simplex(2), horn(3, 1)],
+                         ids=["point", "simplex(2)", "horn(3,1)"])
+def test_one_truncation_message_above_the_truncation(x):
+    # nondegenerate is the one check; simplices and truncate reach it
+    t = x.truncation
+    for ask in (x.nondegenerate, x.simplices, lambda d: truncate(x, d)):
+        with pytest.raises(TruncationError, match=rf"^dimension {t + 1} above truncation {t}$"):
+            ask(t + 1)
 
 
 def test_validate_standard_simplices():
