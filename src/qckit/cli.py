@@ -40,7 +40,7 @@ GROUP_SIZE_CAP = 512
 # wider window only pads the rows.
 HARD_WINDOW_CAP = 64
 
-# ``<name>_pairing`` in ``monoids`` for each name
+# ``<name>_pairing`` in ``grassmann`` for each name
 PAIRINGS = ("cantor", "szudzik")
 
 
@@ -126,8 +126,11 @@ def _emit(envelope: dict, report: str | None = None) -> None:
 def _write_text(path: str, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror or e}")
 
 
 def _load_sset(path: str) -> FinSSet:
@@ -376,7 +379,7 @@ def cmd_verify_prop(args) -> int:
 def _assoc_check(seed: int, trials: int) -> dict:
     import random
 
-    from .monoids import boxplus, random_subspace, zero_subspace
+    from .grassmann import boxplus, random_subspace, zero_subspace
 
     rng = random.Random(seed)
     failures = []
@@ -406,20 +409,20 @@ def cmd_grassmann(args) -> int:
         _emit(_envelope(args, "grassmann", mode="assoc-check", ok=ok, **payload),
               args.report)
         return 0 if ok else 1
-    from . import monoids
+    from . import grassmann
 
-    if args.window < monoids.WITNESS_AXES:
+    if args.window < grassmann.WITNESS_AXES:
         raise UsageError(
-            f"--window must be >= {monoids.WITNESS_AXES}: the witness search "
-            f"reads axes 0 to {monoids.WITNESS_AXES - 1}, got {args.window}"
+            f"--window must be >= {grassmann.WITNESS_AXES}: the witness search "
+            f"reads axes 0 to {grassmann.WITNESS_AXES - 1}, got {args.window}"
         )
     if args.window > HARD_WINDOW_CAP:
         raise UsageError(
             f"--window must be <= {HARD_WINDOW_CAP}: no coordinate the "
             f"witness search routes lies past it, got {args.window}"
         )
-    witness = monoids.find_nonassociativity_witness(
-        pairing=getattr(monoids, f"{args.pairing}_pairing"), window=args.window,
+    witness = grassmann.find_nonassociativity_witness(
+        pairing=getattr(grassmann, f"{args.pairing}_pairing"), window=args.window,
     )
     if witness is None:
         raise CommandError(

@@ -1,20 +1,17 @@
 """Graded simplicial monoids, their delooping, and the main verification.
 
-Two monoid worlds live here.  The abstract one: a finite grade monoid
-with only-unit invertibility, one Kan component per grade (group nerves
-in the reference models), and a strictly associative graded product;
-``deloop`` turns it into a one-object enriched category whose coherent
-nerve, coslice, and core feed :func:`verify_proposition`.  The concrete
-one: exact-rational subspaces with the block direct sum ``boxplus``,
-which is strictly associative, against pairing-based sums, which never
-are; :func:`find_nonassociativity_witness` exhibits the failure.
+A finite grade monoid with only-unit invertibility, one Kan component
+per grade (group nerves in the reference models), and a strictly
+associative graded product; ``deloop`` turns it into a one-object
+enriched category whose coherent nerve, coslice, and core feed
+:func:`verify_proposition`.  The concrete model, exact-rational
+subspaces with the block direct sum, lives in :mod:`qckit.grassmann`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .ordinals import MonotoneMap, epis_onto, face
 from .quasicat import (
@@ -712,210 +709,14 @@ def verify_proposition(m: GradedSimplicialMonoid, dims: int = 2) -> PropositionR
     return PropositionReport(checks)
 
 
-# -- exact rational subspaces -----------------------------------------
+# -- the tracer's names -----------------------------------------------
 
 
-def _rref(rows) -> tuple:
-    """Reduced row echelon over exact rationals, zero rows dropped."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return ()
-    width = len(mat[0])
-    lead = 0
-    out = []
-    for col in range(width):
-        pivot = None
-        for i in range(lead, len(mat)):
-            if mat[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[lead], mat[pivot] = mat[pivot], mat[lead]
-        if mat[lead][col] != 1:
-            inv = Fraction(1) / mat[lead][col]
-            mat[lead] = [x * inv for x in mat[lead]]
-        for i in range(len(mat)):
-            if i != lead and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [
-                    a - factor * b for a, b in zip(mat[i], mat[lead])
-                ]
-        lead += 1
-        if lead == len(mat):
-            break
-    for row in mat[:lead]:
-        out.append(tuple(row))
-    return tuple(out)
+def __getattr__(name: str):
+    # perfbench's tracer reads ``monoids.boxplus`` and ``monoids.span``
+    # by name; this forward goes when ROADMAP item 6 retires the tracer
+    if name in ("boxplus", "span"):
+        from . import grassmann
 
-
-@dataclass(frozen=True)
-class RationalSubspace:
-    """A subspace of (Q^base_dim)^copies in canonical echelon form, so
-    equality of representations is equality of subspaces."""
-
-    copies: int
-    base_dim: int
-    rows: tuple
-
-    def __post_init__(self):
-        width = self.copies * self.base_dim
-        for r in self.rows:
-            if len(r) != width:
-                raise ValueError(f"row width {len(r)} != ambient {width}")
-        if _rref(self.rows) != self.rows:
-            raise ValueError("rows are not canonical; build with span()")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.copies * self.base_dim
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def span(copies: int, base_dim: int, vectors) -> RationalSubspace:
-    width = copies * base_dim
-    rows = [
-        tuple(Fraction(x) for x in v) for v in vectors
-    ]
-    for r in rows:
-        if len(r) != width:
-            raise ValueError(f"vector width {len(r)} != ambient {width}")
-    return RationalSubspace(copies, base_dim, _rref(rows))
-
-
-def zero_subspace(base_dim: int) -> RationalSubspace:
-    """Zero copies of the base: the strict unit for boxplus."""
-    return RationalSubspace(0, base_dim, ())
-
-
-def axis_subspace(copies: int, base_dim: int, index: int) -> RationalSubspace:
-    width = copies * base_dim
-    if not 0 <= index < width:
-        raise ValueError(f"axis {index} outside ambient {width}")
-    row = tuple(
-        Fraction(1 if i == index else 0) for i in range(width)
-    )
-    return RationalSubspace(copies, base_dim, (row,))
-
-
-def boxplus(v: RationalSubspace, w: RationalSubspace) -> RationalSubspace:
-    """Block direct sum: v in the first copies, w in the last.  Strictly
-    associative because blocks concatenate."""
-    if v.base_dim != w.base_dim:
-        raise ValueError(
-            f"base dimensions differ: {v.base_dim} != {w.base_dim}"
-        )
-    left_pad = (Fraction(0),) * v.ambient_dim
-    right_pad = (Fraction(0),) * w.ambient_dim
-    rows = tuple(r + right_pad for r in v.rows) + tuple(
-        left_pad + r for r in w.rows
-    )
-    return RationalSubspace(v.copies + w.copies, v.base_dim, rows)
-
-
-def random_subspace(rng, copies: int, base_dim: int, max_rank: int) -> RationalSubspace:
-    k = rng.randint(0, max_rank)
-    vectors = [
-        [
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            for _ in range(copies * base_dim)
-        ]
-        for _ in range(k)
-    ]
-    return span(copies, base_dim, vectors)
-
-
-# -- pairing-based sums and their non-associativity -------------------
-
-
-def cantor_pairing(a: int, b: int) -> int:
-    return (a + b) * (a + b + 1) // 2 + b
-
-
-def szudzik_pairing(a: int, b: int) -> int:
-    return a * a + a + b if a >= b else b * b + a
-
-
-class WindowOverflowError(ValueError):
-    def __init__(self, needed: int, window: int):
-        self.needed = needed
-        self.window = window
-        super().__init__(
-            f"pairing image needs coordinate {needed - 1} but the window "
-            f"has {window}; rebuild the subspaces in an ambient window of "
-            f"at least {needed} coordinates"
-        )
-
-
-def pairing_sum(v: RationalSubspace, w: RationalSubspace,
-                pairing=cantor_pairing) -> RationalSubspace:
-    """Sum through a chosen injection: coordinates of v run through
-    pairing(i, 0), coordinates of w through pairing(j, 1), inside one
-    shared window.  Raises when an occupied coordinate routes outside."""
-    if (v.copies, v.base_dim) != (w.copies, w.base_dim):
-        raise ValueError("pairing sum needs a shared ambient window")
-    window = v.ambient_dim
-
-    def route(rows, side):
-        out = []
-        for r in rows:
-            new = [Fraction(0)] * window
-            for j, x in enumerate(r):
-                if x == 0:
-                    continue
-                image = pairing(j, side)
-                if image >= window:
-                    raise WindowOverflowError(image + 1, window)
-                new[image] = x
-            out.append(new)
-        return out
-
-    routed = route(v.rows, 0) + route(w.rows, 1)
-    return span(v.copies, v.base_dim, routed)
-
-
-# the witness search reads the axes 0 .. WITNESS_AXES - 1, so its window
-# must hold that many coordinates
-WITNESS_AXES = 3
-
-
-@dataclass
-class NonassociativityWitness:
-    v: RationalSubspace
-    w: RationalSubspace
-    u: RationalSubspace
-    left: RationalSubspace
-    right: RationalSubspace
-
-    def to_json(self) -> dict:
-        def rows(s):
-            return [[str(x) for x in r] for r in s.rows]
-
-        return {
-            "v": rows(self.v),
-            "w": rows(self.w),
-            "u": rows(self.u),
-            "left_association": rows(self.left),
-            "right_association": rows(self.right),
-        }
-
-
-def find_nonassociativity_witness(pairing=cantor_pairing, window: int = 16):
-    """Searches the axis lines 0 .. WITNESS_AXES - 1 for (v+w)+u !=
-    v+(w+u); triples that overflow the window are skipped.  Returns None
-    only if nothing in range witnesses the failure."""
-    for a, b, c in itertools.product(range(WITNESS_AXES), repeat=3):
-        v = axis_subspace(1, window, a)
-        w = axis_subspace(1, window, b)
-        u = axis_subspace(1, window, c)
-        try:
-            left = pairing_sum(pairing_sum(v, w, pairing), u, pairing)
-            right = pairing_sum(v, pairing_sum(w, u, pairing), pairing)
-        except WindowOverflowError:
-            continue
-        if left != right:
-            return NonassociativityWitness(v, w, u, left, right)
-    return None
+        return getattr(grassmann, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

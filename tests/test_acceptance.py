@@ -10,20 +10,22 @@ import oracles
 
 from qckit.cli import main
 from qckit.join import coslice_fastpath, cross_validate_coslice
+from qckit.grassmann import (
+    boxplus,
+    find_nonassociativity_witness,
+    random_subspace,
+    szudzik_pairing,
+    zero_subspace,
+)
 from qckit.monoids import (
     MonoidSpec,
-    boxplus,
     build_reference_monoid,
     cyclic_group,
     deloop,
-    find_nonassociativity_witness,
     group_nerve,
     monoid_spec_to_json,
-    random_subspace,
     saturating_grades,
-    szudzik_pairing,
     verify_proposition,
-    zero_subspace,
 )
 from qckit.ordinals import all_maps, compose, face
 from qckit.posets import mapping_poset, nerve

@@ -815,6 +815,54 @@ def test_closed_stdout_exits_one_without_a_traceback(tmp_path, argv):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize(
+    "argv",
+    [["nerve", "default", "--dim", "2"], ["grassmann", "--assoc-check", "--trials", "3"],
+     ["grassmann", "--pairing-witness"]],
+    ids=["nerve", "assoc-check", "pairing-witness"],
+)
+def test_unwritable_report_exits_two_naming_the_path(tmp_path, capsys, argv, where):
+    # the report is written before anything is printed
+    path = str(tmp_path if where == "directory" else tmp_path / "missing" / "x.json")
+    rc, out, err = run(capsys, *argv, "--report", path)
+    assert rc == 2
+    assert f"cannot write {path}" in err and "Traceback" not in err
+    assert out == ""
+
+
+def _loaded_after(code: str) -> list:
+    """The qckit modules a fresh process holds after ``code``; -B keeps
+    src free of bytecode, as in the standard-library test below."""
+    src = os.path.dirname(os.path.dirname(qckit.__file__))
+    done = subprocess.run(
+        [sys.executable, "-B", "-c",
+         f"import json, sys\nsys.path.insert(0, {src!r})\n{code}\n"
+         "print(json.dumps(sorted(sys.modules)))\n"],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_monoids_loads_no_rational_arithmetic():
+    loaded = _loaded_after("import qckit.monoids")
+    assert "qckit.monoids" in loaded
+    assert {"fractions", "decimal", "qckit.grassmann"}.isdisjoint(loaded)
+
+
+@pytest.mark.parametrize("argv", [["--pairing-witness"], ["--assoc-check", "--trials", "1"]],
+                         ids=["pairing-witness", "assoc-check"])
+def test_grassmann_loads_no_nerve_module(argv):
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from qckit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['grassmann', *{argv!r}]) == 0"
+    )
+    assert [m for m in loaded if m.split(".")[0] == "qckit"] == [
+        "qckit", "qckit.cli", "qckit.grassmann"]
+
+
 def test_runtime_loads_only_the_standard_library():
     # isolated (-I) and without site-packages (-S): every qckit module
     # must import, and nothing outside the standard library may load;

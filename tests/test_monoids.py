@@ -18,38 +18,40 @@ from oracles import (
     scan_monoid_laws,
     scan_scat_laws,
 )
-from qckit import monoids
-from qckit.monoids import (
-    FiniteGroup,
-    GradeMonoid,
-    GradedSimplicialMonoid,
-    MonoidSpec,
+from qckit import grassmann, monoids
+from qckit.grassmann import (
     NonassociativityWitness,
     RationalSubspace,
     WindowOverflowError,
     axis_subspace,
     boxplus,
-    build_reference_monoid,
     cantor_pairing,
+    find_nonassociativity_witness,
+    pairing_sum,
+    random_subspace,
+    span,
+    szudzik_pairing,
+    zero_subspace,
+)
+from qckit.monoids import (
+    FiniteGroup,
+    GradeMonoid,
+    GradedSimplicialMonoid,
+    MonoidSpec,
+    build_reference_monoid,
     cyclic_group,
     default_monoid_spec,
     deloop,
-    find_nonassociativity_witness,
     group_from_name,
     group_nerve,
     group_order,
     group_product,
     monoid_spec_from_json,
     monoid_spec_to_json,
-    pairing_sum,
-    random_subspace,
     saturating_grades,
-    span,
-    szudzik_pairing,
     total_space,
     validate_monoid,
     verify_proposition,
-    zero_subspace,
 )
 from qckit.quasicat import is_kan_up_to
 from qckit.scat import simplicial_nerve, validate_scat
@@ -688,7 +690,7 @@ def rational_rows(draw):
 @settings(max_examples=200, deadline=None)
 def test_rref_matches_the_rescaling_oracle(drawn):
     rows, canonical = drawn
-    reduced = monoids._rref(rows)
+    reduced = grassmann._rref(rows)
     assert reduced == rref_rescaling_every_pivot(rows)
     if canonical:
         assert reduced == rows
@@ -705,6 +707,49 @@ def test_noncanonical_rows_are_refused():
     ]:
         with pytest.raises(ValueError, match="canonical"):
             RationalSubspace(1, 2, rows)
+
+
+@st.composite
+def echelon_candidates(draw):
+    """(width, rows) handed to RationalSubspace as they are: int and
+    Fraction rows as drawn, or a canonical form left alone or with one
+    entry redrawn; a list may stand for the rows or for one row."""
+    width = draw(st.integers(1, 5))
+    row = st.lists(RATIONAL_ENTRIES, min_size=width, max_size=width).map(tuple)
+    rows = draw(st.lists(row, max_size=4))
+    how = draw(st.sampled_from(["raw", "canonical", "perturbed"]))
+    if how != "raw":
+        rows = list(rref_rescaling_every_pivot(rows))
+    if how == "perturbed" and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, width - 1))
+        rows[i] = rows[i][:j] + (draw(RATIONAL_ENTRIES),) + rows[i][j + 1:]
+    container = draw(st.sampled_from(["tuple", "list", "list row"]))
+    if container == "list":
+        return width, rows
+    if container == "list row" and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = list(rows[i])
+    return width, tuple(rows)
+
+
+@given(echelon_candidates())
+@settings(max_examples=300, deadline=None)
+def test_subspace_accepts_exactly_the_reduced_echelon_rows(drawn):
+    width, rows = drawn
+    if rref_rescaling_every_pivot(rows) == rows:
+        assert RationalSubspace(1, width, rows).rows == rows
+    else:
+        with pytest.raises(ValueError, match="canonical"):
+            RationalSubspace(1, width, rows)
+
+
+def test_monoids_forwards_only_the_traced_rational_names():
+    assert getattr(monoids, "boxplus") is grassmann.boxplus
+    assert getattr(monoids, "span") is grassmann.span
+    for name in ("RationalSubspace", "zero_subspace", "_rref", "Fraction"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(monoids, name)
 
 
 def test_boxplus_blocks_and_unit():
