@@ -19,6 +19,10 @@ from math import gcd, lcm
 
 # -- exact rational subspaces -----------------------------------------
 
+# one shared zero: the pads of boxplus and the zeros _rref writes are
+# this object, so comparing two sums' rows mostly meets identical entries
+_ZERO = Fraction(0)
+
 
 def _rref(rows) -> tuple:
     """Reduced row echelon over exact rationals, zero rows dropped.
@@ -52,7 +56,7 @@ def _rref(rows) -> tuple:
         if lead == len(mat):
             break
     return tuple(
-        tuple(Fraction(x, row[col]) for x in row)
+        tuple(Fraction(x, row[col]) if x else _ZERO for x in row)
         for row, col in zip(mat, pivots)
     )
 
@@ -68,13 +72,13 @@ def _is_reduced_echelon(rows) -> bool:
     for r in rows:
         if not isinstance(r, tuple):
             return False
-        col = next((j for j, x in enumerate(r) if x != 0), None)
+        col = next((j for j, x in enumerate(r) if x), None)
         if col is None or r[col] != 1 or (pivots and col <= pivots[-1]):
             return False
         pivots.append(col)
     # entries below a pivot precede their row's own pivot, so are 0
-    return all(
-        r[col] == 0 for i, r in enumerate(rows) for col in pivots[i + 1:]
+    return not any(
+        r[col] for i, r in enumerate(rows) for col in pivots[i + 1:]
     )
 
 
@@ -137,8 +141,8 @@ def boxplus(v: RationalSubspace, w: RationalSubspace) -> RationalSubspace:
         raise ValueError(
             f"base dimensions differ: {v.base_dim} != {w.base_dim}"
         )
-    left_pad = (Fraction(0),) * v.ambient_dim
-    right_pad = (Fraction(0),) * w.ambient_dim
+    left_pad = (_ZERO,) * v.ambient_dim
+    right_pad = (_ZERO,) * w.ambient_dim
     rows = tuple(r + right_pad for r in v.rows) + tuple(
         left_pad + r for r in w.rows
     )
