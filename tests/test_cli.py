@@ -832,8 +832,8 @@ def test_unwritable_report_exits_two_naming_the_path(tmp_path, capsys, argv, whe
 
 
 def _loaded_after(code: str) -> list:
-    """The qckit modules a fresh process holds after ``code``; -B keeps
-    src free of bytecode, as in the standard-library test below."""
+    """The modules a fresh process holds after running ``code``; -B
+    keeps src free of bytecode, as in the standard-library test below."""
     src = os.path.dirname(os.path.dirname(qckit.__file__))
     done = subprocess.run(
         [sys.executable, "-B", "-c",
@@ -841,7 +841,7 @@ def _loaded_after(code: str) -> list:
          "print(json.dumps(sorted(sys.modules)))\n"],
         capture_output=True, text=True, check=True,
     )
-    return json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout)
 
 
 def test_monoids_loads_no_rational_arithmetic():
