@@ -25,6 +25,7 @@ from .sset import (
     TruncationError,
     UnknownCellError,
     ValidationReport,
+    associativity_failures,
     depth_first,
     nondeg_ref,
     subcomplex,
@@ -306,14 +307,10 @@ def pi1(x: FinSSet, basepoint: str) -> Pi1Result:
                 for j in range(n)
             ):
                 result.problems.append(f"no inverse for class {i}")
-        for i, j, k in itertools.product(range(n), repeat=3):
-            if result.table[result.table[i, j], k] != (
-                result.table[i, result.table[j, k]]
-            ):
-                result.problems.append(
-                    f"associativity fails at ({i}, {j}, {k})"
-                )
-                break
+        rows = [[result.table[i, j] for j in range(n)] for i in range(n)]
+        for i, j, k in associativity_failures(rows, rows, rows, rows):
+            result.problems.append(f"associativity fails at ({i}, {j}, {k})")
+            break
     return result
 
 

@@ -35,7 +35,8 @@ nerve's cell order is that of the chain-keyed values.
 
 The low-simplex classification reads one field table, ``_FIELD_CHAINS``:
 each field of an edge, triangle or tetrahedron tuple is the value on one
-free chain, and the forced cells are filled as in enumeration.
+free chain, and a tuple rebuilds its functor through the enumeration
+search with those chains held fixed.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Mapping
 
-from .ordinals import MonotoneMap, degeneracy, face
+from .ordinals import MonotoneMap, degeneracy, epis_onto, face
 from .posets import (
     chain_cell_id,
     chain_sets,
@@ -104,8 +105,7 @@ class SCat:
     def identity_ref(self, x, level: int = 0) -> SimplexRef:
         """The level-fold degenerate simplex on the identity vertex."""
         v = self.identities[x]
-        epi = MonotoneMap(level, 0, (0,) * (level + 1))
-        return SimplexRef(epi, v)
+        return SimplexRef(epis_onto(level, 0)[0], v)
 
 
 def validate_scat(d: SCat, max_level: int | None = None) -> ValidationReport:
@@ -373,31 +373,37 @@ def _check_level_cap(d: SCat, k: int) -> None:
         raise TruncationError(f"homs truncated at {d.level_cap}, too low for {k}-functors")
 
 
-def enumerate_functors(k: int, d: SCat) -> list[SimplicialFunctor]:
-    """All simplicial functors rigidify(k) -> d, each exactly once.
+def _codes(frame: _Frame, fixed: Mapping[int, int] | None = None):
+    """The one search: yields the code of every functor with frame's
+    object map, in the search's leaf order.  The cells of every hom are
+    slots of :func:`~qckit.sset.depth_first`, in order of gap, dimension
+    and chain, and each takes a position in its target hom.  A free
+    cell's candidates are read from the hom's ``position_index`` under
+    the positions already chosen on its faces, in ``simplices`` order.
+    A forced cell has one candidate: two kept action tables take its
+    halves' positions to its level, and the composition table there
+    composes them.  An entry in ``fixed`` keeps only its given position,
+    where its slot lists it."""
+    steps, vals = frame.steps(), frame.units()
+    size = len(frame.homs)
+    candidates = lambda s: _candidates(steps[s], vals)
+    if fixed:
+        listed = candidates
+        candidates = lambda s: [v for v in listed(s) if fixed.get(steps[s][0], v) == v]
+    for _ in depth_first([(vals, step[0]) for step in steps], candidates):
+        yield tuple([vals[e] for e in range(size)])
 
-    For each object map, in ``itertools.product`` order, the cells of
-    every hom are slots of :func:`~qckit.sset.depth_first`, in order of
-    gap, dimension and chain, and each takes a position in its target
-    hom.  A free cell's candidates are read from the hom's
-    ``position_index`` under the positions already chosen on its faces,
-    in ``simplices`` order.  A forced cell has one candidate: two kept
-    action tables take its halves' positions to its level, and the
-    composition table there composes them.  Functors come in the
-    search's leaf order.
-    """
+
+def enumerate_functors(k: int, d: SCat) -> list[SimplicialFunctor]:
+    """All simplicial functors rigidify(k) -> d, each exactly once: for
+    each object map, in ``itertools.product`` order, the codes of
+    :func:`_codes` with nothing fixed."""
     _check_level_cap(d, k)
-    size = len(_layout(k)[0])
-    results: list[SimplicialFunctor] = []
-    for objs in itertools.product(d.objects, repeat=k + 1):
-        frame = _frame(d, k, objs)
-        steps = frame.steps()
-        vals = frame.units()
-        slots = [(vals, step[0]) for step in steps]
-        for _ in depth_first(slots, lambda s: _candidates(steps[s], vals)):
-            code = tuple([vals[e] for e in range(size)])
-            results.append(SimplicialFunctor(k, d, objs, code))
-    return results
+    return [
+        SimplicialFunctor(k, d, objs, code)
+        for objs in itertools.product(d.objects, repeat=k + 1)
+        for code in _codes(_frame(d, k, objs))
+    ]
 
 
 def precompose(f: SimplicialFunctor, op: MonotoneMap) -> SimplicialFunctor:
@@ -501,8 +507,6 @@ def simplicial_nerve(d: SCat, dim: int) -> NerveSSet:
     ``n{k}c{idx}`` in that order and normalizes every face.  Requires
     the homs of d to be truncated at least at dim - 1.
     """
-    if dim < 0:
-        raise ValueError("dim must be >= 0")
     _check_level_cap(d, dim)
     levels = [
         sorted(enumerate_functors(k, d), key=SimplicialFunctor.signature)
@@ -587,6 +591,7 @@ def classify_low_simplices(k: int, d: SCat) -> list:
     its ``position_index``, its kept action tables and the composition
     tables."""
     x = _the_object(d)
+    _field_table(k)
     h = d.hom(x, x)
     names = h.nondegenerate(0)  # the vertices, by position
     if k == 1:
@@ -602,8 +607,6 @@ def classify_low_simplices(k: int, d: SCat) -> list:
             for v01 in verts for v12 in verts
             for g in by_target.get((mul0[v12][v01],), ())
         ]
-    if k != 3:
-        raise ValueError("classification covers k in {1, 2, 3}")
     mul1 = d.comp[(x, x, x)].table(1)
     s0 = h.action(degeneracy(0, 0))
     by_ends = h.position_index(1)
@@ -635,10 +638,10 @@ def classify_low_simplices(k: int, d: SCat) -> list:
 
 
 def classification_to_functor(k: int, d: SCat, data) -> SimplicialFunctor:
-    """Rebuild the functor a classification tuple encodes: each field goes
-    onto its chain, a bottom vertex {i, j} no field records is the source
-    of the free edge {i, j} < {i, ..., j}, and every forced cell is
-    composed from shorter gaps as in :func:`enumerate_functors`."""
+    """Rebuild the functor a classification tuple encodes: the search of
+    :func:`enumerate_functors` with each field's chain held at the
+    field's value, whose one leaf it is.  A tuple that classifies no
+    k-cell raises ValueError naming it."""
     x = _the_object(d)
     kind, fields = _field_table(k)
     if not isinstance(data, kind):
@@ -646,21 +649,13 @@ def classification_to_functor(k: int, d: SCat, data) -> SimplicialFunctor:
     objs = (x,) * (k + 1)
     h = d.hom(x, x)
     entries, index, _ = _layout(k)
-    frame = _frame(d, k, objs)
-    vals = frame.units()
+    fixed = {}
     for (pair, cid, vertex), value in zip(fields, vars(data).values()):
-        ref = nondeg_ref(value, 0) if vertex else value
-        vals[index[pair, cid]] = h.position(ref.dim)[ref]
-    # the slots come in gap order: a forced cell's halves are set
-    for step in frame.steps():
-        e = step[0]
-        if step[3] is not None:
-            (vals[e],) = _candidates(step, vals)
-        elif e not in vals:
-            (i, j), _, _ = entries[e]
-            top = chain_cell_id([frozenset({i, j}), frozenset(range(i, j + 1))])
-            vals[e] = h.action(face(1, 1))[vals[index[(i, j), top]]]
-    return SimplicialFunctor(k, d, objs, tuple([vals[e] for e in range(len(entries))]))
+        e = index[pair, cid]
+        fixed[e] = h.position(entries[e][2]).get(nondeg_ref(value, 0) if vertex else value)
+    for code in _codes(_frame(d, k, objs), fixed):
+        return SimplicialFunctor(k, d, objs, code)
+    raise ValueError(f"{data!r} classifies no {k}-cell")
 
 
 def functor_to_classification(f: SimplicialFunctor):
@@ -705,9 +700,7 @@ def from_finite_category(
 
     def make_fn(x, y, z):
         def fn(level: int, a: SimplexRef, b: SimplexRef) -> SimplexRef:
-            out = compose_fn(x, y, z, a.cell, b.cell)
-            epi = MonotoneMap(level, 0, (0,) * (level + 1))
-            return SimplexRef(epi, out)
+            return SimplexRef(epis_onto(level, 0)[0], compose_fn(x, y, z, a.cell, b.cell))
 
         return fn
 

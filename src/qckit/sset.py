@@ -36,12 +36,13 @@ faces, read a simplex's own faces from the action tables
 :meth:`FinSSet.simplices` and :meth:`FinSSet.position` are kept per
 dimension; :class:`BilevelMap` answers from its kept level tables, which
 the unit and associativity sweeps read (:func:`unit_failures`,
-:func:`associativity_failures`).  :func:`poset_nerve` builds both the
+:func:`associativity_failures`), as do a grade monoid's index table and
+a fundamental group's class table.  :func:`poset_nerve` builds both the
 standard simplices and the mapping-poset nerves.
 
 Every exhaustive search runs through :func:`depth_first`, one iterative
 depth-first loop over slots of the caller's own dicts: nerve functors
-(``scat.enumerate_functors``), horn problems (``quasicat.horn_problems``),
+(``scat.enumerate_functors`` and the classification rebuild), horn problems (``quasicat.horn_problems``),
 anchored maps (the generic slice) and :func:`iso_search`.  Each caller
 gives only its candidate rule and reads its result at a leaf; leaves
 come in the order of the candidate lists, so each search keeps the
@@ -766,18 +767,18 @@ def unit_failures(left, right, j):
 
 
 def associativity_failures(t_ab, t_bc, lhs, rhs):
-    """Yields (ab, c) once per entry where (ab)c != a(bc), over level
-    tables of positions: ``t_ab[a][b]`` is ab, ``t_bc[b][c]`` is bc,
-    and ``lhs[ab][c]`` and ``rhs[a][bc]`` are the two composites.  A
-    whole row of c is compared at a time; entries are listed only
-    where a row differs."""
-    for row_ab, r_a in zip(t_ab, rhs):
-        for ab, bcs in zip(row_ab, t_bc):
+    """Yields (a, b, c) once per entry where (ab)c != a(bc), in
+    lexicographic order, over level tables of positions: ``t_ab[a][b]``
+    is ab, ``t_bc[b][c]`` is bc, and ``lhs[ab][c]`` and ``rhs[a][bc]``
+    are the two composites.  A whole row of c is compared at a time;
+    entries are listed only where a row differs."""
+    for a, (row_ab, r_a) in enumerate(zip(t_ab, rhs)):
+        for b, (ab, bcs) in enumerate(zip(row_ab, t_bc)):
             r_row = [r_a[bc] for bc in bcs]
             if lhs[ab] != r_row:
                 for c, (lc, rc) in enumerate(zip(lhs[ab], r_row)):
                     if lc != rc:
-                        yield ab, c
+                        yield a, b, c
 
 
 # -- materializing an abstract presheaf ------------------------------

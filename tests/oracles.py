@@ -462,6 +462,22 @@ def scan_monoid_laws(m):
     return problems
 
 
+def scan_grade_laws(grades):
+    """GradeMonoid.validate's unit and associativity problems, in its
+    order, reading ``product`` on every grade and triple of grades."""
+    es, u, mul = grades.elements, grades.unit, grades.product
+    problems = [
+        f"unit law fails at {a!r}" for a in es
+        if mul(a, u) != a or mul(u, a) != a
+    ]
+    problems += [
+        f"associativity fails at ({a!r}, {b!r}, {c!r})"
+        for a, b, c in itertools.product(es, repeat=3)
+        if mul(mul(a, b), c) != mul(a, mul(b, c))
+    ]
+    return problems
+
+
 def scan_scat_laws(d, cap):
     """The unit and associativity problems of validate_scat up to level
     cap, in its order, one per failing simplex or triple, composing

@@ -15,6 +15,7 @@ from oracles import (
     discrete_spec,
     rref_rescaling_every_pivot,
     scan_bilevel,
+    scan_grade_laws,
     scan_monoid_laws,
     scan_scat_laws,
 )
@@ -105,6 +106,41 @@ def test_broken_associativity_is_reported():
     assert any("associativity" in p for p in report.problems) or any(
         "bijection" in p for p in report.problems
     )
+
+
+def test_grade_validation_names_a_missing_unit_and_product():
+    table = dict(saturating_grades(1).table)
+    assert GradeMonoid(("0", "1+"), "u", table).validate().problems == [
+        "unit 'u' not an element"]
+    del table[("1+", "0")]
+    table[("0", "1+")] = "2"
+    assert GradeMonoid(("0", "1+"), "0", table).validate().problems == [
+        "product of ('0', '1+') missing", "product of ('1+', '0') missing"]
+
+
+def grade_tables():
+    """Every table on two grades, then 200 seeded tables on three."""
+    for es in (("0", "1"), ("0", "1", "2")):
+        pairs = [(a, b) for a in es for b in es]
+        if len(es) == 2:
+            rows = itertools.product(es, repeat=len(pairs))
+        else:
+            rng = random.Random(24)
+            rows = ([rng.choice(es) for _ in pairs] for _ in range(200))
+        for row in rows:
+            yield GradeMonoid(es, "0", dict(zip(pairs, row)))
+
+
+def test_grade_law_sweeps_match_the_product_scan():
+    # the laws come first, in the scan's order, then the bijection checks
+    failing = 0
+    for grades in grade_tables():
+        laws = scan_grade_laws(grades)
+        problems = grades.validate().problems
+        assert problems[:len(laws)] == laws
+        assert not any(p.startswith(("unit", "assoc")) for p in problems[len(laws):])
+        failing += bool(laws)
+    assert failing > 100
 
 
 # -- group nerves against the tuple-built oracle ----------------------

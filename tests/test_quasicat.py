@@ -513,6 +513,21 @@ def test_pi1_of_simplex_is_trivial():
     assert result.order == 1
 
 
+def test_pi1_reports_missing_inverses_and_the_first_associativity_failure():
+    # one vertex b, loops a and c: a.a = c, a.c = a, c.a = a, c.c = a
+    b, a, c = nondeg_ref("b", 0), nondeg_ref("a", 1), nondeg_ref("c", 1)
+    triangles = {"aa": [a, c, a], "ac": [a, a, c], "ca": [c, a, a], "cc": [c, a, c]}
+    x = FinSSet(2, {0: ["b"], 1: ["a", "c"], 2: list(triangles)},
+                {"a": [b, b], "c": [b, b], **triangles})
+    got = pi1(x, "b")
+    assert got.problems == [
+        "no inverse for class 0",
+        "no inverse for class 2",
+        "associativity fails at (0, 0, 2)",
+    ]
+    assert (got.classes, got.identity, got.table, got.problems) == scan_pi1(x, "b")
+
+
 def test_tables_isomorphic_tells_z4_from_the_klein_group():
     # equal orders, so only the search over bijections can say no
     klein = {(i, j): i ^ j for i in range(4) for j in range(4)}

@@ -22,7 +22,7 @@ from oracles import (
     strict_chain_count,
 )
 
-from qckit.ordinals import all_maps, compose, degeneracy, face, identity
+from qckit.ordinals import all_maps, compose, degeneracy, epis_onto, face, identity
 from qckit.monoids import (
     MonoidSpec,
     build_reference_monoid,
@@ -51,6 +51,7 @@ from qckit.scat import (
 from qckit.sset import (
     BilevelMap,
     FinSSet,
+    SimplexRef,
     TruncationError,
     iso_search,
     nondeg_ref,
@@ -189,6 +190,12 @@ def test_enumerate_functors_leaves_a_negative_arity_to_rigidify():
     d = one_object_category(["1"], lambda later, earlier: "1", truncation=1)
     with pytest.raises(ValueError, match="k must be >= 0"):
         enumerate_functors(-1, d)
+
+
+def test_nerve_leaves_a_negative_dim_to_the_set():
+    d = one_object_category(["1"], lambda later, earlier: "1", truncation=1)
+    with pytest.raises(ValueError, match="^truncation must be >= 0$"):
+        simplicial_nerve(d, -1)
 
 
 def test_enumeration_deeper_than_the_recursion_limit():
@@ -429,6 +436,22 @@ def test_classification_needs_a_single_object_target():
         classify_low_simplices(1, d)
     with pytest.raises(ValueError, match="single-object target"):
         classification_to_functor(1, d, EdgeData("1x"))
+
+
+def test_classification_refuses_a_tuple_that_classifies_no_cell():
+    # the default spec: gamma runs from v02 = 1:v, the constant edge at
+    # 0:v does not, and no 2-cell has these fields
+    d = delooped("default")
+    const = lambda cell, m: SimplexRef(epis_onto(m, 0)[0], cell)
+    for t in (
+        TriangleData("1:v", "0:v", "1:v", const("0:v", 1)),
+        TriangleData("1:v", "0:v", "1:v", const("0:v", 2)),  # gamma not an edge
+        TriangleData("ghost", "0:v", "1:v", const("0:v", 1)),
+    ):
+        with pytest.raises(ValueError, match="classifies no 2-cell") as err:
+            classification_to_functor(2, d, t)
+        assert repr(t) in str(err.value)
+        assert t not in classify_low_simplices(2, d)
 
 
 def test_classification_shapes():

@@ -97,6 +97,18 @@ def test_validate_catches_unknown_reference():
         X.apply(nondeg_ref("e", 1), face(1, 0))
 
 
+@pytest.mark.parametrize("cells, faces, problems", [
+    ({0: ["v", "w"], 1: ["v"]}, {"v": [nondeg_ref("w", 0)] * 2},
+     ["cell 'v' listed in dimensions 0 and 1", "vertex 'v' has face entries"]),
+    ({0: ["v"]}, {"v": [nondeg_ref("v", 0)]}, ["vertex 'v' has face entries"]),
+    ({0: ["a"], 1: ["e"]},
+     {"e": [SimplexRef(MonotoneMap(0, 1, (0,)), "a"), nondeg_ref("a", 0)]},
+     ["cell 'e': face 0 epi lands in [1] but cell 'a' has dimension 0"]),
+], ids=["listed-twice", "vertex-faces", "epi-target"])
+def test_validate_names_each_structural_fault(cells, faces, problems):
+    assert validate(FinSSet(1, cells, faces)).problems == problems
+
+
 def test_presheaf_functoriality_delta3():
     # (s . a) . b == s . (a . b), exhaustively over Delta^3
     X = standard_simplex(3)
