@@ -81,8 +81,11 @@ class GradeMonoid:
             return report
         for a in es:
             for b in es:
-                if self.table.get((a, b)) not in es:
+                if (a, b) not in self.table:
                     report.problems.append(f"product of ({a!r}, {b!r}) missing")
+                elif self.table[a, b] not in es:
+                    report.problems.append(
+                        f"product of ({a!r}, {b!r}) is {self.table[a, b]!r}, not a grade")
         if report.problems:
             return report
         # the law sweeps read the table by index: t[a][b] is a after b

@@ -205,12 +205,14 @@ def _layout(k: int) -> tuple[tuple, dict, tuple]:
     of rigidify(k), pairs in order and chains by id within a pair, so
     that codes ranked in ``sort_key`` order sort as chain-keyed
     assignments would; the index maps (pair, chain) to its entry.  The
-    slots are the cells the search fills, by gap, dimension and chain:
-    (entry, dim, faces, split).  A free cell starts at the bottom {i,j},
-    ``faces`` are its face cells' entries and ``split`` is None.  A
-    forced cell has ``split`` = (i, p, j, upper, its epi, lower, its
-    epi): p is the least interior point of its first set, and the chain
-    cut to P(p,j) and P(i,p) has those entries and epis as normal forms.
+    slots are the cells the search fills: (entry, dim, faces, split).  A
+    free cell starts at the bottom {i,j}, ``faces`` are its face cells'
+    entries and ``split`` is None.  A forced cell has ``split`` = (i, p,
+    j, upper, its epi, lower, its epi): p is the least interior point of
+    its first set, and the chain cut to P(p,j) and P(i,p) has those
+    entries and epis as normal forms.  Slots go by gap, dimension and
+    chain, but fail-first (Haralick-Elliott): a forced slot, or a free one
+    with more than two faces, as soon as every entry it reads is set.
     """
     src = rigidify(k)
     entries = tuple(
@@ -239,7 +241,21 @@ def _layout(k: int) -> tuple[tuple, dict, tuple]:
                 slots.append((index[(i, j), cid], m, (), (
                     i, p, j, index[(p, j), upper.cell], upper.epi,
                     index[(i, p), lower.cell], lower.epi)))
-    return entries, index, tuple(slots)
+    units = {e for e, ((i, j), _, _) in enumerate(entries) if i == j}
+    return entries, index, _fail_first(slots, units)
+
+
+def _fail_first(slots: list, units: set) -> tuple:
+    """``slots`` with each forced one, and each free one with more than
+    two faces, moved up to right after the slot that sets the last entry
+    it reads (``units`` are set before any slot); the rest keep their
+    order.  A moved slot sorts by its latest read's key, then its own."""
+    key = dict.fromkeys(units, (-1,))
+    for b, (e, _, faces, split) in enumerate(slots):
+        reads = faces if split is None else (split[3], split[5])
+        moved = split is not None or len(faces) > 2
+        key[e] = max(key[r] for r in reads) + (b,) if moved else (b,)
+    return tuple(sorted(slots, key=lambda s: key[s[0]]))
 
 
 class _Frame:
@@ -376,8 +392,8 @@ def _check_level_cap(d: SCat, k: int) -> None:
 def _codes(frame: _Frame, fixed: Mapping[int, int] | None = None):
     """The one search: yields the code of every functor with frame's
     object map, in the search's leaf order.  The cells of every hom are
-    slots of :func:`~qckit.sset.depth_first`, in order of gap, dimension
-    and chain, and each takes a position in its target hom.  A free
+    slots of :func:`~qckit.sset.depth_first`, in :func:`_layout`'s
+    fail-first order, and each takes a position in its target hom.  A free
     cell's candidates are read from the hom's ``position_index`` under
     the positions already chosen on its faces, in ``simplices`` order.
     A forced cell has one candidate: two kept action tables take its

@@ -15,9 +15,11 @@ misses, hands the rest of the operator to the tables again, and records
 the position, so each (simplex, operator) is walked once.  A step's
 operator arithmetic depends only on the two operators and is factored
 once per pair for every set, so a miss costs one face-entry read and
-one table read.  The tables are sound because cells and face entries
-never change after construction, so an entry, once walked, holds for
-the life of the set.  They hold integers, a list slot per entry.
+one table read.  :meth:`FinSSet.action` fills a whole table without
+walking, a (level, epi) group of entries at a time.  The tables are
+sound because cells and face entries never change after construction,
+so an entry, once computed, holds for the life of the set.  They hold
+integers, a list slot per entry.
 An identity operator keeps no table: ``apply`` returns a normal-form
 reference itself and :meth:`FinSSet.action` answers with a range of
 positions, so callers need no shortcut of their own.  Truncation is
@@ -161,7 +163,7 @@ def _step(epi: MonotoneMap, alpha: MonotoneMap) -> tuple:
     return epi2, i, MonotoneMap(mono.source_arity, mono.target_arity - 1, values)
 
 
-# compose(g, f), kept per pair for the face walk
+# compose(g, f), kept per pair for the walks, fills and normal forms
 _composite = lru_cache(maxsize=None)(lambda g, f: compose(g, f))
 
 
@@ -203,6 +205,7 @@ class FinSSet:
         # alpha -> (table, position at n, position at m, simplices at m)
         self._actions: dict[MonotoneMap, tuple] = {}
         self._complete: dict[MonotoneMap, list[int]] = {}  # filled by action()
+        self._faces_at: dict[int, list | None] = {}  # by _face_positions()
         self._position_index: dict[tuple, dict] = {}
 
     # -- raw structure ------------------------------------------------
@@ -287,20 +290,55 @@ class FinSSet:
     def action(self, alpha: MonotoneMap) -> list[int]:
         """The kept action table of alpha: [m] -> [n], both within the
         truncation: entry p is the position in :meth:`simplices` ``(m)``
-        of ``simplices(n)[p]`` acted on by alpha.  Completed through
-        :meth:`apply` on first use; a value that is not an m-simplex of
-        the set (a malformed set) raises KeyError.  An identity is
-        answered by a range and keeps no table."""
+        of ``simplices(n)[p]`` acted on by alpha, filled on first use.  If
+        a face entry at dimension n or below has no position (a malformed
+        set), each entry is walked by :meth:`apply`, and a value that is
+        not an m-simplex raises KeyError.  An identity is a range."""
         table = self._complete.get(alpha)
         if table is None:
             if alpha.is_identity:
                 return range(len(self.simplices(alpha.source_arity)))
             table, _, there, _ = self._kept_action(alpha)
-            for p, s in enumerate(self.simplices(alpha.target_arity)):
-                if table[p] is None:
-                    table[p] = there[self.apply(s, alpha)]
+            n = alpha.target_arity
+            if all(self._face_positions(l) for l in range(1, n + 1)):
+                self._fill(alpha, table)
+            else:
+                for p, s in enumerate(self.simplices(n)):
+                    if table[p] is None:
+                        table[p] = there[self.apply(s, alpha)]
             self._complete[alpha] = table
         return table
+
+    def _fill(self, alpha: MonotoneMap, table: list) -> None:
+        """Every entry of alpha's table, by the slice of one (level l, epi)
+        group at a time, as ``simplices(n)`` runs over levels, cells, epis.
+        One :func:`_step` per group: each l-cell c goes to c . epi' by
+        index arithmetic, or where c's face i goes under mu2 . epi' by
+        that operator's table, filled the same way one level down."""
+        m, n = alpha.source_arity, alpha.target_arity
+        start = target = 0  # level l's first position at n and at m
+        for l in range(n + 1):
+            count, epis, width = len(self._cells[l]), epis_onto(n, l), len(epis_onto(m, l))
+            for e, epi in enumerate(epis if count else ()):  # no cells, no groups
+                group = slice(start + e, start + count * len(epis), len(epis))
+                epi2, i, mu2 = _step(epi, alpha)
+                if i is None:
+                    first = target + epis_onto(m, l).index(epi2)
+                    table[group] = range(first, first + count * width, width)
+                else:
+                    lower = self.action(_composite(mu2, epi2))
+                    table[group] = [lower[q] for q in self._face_positions(l)[i]]
+            start += count * len(epis)
+            target += count * width
+
+    def _face_positions(self, l: int) -> list | None:
+        """Per i, the position of face entry i of each l-cell in
+        ``simplices(l - 1)``; kept, and None if one has none."""
+        if l not in self._faces_at:
+            pos, rows = self.position(l - 1), [self._faces.get(c, ()) for c in self._cells[l]]
+            cols = [[pos.get(r[i]) if i < len(r) else None for r in rows] for i in range(l + 1)]
+            self._faces_at[l] = None if any(None in c for c in cols) else cols
+        return self._faces_at[l]
 
     def _kept_action(self, alpha: MonotoneMap) -> tuple:
         kept = self._actions.get(alpha)
@@ -789,12 +827,14 @@ def materialize_presheaf(levels, act, id_fn):
 
     ``levels[n]`` lists hashable values for the n-simplices; ``act(v, a)``
     applies a monotone operator; ``id_fn(n, v)`` names nondegenerate
-    values, called in level order.  Degeneracy of v is detected by
-    v == (v . d_i) . s_i, and the normal form accumulates the collapsing
-    surjection.  Values are compared only within a level, one normal-form
-    dict each, so plain positions in a base's ``simplices`` are legal
-    values.  This is the one normal-form path: the coherent nerve, group
-    nerves, the generic slice and the coslice fastpath all build through it.
+    values, called in level order.  The degenerate values of level n are
+    found going up: each value w of level n - 1 is pushed through s_0 ...
+    s_{n-1}, w . s_i taking w's normal form with s_i composed in; each
+    other value takes its n + 1 faces.  Values are compared only within a
+    level, one normal-form dict each, so plain positions in a base's
+    ``simplices`` are legal values.  This is the one normal-form path: the
+    coherent nerve, group nerves, the generic slice and the coslice
+    fastpath all build through it.
 
     Returns ``(cells, faces, value_of)``: the nondegenerate cell ids per
     dimension 0..len(levels)-1, each positive-dimensional cell's
@@ -805,29 +845,20 @@ def materialize_presheaf(levels, act, id_fn):
     value_of: dict[str, object] = {}
     normal: list[dict] = [{} for _ in levels]
     for n, vals in enumerate(levels):
-        ops = [(face(n, i), degeneracy(n - 1, i)) for i in range(n)]
+        here = normal[n]
+        for i in range(n):
+            s_i = degeneracy(n - 1, i)
+            for w, base in normal[n - 1].items():
+                here[act(w, s_i)] = SimplexRef(_composite(base.epi, s_i), base.cell)
+        ds = [face(n, i) for i in range(n + 1)] if n else []
         for v in vals:
-            if v in normal[n]:
-                continue
-            ref = None
-            dropped_faces = []
-            for d_i, s_i in ops:
-                dropped = act(v, d_i)
-                if act(dropped, s_i) == v:
-                    base = normal[n - 1][dropped]
-                    ref = SimplexRef(compose(base.epi, s_i), base.cell)
-                    break
-                dropped_faces.append(dropped)
-            if ref is None:
+            if v not in here:
                 cid = id_fn(n, v)
                 cells[n].append(cid)
                 value_of[cid] = v
-                ref = nondeg_ref(cid, n)
+                here[v] = nondeg_ref(cid, n)
                 if n:
-                    # the test computed faces 0..n-1; only face n is new
-                    dropped_faces.append(act(v, face(n, n)))
-                    faces[cid] = [normal[n - 1][w] for w in dropped_faces]
-            normal[n][v] = ref
+                    faces[cid] = [normal[n - 1][act(v, d_i)] for d_i in ds]
     return cells, faces, value_of
 
 

@@ -115,7 +115,7 @@ def test_grade_validation_names_a_missing_unit_and_product():
     del table[("1+", "0")]
     table[("0", "1+")] = "2"
     assert GradeMonoid(("0", "1+"), "0", table).validate().problems == [
-        "product of ('0', '1+') missing", "product of ('1+', '0') missing"]
+        "product of ('0', '1+') is '2', not a grade", "product of ('1+', '0') missing"]
 
 
 def grade_tables():
@@ -522,22 +522,32 @@ def test_each_product_is_evaluated_once_per_pair(monkeypatch):
 
 
 def test_each_face_walk_runs_once_per_simplex_and_operator(monkeypatch):
-    # FinSSet.apply keeps what a walk finds, and a walk's own steps read
-    # the kept tables: across the Z/3 build and the whole proposition, no
-    # (set, simplex, operator) is walked twice
-    walks = collections.Counter()
-    walk = FinSSet._act
+    # FinSSet.apply keeps what a walk finds, FinSSet.action fills a whole
+    # table, and both read the kept tables: across the Z/3 build and the
+    # whole proposition, no (set, simplex, operator) is walked twice, no
+    # (set, operator) table is filled twice, and once an operator's table
+    # is filled no walk on that set acts by it again
+    walks, fills = collections.Counter(), collections.Counter()
+    walk, fill = FinSSet._act, FinSSet._fill
 
-    def counted(self, *args):
-        walks[(self, *args)] += 1
-        return walk(self, *args)
+    def walked(self, ref, alpha):
+        assert (self, alpha) not in fills
+        walks[(self, ref, alpha)] += 1
+        return walk(self, ref, alpha)
 
-    monkeypatch.setattr(FinSSet, "_act", counted)
+    def filled(self, alpha, table):
+        fills[(self, alpha)] += 1
+        return fill(self, alpha, table)
+
+    monkeypatch.setattr(FinSSet, "_act", walked)
+    monkeypatch.setattr(FinSSet, "_fill", filled)
     m = build_reference_monoid(Z3_SPEC)
     assert walks and max(walks.values()) == 1
-    built = len(walks)
+    assert fills and max(fills.values()) == 1
+    built = len(fills)
     assert verify_proposition(m, 2).ok
-    assert len(walks) > built and max(walks.values()) == 1
+    assert max(walks.values()) == 1
+    assert len(fills) > built and max(fills.values()) == 1
 
 
 # -- delooping and the nerve ------------------------------------------

@@ -249,6 +249,20 @@ def test_apply_walks_a_ref_without_a_position(monkeypatch):
     assert walks == {(ref, op): 1 for op in ops}
 
 
+@pytest.mark.parametrize("name", ORACLE_FIXTURES)
+def test_action_tables_match_the_face_walk(name, request):
+    # on a fresh copy, so every table is filled here: top levels first,
+    # whose fills fill the lower tables they read
+    x = FinSSet.from_json(oracle_fixture(name, request).to_json())
+    top = x.truncation
+    for n in reversed(range(top + 1)):
+        for m in range(top + 1):
+            for op in all_maps(m, n):
+                where = x.position(m)
+                assert list(x.action(op)) == [
+                    where[scan_apply(x, s, op)] for s in x.simplices(n)]
+
+
 def position_index_as_simplices(x, n, at=None):
     """``x.position_index(n, at)`` with every position read back
     through ``simplices``."""

@@ -47,6 +47,7 @@ from qckit.scat import (
     simplicial_nerve,
     validate_functor,
     validate_scat,
+    _layout,
 )
 from qckit.sset import (
     BilevelMap,
@@ -230,6 +231,29 @@ def test_enumeration_matches_brute_force_scan(name, k):
     for got, want in zip(fs, expected):
         assert got.object_map == want.object_map
         assert assignments(got) == assignments(want)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_layout_places_each_constraining_slot_fail_first(k):
+    # every slot reads only entries set before it: the units, or entries
+    # of earlier slots.  A forced slot, or a free one with more than two
+    # faces, follows the last entry it reads with nothing but other such
+    # slots between; the rest keep their order by gap, i and dimension
+    entries, _, slots = _layout(k)
+    units = {e for e, ((i, j), _, _) in enumerate(entries) if i == j}
+    at = {}  # entry -> its slot's place
+    constrains = [split is not None or len(faces) > 2 for _, _, faces, split in slots]
+    for t, (e, m, faces, split) in enumerate(slots):
+        reads = faces if split is None else (split[3], split[5])
+        assert all(r in units or r in at for r in reads)
+        at[e] = t
+        if constrains[t]:
+            last = max((at[r] for r in reads if r not in units), default=-1)
+            assert all(constrains[last + 1:t])
+    assert sorted(at) == sorted(set(range(len(entries))) - units)
+    kept = [(j - i, i, m) for t, (e, _, _, _) in enumerate(slots) if not constrains[t]
+            for (i, j), _, m in [entries[e]]]
+    assert kept == sorted(kept)
 
 
 def test_precompose_functorial_on_z2_deloop():
