@@ -35,6 +35,7 @@ from qckit.scat import (
     SCat,
     SimplicialFunctor,
     TriangleData,
+    _layout,
     classification_to_functor,
     classify_low_simplices,
     enumerate_functors,
@@ -47,7 +48,6 @@ from qckit.scat import (
     simplicial_nerve,
     validate_functor,
     validate_scat,
-    _layout,
 )
 from qckit.sset import (
     BilevelMap,
@@ -243,7 +243,7 @@ def test_layout_places_each_constraining_slot_fail_first(k):
     units = {e for e, ((i, j), _, _) in enumerate(entries) if i == j}
     at = {}  # entry -> its slot's place
     constrains = [split is not None or len(faces) > 2 for _, _, faces, split in slots]
-    for t, (e, m, faces, split) in enumerate(slots):
+    for t, (e, _, faces, split) in enumerate(slots):
         reads = faces if split is None else (split[3], split[5])
         assert all(r in units or r in at for r in reads)
         at[e] = t
@@ -251,9 +251,8 @@ def test_layout_places_each_constraining_slot_fail_first(k):
             last = max((at[r] for r in reads if r not in units), default=-1)
             assert all(constrains[last + 1:t])
     assert sorted(at) == sorted(set(range(len(entries))) - units)
-    kept = [(j - i, i, m) for t, (e, _, _, _) in enumerate(slots) if not constrains[t]
-            for (i, j), _, m in [entries[e]]]
-    assert kept == sorted(kept)
+    kept = [entries[s[0]] for s, moved in zip(slots, constrains) if not moved]
+    assert kept == sorted(kept, key=lambda entry: (entry[0][1] - entry[0][0], entry[0][0], entry[2]))
 
 
 def test_precompose_functorial_on_z2_deloop():
