@@ -12,9 +12,10 @@ exhibits the failure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+
+from . import Frozen
 
 
 # -- exact rational subspaces -----------------------------------------
@@ -82,22 +83,20 @@ def _is_reduced_echelon(rows) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class RationalSubspace:
+class RationalSubspace(Frozen):
     """A subspace of (Q^base_dim)^copies in canonical echelon form, so
     equality of representations is equality of subspaces."""
 
-    copies: int
-    base_dim: int
-    rows: tuple
+    _fields = ("copies", "base_dim", "rows")
 
-    def __post_init__(self):
-        width = self.copies * self.base_dim
-        for r in self.rows:
+    def __init__(self, copies: int, base_dim: int, rows: tuple):
+        width = copies * base_dim
+        for r in rows:
             if len(r) != width:
                 raise ValueError(f"row width {len(r)} != ambient {width}")
-        if not _is_reduced_echelon(self.rows):
+        if not _is_reduced_echelon(rows):
             raise ValueError("rows are not canonical; build with span()")
+        super().__init__(copies, base_dim, rows)
 
     @property
     def ambient_dim(self) -> int:
@@ -215,13 +214,11 @@ def pairing_sum(v: RationalSubspace, w: RationalSubspace,
 WITNESS_AXES = 3
 
 
-@dataclass
 class NonassociativityWitness:
-    v: RationalSubspace
-    w: RationalSubspace
-    u: RationalSubspace
-    left: RationalSubspace
-    right: RationalSubspace
+    def __init__(self, v: RationalSubspace, w: RationalSubspace, u: RationalSubspace,
+                 left: RationalSubspace, right: RationalSubspace):
+        self.v, self.w, self.u = v, w, u
+        self.left, self.right = left, right
 
     def to_json(self) -> dict:
         def rows(s):

@@ -21,7 +21,6 @@ tables; refs are built once per cell at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .ordinals import MonotoneMap
@@ -127,15 +126,13 @@ def join_of_maps(f: SimplicialMap, g: SimplicialMap,
 # -- slices -----------------------------------------------------------
 
 
-@dataclass
 class SlicePresentation:
-    base: FinSSet
-    anchor: SimplicialMap
-    side: str = "under"
-
-    def __post_init__(self):
-        if self.side not in ("under", "over"):
-            raise ValueError(f"side must be 'under' or 'over', got {self.side!r}")
+    def __init__(self, base: FinSSet, anchor: SimplicialMap, side: str = "under"):
+        if side not in ("under", "over"):
+            raise ValueError(f"side must be 'under' or 'over', got {side!r}")
+        self.base = base
+        self.anchor = anchor
+        self.side = side
 
 
 def vertex_anchor(base: FinSSet, vertex: str) -> SimplicialMap:

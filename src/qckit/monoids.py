@@ -11,8 +11,8 @@ subspaces with the block direct sum, lives in :mod:`qckit.grassmann`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
+from . import Frozen
 from .ordinals import MonotoneMap, epis_onto, face
 from .quasicat import (
     core,
@@ -44,17 +44,18 @@ from .sset import (
 # -- grade monoids ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradeMonoid:
-    """A finite monoid of grades given by its full multiplication table.
+class GradeMonoid(Frozen):
+    """A finite monoid of grades, ``(elements, unit, table)``, given by
+    its full multiplication table.
 
     ``table[a, b]`` is a composed after b.  The intended invariant, on
     top of the monoid laws: left translation by any non-unit fails to be
     a bijection, so no non-unit is invertible."""
 
-    elements: tuple[str, ...]
-    unit: str
-    table: dict = field(hash=False)
+    _fields = ("elements", "unit", "table")
+
+    def __hash__(self):
+        return hash((self.elements, self.unit))
 
     def product(self, a: str, b: str) -> str:
         return self.table[(a, b)]
@@ -130,12 +131,11 @@ def saturating_grades(top: int) -> GradeMonoid:
 # -- finite groups and their nerves -----------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    name: str
-    elements: tuple[str, ...]
-    unit: str
-    mult: dict = field(hash=False)
+class FiniteGroup(Frozen):
+    _fields = ("name", "elements", "unit", "mult")
+
+    def __hash__(self):
+        return hash((self.name, self.elements, self.unit))
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -249,17 +249,18 @@ def group_product(x: GroupNerve, y: GroupNerve, target: GroupNerve):
 # -- graded simplicial monoids ----------------------------------------
 
 
-@dataclass
 class GradedSimplicialMonoid:
     """One component per grade, a distinguished unit vertex, and a
     strictly associative product given by bilevel maps; ``product[g, h]``
     composes a later g-leg with an earlier h-leg into grade g.h."""
 
-    grades: GradeMonoid
-    components: dict
-    unit_vertex: str
-    product: dict
-    truncation: int
+    def __init__(self, grades: GradeMonoid, components: dict, unit_vertex: str,
+                 product: dict, truncation: int):
+        self.grades = grades
+        self.components = components
+        self.unit_vertex = unit_vertex
+        self.product = product
+        self.truncation = truncation
 
     def component(self, grade: str) -> FinSSet:
         return self.components[grade]
@@ -371,11 +372,11 @@ def validate_monoid(m: GradedSimplicialMonoid) -> ValidationReport:
 # -- monoid specs and the reference build -----------------------------
 
 
-@dataclass
 class MonoidSpec:
-    grades: GradeMonoid
-    components: dict
-    truncation: int = 3
+    def __init__(self, grades: GradeMonoid, components: dict, truncation: int = 3):
+        self.grades = grades
+        self.components = components
+        self.truncation = truncation
 
 
 def default_monoid_spec() -> MonoidSpec:
@@ -528,11 +529,11 @@ def deloop(m: GradedSimplicialMonoid) -> SCat:
 # -- the main verification pipeline -----------------------------------
 
 
-@dataclass
 class CheckOutcome:
-    name: str
-    verdict: bool | None
-    details: list = field(default_factory=list)
+    def __init__(self, name: str, verdict: bool | None, details: list | None = None):
+        self.name = name
+        self.verdict = verdict
+        self.details = [] if details is None else details
 
     def to_json(self) -> dict:
         return {
@@ -542,9 +543,9 @@ class CheckOutcome:
         }
 
 
-@dataclass
 class PropositionReport:
-    checks: list
+    def __init__(self, checks: list):
+        self.checks = checks
 
     @property
     def ok(self) -> bool:

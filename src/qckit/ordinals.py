@@ -8,8 +8,9 @@ here is exact and total: malformed data raises at construction time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+
+from . import Frozen
 
 
 class ArityError(ValueError):
@@ -29,8 +30,11 @@ def _image_size(values: tuple[int, ...]) -> int:
     return len(set(values))
 
 
-@dataclass(frozen=True, slots=True)
-class MonotoneMap:
+# sets a field past Frozen.__setattr__
+_set = object.__setattr__
+
+
+class MonotoneMap(Frozen):
     """A weakly monotone map [source_arity] -> [target_arity].
 
     ``values[i]`` is the image of i.  The value sequence fully determines
@@ -38,28 +42,35 @@ class MonotoneMap:
     because it is not recoverable from the values alone.
     """
 
-    source_arity: int
-    target_arity: int
-    values: tuple[int, ...]
+    __slots__ = _fields = ("source_arity", "target_arity", "values")
 
-    def __post_init__(self) -> None:
-        if self.source_arity < 0 or self.target_arity < 0:
+    def __init__(self, source_arity: int, target_arity: int, values: tuple[int, ...]):
+        if source_arity < 0 or target_arity < 0:
             raise ArityError("arities must be >= 0")
-        if len(self.values) != self.source_arity + 1:
+        if len(values) != source_arity + 1:
             raise ArityError(
-                f"expected {self.source_arity + 1} values, got {len(self.values)}"
+                f"expected {source_arity + 1} values, got {len(values)}"
             )
         prev = 0
-        for v in self.values:
-            if not (0 <= v <= self.target_arity):
-                raise ArityError(f"value {v} outside [0, {self.target_arity}]")
+        for v in values:
+            if not (0 <= v <= target_arity):
+                raise ArityError(f"value {v} outside [0, {target_arity}]")
             if v < prev:
-                raise ArityError(f"values {self.values} are not monotone")
+                raise ArityError(f"values {values} are not monotone")
             prev = v
+        _set(self, "source_arity", source_arity)
+        _set(self, "target_arity", target_arity)
+        _set(self, "values", values)
+
+    def __eq__(self, other):
+        # the values fix the source arity
+        if other.__class__ is self.__class__:
+            return self.values == other.values and self.target_arity == other.target_arity
+        return NotImplemented
 
     def __hash__(self) -> int:
         # the values determine the map up to its target arity; hashing
-        # them alone spares the generated hash its tuple of fields
+        # them alone spares a tuple of all the fields
         return hash(self.values)
 
     def __call__(self, i: int) -> int:

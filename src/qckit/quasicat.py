@@ -16,8 +16,8 @@ against ``position_index`` and build refs for the first unfillable one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
+from . import Frozen
 from .ordinals import degeneracy, face
 from .sset import (
     FinSSet,
@@ -32,21 +32,19 @@ from .sset import (
 )
 
 
-@dataclass(frozen=True)
-class HornProblem:
+class HornProblem(Frozen):
     """Faces of a hoped-for dim-simplex, all except index ``missing``."""
 
-    dim: int
-    missing: int
-    faces: tuple
+    _fields = ("dim", "missing", "faces")
 
-    def __post_init__(self):
-        if not 0 <= self.missing <= self.dim:
+    def __init__(self, dim: int, missing: int, faces: tuple):
+        if not 0 <= missing <= dim:
             raise ValueError("missing face index out of range")
-        if len(self.faces) != self.dim + 1:
+        if len(faces) != dim + 1:
             raise ValueError("need one slot per face")
-        if self.faces[self.missing] is not None:
+        if faces[missing] is not None:
             raise ValueError("the missing face must be left as None")
+        super().__init__(dim, missing, faces)
 
 
 def find_filler(x: FinSSet, p: HornProblem):
@@ -170,10 +168,10 @@ def invertible_edge_cells(x: FinSSet) -> tuple[str, ...]:
     )
 
 
-@dataclass
 class CoreResult:
-    sset: FinSSet
-    invertible_edges: tuple[str, ...]
+    def __init__(self, sset: FinSSet, invertible_edges: tuple[str, ...]):
+        self.sset = sset
+        self.invertible_edges = invertible_edges
 
 
 def core(x: FinSSet) -> CoreResult:
@@ -222,7 +220,6 @@ def pi0(x: FinSSet) -> tuple[tuple[str, ...], ...]:
     return tuple(sorted(tuple(sorted(vs)) for vs in comps.values()))
 
 
-@dataclass
 class Pi1Result:
     """Loop classes at a basepoint with their composition table.
 
@@ -230,11 +227,13 @@ class Pi1Result:
     (representative of j); ``problems`` collects every failure of the
     group laws, so ``ok`` means the table is a genuine group."""
 
-    basepoint: str
-    classes: tuple[tuple[SimplexRef, ...], ...]
-    identity: int
-    table: dict = field(default_factory=dict)
-    problems: list = field(default_factory=list)
+    def __init__(self, basepoint: str, classes: tuple[tuple[SimplexRef, ...], ...],
+                 identity: int, table: dict | None = None, problems: list | None = None):
+        self.basepoint = basepoint
+        self.classes = classes
+        self.identity = identity
+        self.table = {} if table is None else table
+        self.problems = [] if problems is None else problems
 
     @property
     def ok(self) -> bool:

@@ -44,10 +44,10 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Mapping
 
+from . import Frozen
 from .ordinals import MonotoneMap, degeneracy, epis_onto, face
 from .posets import (
     chain_cell_id,
@@ -538,31 +538,18 @@ def simplicial_nerve(d: SCat, dim: int) -> NerveSSet:
 # -- classification of low-dimensional nerve cells --------------------
 
 
-@dataclass(frozen=True)
-class EdgeData:
-    v01: str
+# the v fields name vertices, the rest are SimplexRefs
+class EdgeData(Frozen):
+    _fields = ("v01",)
 
 
-@dataclass(frozen=True)
-class TriangleData:
-    v01: str
-    v12: str
-    v02: str
-    gamma: SimplexRef
+class TriangleData(Frozen):
+    _fields = ("v01", "v12", "v02", "gamma")
 
 
-@dataclass(frozen=True)
-class TetrahedronData:
-    v01: str
-    v12: str
-    v23: str
-    gamma02: SimplexRef
-    gamma13: SimplexRef
-    edge1: SimplexRef
-    edge2: SimplexRef
-    edge3: SimplexRef
-    tri_left: SimplexRef
-    tri_right: SimplexRef
+class TetrahedronData(Frozen):
+    _fields = ("v01", "v12", "v23", "gamma02", "gamma13",
+               "edge1", "edge2", "edge3", "tri_left", "tri_right")
 
 
 def _the_object(d: SCat):
@@ -578,8 +565,9 @@ def _chain(*sets: tuple) -> tuple:
 
 
 # For k in {1, 2, 3}: the classification type and, field by field in
-# dataclass order, the free chain of rigidify(k) whose value the field
-# records.  A field on a one-set chain records a vertex by its cell name.
+# the order of its _fields, the free chain of rigidify(k) whose value
+# the field records.  A field on a one-set chain records a vertex by its
+# cell name.
 _FIELD_CHAINS = {
     1: (EdgeData, (_chain((0, 1)),)),
     2: (TriangleData, (_chain((0, 1)), _chain((1, 2)), _chain((0, 2)),
@@ -666,7 +654,7 @@ def classification_to_functor(k: int, d: SCat, data) -> SimplicialFunctor:
     h = d.hom(x, x)
     entries, index, _ = _layout(k)
     fixed = {}
-    for (pair, cid, vertex), value in zip(fields, vars(data).values()):
+    for (pair, cid, vertex), value in zip(fields, data._values()):
         e = index[pair, cid]
         fixed[e] = h.position(entries[e][2]).get(nondeg_ref(value, 0) if vertex else value)
     for code in _codes(_frame(d, k, objs), fixed):

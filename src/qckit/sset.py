@@ -55,10 +55,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
+from . import Frozen
 from .ordinals import (
     ArityError,
     MonotoneMap,
@@ -68,6 +68,7 @@ from .ordinals import (
     epis_onto,
     face,
     identity,
+    _set,
 )
 
 
@@ -86,17 +87,24 @@ class UnknownCellError(KeyError):
     """Raised when a face table or assignment refers to a missing cell."""
 
 
-@dataclass(frozen=True, slots=True)
-class SimplexRef:
+class SimplexRef(Frozen):
     """A simplex in epi-mono normal form: nondegenerate ``cell`` reindexed
     along the surjection ``epi``.  Identity epi means the cell itself."""
 
-    epi: MonotoneMap
-    cell: str
+    __slots__ = _fields = ("epi", "cell")
+
+    def __init__(self, epi: MonotoneMap, cell: str):
+        _set(self, "epi", epi)
+        _set(self, "cell", cell)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.cell == other.cell and self.epi == other.epi
+        return NotImplemented
 
     def __hash__(self) -> int:
-        # every action-table lookup hashes a ref: one flat tuple, not the
-        # generated hash's call into MonotoneMap.__hash__
+        # every action-table lookup hashes a ref: one flat tuple, not a
+        # call into MonotoneMap.__hash__
         return hash((self.cell, self.epi.values))
 
     @property
@@ -141,10 +149,10 @@ def nondeg_ref(cell: str, dim: int) -> SimplexRef:
     return SimplexRef(identity(dim), cell)
 
 
-@dataclass
 class ValidationReport:
-    subject: str
-    problems: list[str] = field(default_factory=list)
+    def __init__(self, subject: str, problems: list[str] | None = None):
+        self.subject = subject
+        self.problems = [] if problems is None else problems
 
     @property
     def ok(self) -> bool:
@@ -929,10 +937,18 @@ def iso_search(x: FinSSet, y: FinSSet, dim_cap: int) -> SimplicialMap | None:
         (d, c) for d in range(dim_cap + 1) for c in x.nondegenerate(d)
     ]
     mapping: dict[str, str] = {}
+    # the images of slots 0..t-1 as a stack, and as a set; slots below
+    # t-1 keep their values since the last call that reached them
+    images: list[str] = []
+    used: set[str] = set()
 
     def candidates(t: int) -> list[str]:
+        while len(images) > max(t - 1, 0):
+            used.discard(images.pop())
+        if t:
+            images.append(mapping[order[t - 1][1]])
+            used.add(images[-1])
         d, c = order[t]
-        used = set(mapping.values())
         want = tuple((r.epi.values, mapping.get(r.cell)) for r in x.face_entries(c))
         return [
             yc for yc in buckets.get((d, px[c]), [])

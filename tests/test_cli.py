@@ -848,6 +848,8 @@ def test_monoids_loads_no_rational_arithmetic():
     loaded = _loaded_after("import qckit.monoids")
     assert "qckit.monoids" in loaded
     assert {"fractions", "decimal", "qckit.grassmann"}.isdisjoint(loaded)
+    # records are plain classes: dataclasses would bring inspect and ast
+    assert "dataclasses" not in loaded
 
 
 @pytest.mark.parametrize("argv", [["--pairing-witness"], ["--assoc-check", "--trials", "1"]],
@@ -861,6 +863,7 @@ def test_grassmann_loads_no_nerve_module(argv):
     )
     assert [m for m in loaded if m.split(".")[0] == "qckit"] == [
         "qckit", "qckit.cli", "qckit.grassmann"]
+    assert "dataclasses" not in loaded
 
 
 def test_runtime_loads_only_the_standard_library():

@@ -1,7 +1,6 @@
 """Graded monoids, the delooping pipeline, and exact rational sums."""
 
 import collections
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -320,10 +319,16 @@ def z3_monoid():
     return build_reference_monoid(Z3_SPEC)
 
 
+def replaced(m, **changes):
+    """A new GradedSimplicialMonoid with m's fields, ``changes`` replacing
+    some of them."""
+    return GradedSimplicialMonoid(**{**vars(m), **changes})
+
+
 def with_product(m, key, fn):
     """m with the product at key replaced by fn, on the same ends."""
     bm = m.product[key]
-    return dataclasses.replace(
+    return replaced(
         m, product={**m.product, key: BilevelMap(bm.x, bm.y, bm.target, fn)}
     )
 
@@ -389,17 +394,17 @@ def structurally_broken(m, case):
     """m with one piece of its structure broken, by ``case``."""
     comps, product = m.components, m.product
     if case == "missing-component":
-        return dataclasses.replace(
+        return replaced(
             m, components={g: c for g, c in comps.items() if g != "2+"}
         )
     if case == "missing-unit-vertex":
-        return dataclasses.replace(m, unit_vertex="nowhere")
+        return replaced(m, unit_vertex="nowhere")
     if case == "missing-product":
-        return dataclasses.replace(
+        return replaced(
             m, product={k: bm for k, bm in product.items() if k != ("1", "2+")}
         )
     if case == "wrong-ends":
-        return dataclasses.replace(
+        return replaced(
             m, product={**product, ("1", "1"): product[("1", "2+")]}
         )
     grade, comp = {
@@ -413,7 +418,7 @@ def structurally_broken(m, case):
         "unit-not-a-point": ("0", FinSSet(3, {0: ["v", "w"]}, {})),
         "not-kan": ("1", standard_simplex(1, 3)),
     }[case]
-    return dataclasses.replace(m, components={**comps, grade: comp})
+    return replaced(m, components={**comps, grade: comp})
 
 
 @pytest.mark.parametrize("case, problems", [

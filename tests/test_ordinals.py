@@ -1,10 +1,16 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import all_monos, compose_word, generator_word, is_injective
 
+from qckit.grassmann import RationalSubspace
+from qckit.monoids import FiniteGroup, GradeMonoid
+from qckit.quasicat import HornProblem
+from qckit.scat import EdgeData, TetrahedronData, TriangleData
+from qckit.sset import SimplexRef, nondeg_ref
 from qckit.ordinals import (
     ArityError,
     MonotoneMap,
@@ -145,3 +151,53 @@ def test_malformed_maps_rejected():
         face(0, 0)
     with pytest.raises(ArityError):
         degeneracy(1, 2)
+
+
+# 6. the value types of every layer keep a frozen record's contract
+def _ref(cell, dim=1):
+    return nondeg_ref(cell, dim)
+
+
+VALUE_TYPES = {
+    "MonotoneMap": (MonotoneMap, (1, 2, (0, 2)), "values"),
+    "SimplexRef": (SimplexRef, (degeneracy(0, 0), "v"), "cell"),
+    "HornProblem": (HornProblem, (2, 1, (_ref("a"), None, _ref("b"))), "missing"),
+    "EdgeData": (EdgeData, ("1",), "v01"),
+    "TriangleData": (TriangleData, ("1", "0", "1", _ref("g")), "gamma"),
+    "TetrahedronData": (TetrahedronData, (
+        "1", "0", "1", _ref("g"), _ref("h"), _ref("e1"), _ref("e2"), _ref("e3"),
+        _ref("l", 2), _ref("r", 2)), "tri_right"),
+    "GradeMonoid": (GradeMonoid, (("0", "1+"), "0", {
+        ("0", "0"): "0", ("0", "1+"): "1+", ("1+", "0"): "1+", ("1+", "1+"): "1+"}),
+        "table"),
+    "FiniteGroup": (FiniteGroup, ("Z/2", ("0", "1"), "0", {
+        ("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "0"}), "unit"),
+    "RationalSubspace": (RationalSubspace, (1, 2, ((Fraction(0), Fraction(1)),)), "rows"),
+}
+
+
+# the repr text other modules' messages quote
+REPRS = {
+    "MonotoneMap": "MonotoneMap(source_arity=1, target_arity=2, values=(0, 2))",
+    "SimplexRef": "SimplexRef(epi=MonotoneMap(source_arity=1, target_arity=0, "
+                  "values=(0, 0)), cell='v')",
+}
+
+
+@pytest.mark.parametrize("kind", VALUE_TYPES)
+def test_value_types_are_frozen_records(kind):
+    cls, fields, name = VALUE_TYPES[kind]
+    a, b = cls(*fields), cls(*fields)
+    old = getattr(a, name)
+    with pytest.raises(AttributeError):
+        setattr(a, name, old)
+    with pytest.raises(AttributeError):
+        delattr(a, name)
+    assert getattr(a, name) is old
+    # equal fields: equal objects with equal hashes; a dict field stays
+    # out of the hash
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != fields and fields != a
+    if kind in REPRS:
+        assert repr(a) == REPRS[kind]
+        assert not hasattr(a, "__dict__")
