@@ -98,8 +98,11 @@ class SimplexRef(Frozen):
         _set(self, "cell", cell)
 
     def __eq__(self, other):
+        # refs often share their epi: test identity first, as a tuple
+        # comparison would, before MonotoneMap.__eq__
         if other.__class__ is self.__class__:
-            return self.cell == other.cell and self.epi == other.epi
+            return self.cell == other.cell and (
+                self.epi is other.epi or self.epi == other.epi)
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import random
 import sys
 
 import pytest
@@ -58,6 +59,7 @@ from qckit.sset import (
     nondeg_ref,
     standard_simplex,
     validate,
+    validate_map,
 )
 
 
@@ -374,6 +376,23 @@ def test_nerve_of_poset_category_is_simplex():
     n = simplicial_nerve(d, 3)
     assert validate(n).ok
     assert iso_search(n, standard_simplex(2, truncation=3), 3) is not None
+
+
+def test_iso_search_finds_a_shuffled_copy_of_the_nerve():
+    # renamed cells in a shuffled order send the search back out of
+    # wrong candidates, so the images it holds as used must shrink again
+    n = simplicial_nerve(delooped("default"), 3)
+    rng = random.Random(1)
+    cells = {d: list(n.nondegenerate(d)) for d in range(4)}
+    for cs in cells.values():
+        rng.shuffle(cs)
+    name = {c: f"r{c}" for cs in cells.values() for c in cs}
+    copy = FinSSet(
+        3, {d: [name[c] for c in cs] for d, cs in cells.items()},
+        {name[c]: [SimplexRef(r.epi, name[r.cell]) for r in n.face_entries(c)]
+         for d in range(1, 4) for c in cells[d]})
+    found = iso_search(n, copy, 3)
+    assert found is not None and validate_map(found).ok
 
 
 def test_nerve_face_degeneracy_bookkeeping():
