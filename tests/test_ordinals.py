@@ -8,9 +8,6 @@ from oracles import all_monos, compose_word, generator_word, is_injective
 
 from qckit.grassmann import RationalSubspace
 from qckit.monoids import FiniteGroup, GradeMonoid
-from qckit.quasicat import HornProblem
-from qckit.scat import EdgeData, TetrahedronData, TriangleData
-from qckit.sset import SimplexRef, nondeg_ref
 from qckit.ordinals import (
     ArityError,
     MonotoneMap,
@@ -22,6 +19,9 @@ from qckit.ordinals import (
     face,
     identity,
 )
+from qckit.quasicat import HornProblem
+from qckit.scat import EdgeData, TetrahedronData, TriangleData
+from qckit.sset import SimplexRef, nondeg_ref
 
 
 def monotone_values(m, n):
@@ -154,19 +154,16 @@ def test_malformed_maps_rejected():
 
 
 # 6. the value types of every layer keep a frozen record's contract
-def _ref(cell, dim=1):
-    return nondeg_ref(cell, dim)
-
-
 VALUE_TYPES = {
     "MonotoneMap": (MonotoneMap, (1, 2, (0, 2)), "values"),
     "SimplexRef": (SimplexRef, (degeneracy(0, 0), "v"), "cell"),
-    "HornProblem": (HornProblem, (2, 1, (_ref("a"), None, _ref("b"))), "missing"),
+    "HornProblem": (
+        HornProblem, (2, 1, (nondeg_ref("a", 1), None, nondeg_ref("b", 1))), "missing"),
     "EdgeData": (EdgeData, ("1",), "v01"),
-    "TriangleData": (TriangleData, ("1", "0", "1", _ref("g")), "gamma"),
+    "TriangleData": (TriangleData, ("1", "0", "1", nondeg_ref("g", 1)), "gamma"),
     "TetrahedronData": (TetrahedronData, (
-        "1", "0", "1", _ref("g"), _ref("h"), _ref("e1"), _ref("e2"), _ref("e3"),
-        _ref("l", 2), _ref("r", 2)), "tri_right"),
+        "1", "0", "1", *(nondeg_ref(e, 1) for e in ("g", "h", "e1", "e2", "e3")),
+        nondeg_ref("l", 2), nondeg_ref("r", 2)), "tri_right"),
     "GradeMonoid": (GradeMonoid, (("0", "1+"), "0", {
         ("0", "0"): "0", ("0", "1+"): "1+", ("1+", "0"): "1+", ("1+", "1+"): "1+"}),
         "table"),
