@@ -18,7 +18,9 @@ from oracles import (
     triple_from_join_simplex,
 )
 
+from qckit import join as join_module
 from qckit.join import (
+    CosliceSSet,
     SlicePresentation,
     coslice_edge_anatomy,
     coslice_fastpath,
@@ -223,6 +225,49 @@ def test_generic_slice_matches_fastpath_on_simplex():
     assert validate(generic).ok
     for d in range(3):
         assert fast.cell_count(d) == generic.cell_count(d)
+
+
+def corrupted_fastpath(change):
+    """coslice_fastpath with its output rebuilt after ``change(faces,
+    underlying)`` edits the face entries or the underlying simplices."""
+    real = coslice_fastpath
+
+    def fastpath(base, vertex, dim):
+        fast = real(base, vertex, dim)
+        cells = {d: fast.nondegenerate(d) for d in range(dim + 1)}
+        faces = {c: list(fast.face_entries(c))
+                 for d in range(1, dim + 1) for c in cells[d]}
+        underlying = dict(fast.underlying)
+        change(faces, underlying)
+        return CosliceSSet(dim, cells, faces, underlying, base)
+
+    return fastpath
+
+
+def test_cross_validation_reports_a_corrupted_face(monkeypatch):
+    def change(faces, underlying):
+        faces["c:0-1-2-3"][0] = faces["c:0-1-2-3"][1]
+
+    monkeypatch.setattr(join_module, "coslice_fastpath", corrupted_fastpath(change))
+    report, _, _ = cross_validate_coslice(standard_simplex(3), "0", 2)
+    assert report.problems == ["level 2: face 0 disagrees at 'c:0-1-2-3' / 'm2_13'"]
+
+
+def test_cross_validation_reports_a_corrupted_top_cell(monkeypatch):
+    def change(faces, underlying):
+        underlying["c:0-3"] = nondeg_ref("1-2", 1)
+
+    monkeypatch.setattr(join_module, "coslice_fastpath", corrupted_fastpath(change))
+    report, _, _ = cross_validate_coslice(standard_simplex(3), "0", 2)
+    assert report.problems == [
+        "level 0: top-cell images differ: [('0', (0, 0)), ('0-1', (0, 1)), "
+        "('0-2', (0, 1)), ('1-2', (0, 1))] vs [('0', (0, 0)), ('0-1', (0, 1)), "
+        "('0-2', (0, 1)), ('0-3', (0, 1))]",
+        # the level-1 cells whose face 0 is the corrupted vertex c:0-3
+        "level 1: face 0 disagrees at 'c:s0:0-3' / 'm1_6'",
+        "level 1: face 0 disagrees at 'c:0-1-3' / 'm1_8'",
+        "level 1: face 0 disagrees at 'c:0-2-3' / 'm1_9'",
+    ]
 
 
 def test_generic_slice_matches_fastpath_on_default_nerve():
