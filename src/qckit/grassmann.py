@@ -98,6 +98,14 @@ class RationalSubspace(Frozen):
             raise ValueError("rows are not canonical; build with span()")
         super().__init__(copies, base_dim, rows)
 
+    @classmethod
+    def _canonical(cls, copies: int, base_dim: int, rows: tuple) -> "RationalSubspace":
+        """Built unchecked from rows of the ambient width that are
+        canonical by construction, as ``span``'s and ``boxplus``'s are."""
+        out = object.__new__(cls)
+        Frozen.__init__(out, copies, base_dim, rows)
+        return out
+
     @property
     def ambient_dim(self) -> int:
         return self.copies * self.base_dim
@@ -115,7 +123,7 @@ def span(copies: int, base_dim: int, vectors) -> RationalSubspace:
     for r in rows:
         if len(r) != width:
             raise ValueError(f"vector width {len(r)} != ambient {width}")
-    return RationalSubspace(copies, base_dim, _rref(rows))
+    return RationalSubspace._canonical(copies, base_dim, _rref(rows))
 
 
 def zero_subspace(base_dim: int) -> RationalSubspace:
@@ -145,7 +153,7 @@ def boxplus(v: RationalSubspace, w: RationalSubspace) -> RationalSubspace:
     rows = tuple(r + right_pad for r in v.rows) + tuple(
         left_pad + r for r in w.rows
     )
-    return RationalSubspace(v.copies + w.copies, v.base_dim, rows)
+    return RationalSubspace._canonical(v.copies + w.copies, v.base_dim, rows)
 
 
 def random_subspace(rng, copies: int, base_dim: int, max_rank: int) -> RationalSubspace:

@@ -16,11 +16,13 @@ Slices are simplicial sets of anchored maps out of joins with a standard
 simplex; the vertex-anchored under-slice has a fastpath through the cone
 identification point * simplex = next simplex.  Both are materialized on
 positions in the base's ``simplices``, acted on by its kept action
-tables; refs are built once per cell at the end.
+tables; the coslice builds refs once per cell at the end, and a slice
+cell's only when its assignment is asked for.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from .ordinals import MonotoneMap
@@ -36,7 +38,6 @@ from .sset import (
     materialize_presheaf,
     nondeg_ref,
     point,
-    simplex_cell_id,
     standard_map,
     standard_simplex,
 )
@@ -143,13 +144,23 @@ def vertex_anchor(base: FinSSet, vertex: str) -> SimplicialMap:
 
 
 class SliceSSet(FinSSet):
-    """Slice cells are anchored maps; the assignment of each nondegenerate
-    cell is retained for projections and anatomy."""
+    """Slice cells are anchored maps, each kept as ``value_of[c]``: the
+    positions in the base's ``simplices`` of its values on the level's
+    shape cells, ``shape_cells[n]`` in order, named by :meth:`assignment`."""
 
-    def __init__(self, truncation, cells, faces, cell_assignments, presentation):
+    def __init__(self, truncation, cells, faces, value_of, shape_cells, presentation):
         super().__init__(truncation, cells, faces)
-        self.cell_assignments: dict[str, tuple] = cell_assignments
+        self.value_of: dict[str, tuple[int, ...]] = value_of
+        self.shape_cells: list[list[tuple[int, str]]] = shape_cells
         self.presentation: SlicePresentation = presentation
+
+    def assignment(self, c: str) -> tuple:
+        """The anchored map c as sorted (shape cell, base simplex) pairs."""
+        simplices = self.presentation.base.simplices
+        return tuple(sorted(
+            (sc, simplices(d)[p])
+            for (d, sc), p in zip(self.shape_cells[self.dim_of(c)], self.value_of[c])
+        ))
 
 
 def _enumerate_anchored_maps(shape: JoinSSet, cells: list, base: FinSSet,
@@ -188,7 +199,7 @@ def slice_sset(pres: SlicePresentation, dim: int) -> SliceSSet:
     Under side: cells at level n are maps K * simplex(n) -> base that
     restrict to the anchor on K; over side puts K on the right.  The
     truncation of the base must reach dim + trunc(K) + 1.  The maps are
-    materialized as base positions; ``cell_assignments`` is built last.
+    materialized, and kept, as base positions.
     """
     k_set = pres.anchor.source
     base = pres.base
@@ -199,10 +210,8 @@ def slice_sset(pres: SlicePresentation, dim: int) -> SliceSSet:
             f"have {base.truncation}"
         )
     under = pres.side == "under"
-    shapes: list[JoinSSet] = []
-    for n in range(dim + 1):
-        sx = standard_simplex(n)
-        shapes.append(join(k_set, sx) if under else join(sx, k_set))
+    shapes = [join(k_set, standard_simplex(n)) if under else join(standard_simplex(n), k_set)
+              for n in range(dim + 1)]
     shape_cells = [[(d, c) for d in range(s.truncation + 1) for c in s.nondegenerate(d)]
                    for s in shapes]
 
@@ -213,10 +222,8 @@ def slice_sset(pres: SlicePresentation, dim: int) -> SliceSSet:
         for d in range(k_set.truncation + 1)
         for c in k_set.nondegenerate(d)
     }
-    levels = [
-        _enumerate_anchored_maps(shapes[n], shape_cells[n], base, fixed)
-        for n in range(dim + 1)
-    ]
+    levels = [_enumerate_anchored_maps(s, cs, base, fixed)
+              for s, cs in zip(shapes, shape_cells)]
 
     # alpha: [l] -> [n] -> per cell of shapes[l], the index in shape_cells[n]
     # of its join-map image and the table of the image's epi; once per alpha
@@ -225,32 +232,19 @@ def slice_sset(pres: SlicePresentation, dim: int) -> SliceSSet:
     def act(value: tuple, alpha: MonotoneMap) -> tuple:
         plan = plans.get(alpha)
         if plan is None:
-            n = alpha.target_arity
-            l = alpha.source_arity
-            amap = standard_map(alpha)
-            jm = (
-                join_of_maps(identity_map(k_set), amap, shapes[l], shapes[n])
-                if under
-                else join_of_maps(amap, identity_map(k_set), shapes[l], shapes[n])
-            )
+            l, n = alpha.source_arity, alpha.target_arity
+            ident, amap = identity_map(k_set), standard_map(alpha)
+            jm = join_of_maps(*((ident, amap) if under else (amap, ident)),
+                              shapes[l], shapes[n])
             at = {c: t for t, (_, c) in enumerate(shape_cells[n])}
             images = [jm.assignment[c] for _, c in shape_cells[l]]
             plan = plans[alpha] = [(at[r.cell], base.action(r.epi)) for r in images]
         return tuple([table[value[t]] for t, table in plan])
 
-    counter = [0]
-
-    def id_fn(n: int, value: tuple) -> str:
-        counter[0] += 1
-        return f"m{n}_{counter[0] - 1}"
-
-    cells, faces, value_of = materialize_presheaf(levels, act, id_fn)
-    cell_assignments = {
-        cid: tuple(sorted((c, base.simplices(d)[p])
-                          for (d, c), p in zip(shape_cells[n], value_of[cid])))
-        for n in range(dim + 1) for cid in cells[n]
-    }
-    return SliceSSet(dim, cells, faces, cell_assignments, pres)
+    counter = itertools.count()
+    cells, faces, value_of = materialize_presheaf(
+        levels, act, lambda n, value: f"m{n}_{next(counter)}")
+    return SliceSSet(dim, cells, faces, value_of, shape_cells, pres)
 
 
 # -- the vertex-anchored coslice fastpath -----------------------------
@@ -317,44 +311,45 @@ def cross_validate_coslice(base: FinSSet, vertex: str, dim: int):
     """Checks the fastpath against the generic slice cell for cell.
 
     Returns (report, fastpath, generic).  The correspondence sends an
-    anchored map to the image of its top join cell.
+    anchored map to the image of its top join cell.  An n-cell of either
+    side is read as a position in ``base.simplices(n + 1)``, and a face
+    entry as that position acted on by ``base.action(cone_operator(epi))``.
     """
     report = ValidationReport("coslice cross-validation")
     fast = coslice_fastpath(base, vertex, dim)
     pres = SlicePresentation(base, vertex_anchor(base, vertex), "under")
     generic = slice_sset(pres, dim)
+    fast_pos = {c: base.position(fast.dim_of(c) + 1)[r] for c, r in fast.underlying.items()}
+    # the top join cell is the last of its shape's cells
+    gen_pos = {c: value[-1] for c, value in generic.value_of.items()}
 
-    def top(c: str) -> SimplexRef:
-        """The base simplex under the top join cell of the generic cell c."""
-        table = dict(generic.cell_assignments[c])
-        return table[_join_id("pt", simplex_cell_id(range(generic.dim_of(c) + 1)))]
+    def at(pos: dict, ref: SimplexRef) -> int:
+        return base.action(cone_operator(ref.epi))[pos[ref.cell]]
 
     for n in range(dim + 1):
         fast_cells = {}
         for c in fast.nondegenerate(n):
-            fast_cells.setdefault(fast.underlying[c], c)
+            fast_cells.setdefault(fast_pos[c], c)
         gen_cells = {}
         for c in generic.nondegenerate(n):
-            gen_cells.setdefault(top(c), c)
+            gen_cells.setdefault(gen_pos[c], c)
         if set(fast_cells) != set(gen_cells):
+            simplices = base.simplices(n + 1)
             report.problems.append(
                 f"level {n}: top-cell images differ: "
-                f"{sorted(r.sort_key() for r in fast_cells)} vs "
-                f"{sorted(r.sort_key() for r in gen_cells)}"
+                f"{sorted(simplices[p].sort_key() for p in fast_cells)} vs "
+                f"{sorted(simplices[p].sort_key() for p in gen_cells)}"
             )
             continue
         if len(gen_cells) != generic.cell_count(n):
             report.problems.append(
                 f"level {n}: generic slice cells not determined by top cell"
             )
-        for key, fc in fast_cells.items():
-            gc = gen_cells[key]
+        for p, fc in fast_cells.items():
+            gc = gen_cells[p]
             for i in range(n + 1) if n >= 1 else ():
-                fr = fast.face_entry(fc, i)
-                gr = generic.face_entry(gc, i)
-                if fast.underlying_ref(fr) != base.apply(
-                    top(gr.cell), cone_operator(gr.epi)
-                ):
+                fr, gr = fast.face_entry(fc, i), generic.face_entry(gc, i)
+                if at(fast_pos, fr) != at(gen_pos, gr):
                     report.problems.append(
                         f"level {n}: face {i} disagrees at {fc!r} / {gc!r}"
                     )

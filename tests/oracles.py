@@ -829,7 +829,7 @@ def slice_projection(s: SliceSSet) -> SimplicialMap:
         top = simplex_cell_id(range(d + 1))
         jid = f"|{top}" if under else f"{top}|"
         for c in s.nondegenerate(d):
-            assignment[c] = dict(s.cell_assignments[c])[jid]
+            assignment[c] = dict(s.assignment(c))[jid]
     return SimplicialMap(s, s.presentation.base, assignment)
 
 
@@ -974,6 +974,19 @@ def scan_coslice(base, vertex, dim):
     return CosliceSSet(dim, cells, faces, value_of, base)
 
 
+class ScannedSlice(FinSSet):
+    """A slice whose cells keep their sorted (shape cell, base simplex)
+    tuples, read by the same :meth:`assignment` as ``SliceSSet``'s."""
+
+    def __init__(self, truncation, cells, faces, value_of, presentation):
+        super().__init__(truncation, cells, faces)
+        self.value_of = value_of
+        self.presentation = presentation
+
+    def assignment(self, c):
+        return self.value_of[c]
+
+
 def scan_slice(pres, dim):
     """``slice_sset`` with sorted (shape cell, base simplex) tuples as
     values: the anchored maps found by backtracking over the shape's
@@ -1025,7 +1038,7 @@ def scan_slice(pres, dim):
     cells, faces, value_of = scan_materialize(
         [anchored_maps(shape) for shape in shapes], act,
         lambda n, value: f"m{n}_{next(counter)}")
-    return SliceSSet(dim, cells, faces, value_of, pres)
+    return ScannedSlice(dim, cells, faces, value_of, pres)
 
 
 def scan_survey(x, max_dim, inner_only):

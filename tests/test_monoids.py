@@ -61,6 +61,7 @@ from qckit.sset import (
     FinSSet,
     SimplexRef,
     iso_search,
+    materialize_presheaf,
     nondeg_ref,
     standard_simplex,
     truncate,
@@ -384,6 +385,74 @@ def test_broken_product_problems_match_the_apply_scan(z3_monoid, broken):
         "right-unit": "right unit fails at grade '1' level 1",
     }[broken]
     assert problems[0].startswith(expected)
+
+
+def eilenberg_maclane_z2(truncation):
+    """K(Z/2, 2): an n-simplex is a 2-cocycle on simplex(n), a bit per
+    triangle i < j < k with an even sum over each tetrahedron's faces,
+    pulled back along operators.  One vertex, no nondegenerate edge, and
+    two 2-simplices on the same degenerate spine.  Returns the set and
+    the value of each simplex."""
+    def triangles(n):
+        return list(itertools.combinations(range(n + 1), 3))
+
+    def act(v, alpha):
+        where = dict(zip(triangles(alpha.target_arity), v))
+        return tuple(where.get(tuple(alpha.values[i] for i in t), 0)
+                     for t in triangles(alpha.source_arity))
+
+    def cocycle(n, v):
+        bit = dict(zip(triangles(n), v))
+        return all(sum(bit[t[:i] + t[i + 1:]] for i in range(4)) % 2 == 0
+                   for t in itertools.combinations(range(n + 1), 4))
+
+    levels = [[v for v in itertools.product((0, 1), repeat=len(triangles(n)))
+               if cocycle(n, v)] for n in range(truncation + 1)]
+    cells, faces, value_of = materialize_presheaf(
+        levels, act, lambda n, v: "k" + "".join(map(str, v)) if n else "v")
+    x = FinSSet(truncation, cells, faces)
+    return x, {s: act(value_of[s.cell], s.epi)
+               for n in range(truncation + 1) for s in x.simplices(n)}
+
+
+def test_non_injective_spines_are_swept_at_every_level(monkeypatch):
+    # grades {0, 1+} with K(Z/2, 2) at 1+, multiplied by adding cocycles:
+    # triples into 1+ are swept at every level, the one into the point
+    # (whose spines are injective) at levels 0 and 1
+    k, value = eilenberg_maclane_z2(3)
+    point = group_nerve(cyclic_group(1), 3)
+    assert not monoids.spine_injective(k) and monoids.spine_injective(point)
+    assert all(monoids.spine_injective(group_nerve(cyclic_group(n), 3)) for n in (2, 3))
+    ref = {(s.dim, v): s for s, v in value.items()}
+
+    def add(level, a, b):
+        return ref[level, tuple(p ^ q for p, q in zip(value[a], value[b]))]
+
+    grades = saturating_grades(1)
+    comps = {"0": point, "1+": k}
+    product = {
+        (g, h): BilevelMap(comps[g], comps[h], comps[grades.product(g, h)],
+                           {("0", "0"): lambda level, a, b: a,
+                            ("0", "1+"): lambda level, a, b: b}.get((g, h), add))
+        for g in comps for h in comps
+    }
+    m = GradedSimplicialMonoid(grades, comps, "v", product, 3)
+    swept = []
+    sweep = monoids.associativity_failures
+
+    def counted(*tables):
+        swept.append(len(tables[2]))
+        return sweep(*tables)
+
+    monkeypatch.setattr(monoids, "associativity_failures", counted)
+    assert validate_monoid(m).problems == scanned_problems(m) == []
+    # one call for the grade table, two levels for (0, 0, 0) and four
+    # for each of the seven triples into 1+
+    assert len(swept) == 1 + 2 + 7 * 4
+    z2 = build_reference_monoid()
+    swept.clear()
+    assert validate_monoid(z2).ok
+    assert len(swept) == 1 + 2 * 3 ** 3
 
 
 def wrong_ends(*pairs):
@@ -758,6 +827,19 @@ def test_noncanonical_rows_are_refused():
     ]:
         with pytest.raises(ValueError, match="canonical"):
             RationalSubspace(1, 2, rows)
+
+
+def test_span_and_boxplus_build_canonical_rows_unchecked():
+    # both skip the constructor's check, so their rows are checked here
+    rng = random.Random(5)
+    for _ in range(200):
+        d = rng.randint(1, 3)
+        v = random_subspace(rng, rng.randint(0, 2), d, 3)
+        w = random_subspace(rng, rng.randint(0, 2), d, 3)
+        for s in (v, w, boxplus(v, w), boxplus(w, v)):
+            assert grassmann._is_reduced_echelon(s.rows)
+            assert all(len(r) == s.ambient_dim for r in s.rows)
+            assert RationalSubspace(s.copies, s.base_dim, s.rows) == s
 
 
 @st.composite
