@@ -978,10 +978,9 @@ class ScannedSlice(FinSSet):
     """A slice whose cells keep their sorted (shape cell, base simplex)
     tuples, read by the same :meth:`assignment` as ``SliceSSet``'s."""
 
-    def __init__(self, truncation, cells, faces, value_of, presentation):
+    def __init__(self, truncation, cells, faces, value_of):
         super().__init__(truncation, cells, faces)
         self.value_of = value_of
-        self.presentation = presentation
 
     def assignment(self, c):
         return self.value_of[c]
@@ -1038,7 +1037,7 @@ def scan_slice(pres, dim):
     cells, faces, value_of = scan_materialize(
         [anchored_maps(shape) for shape in shapes], act,
         lambda n, value: f"m{n}_{next(counter)}")
-    return ScannedSlice(dim, cells, faces, value_of, pres)
+    return ScannedSlice(dim, cells, faces, value_of)
 
 
 def scan_survey(x, max_dim, inner_only):
