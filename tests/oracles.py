@@ -219,6 +219,27 @@ def scan_apply(x, ref, alpha):
     return SimplexRef(total, cell)
 
 
+def scan_identity_problems(x):
+    """``validate``'s simplicial-identity problems, d_i d_j = d_{j-1} d_i
+    for i < j on every nondegenerate cell, each face walked afresh by
+    :func:`scan_apply`; in ``validate``'s order and wording."""
+    problems = []
+    for d in range(2, x.truncation + 1):
+        for c in x.nondegenerate(d):
+            top = nondeg_ref(c, d)
+            for j in range(1, d + 1):
+                for i in range(j):
+                    lhs = scan_apply(x, scan_apply(x, top, face(d, j)), face(d - 1, i))
+                    rhs = scan_apply(x, scan_apply(x, top, face(d, i)), face(d - 1, j - 1))
+                    if lhs != rhs:
+                        problems.append(
+                            f"cell {c!r}: identity d{i} d{j} = d{j - 1} d{i} "
+                            f"fails: {lhs.cell!r}.{lhs.epi.values} != "
+                            f"{rhs.cell!r}.{rhs.epi.values}"
+                        )
+    return problems
+
+
 def scan_face_index(x, n):
     """(face position, face value) -> simplices of level n, every face
     computed afresh through ``FinSSet.apply``."""

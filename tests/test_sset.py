@@ -1,10 +1,11 @@
+import functools
 import json
 import math
 import sys
 
 import pytest
 
-from oracles import combinations_nerve, compose_maps, scan_apply
+from oracles import combinations_nerve, compose_maps, scan_apply, scan_identity_problems
 from qckit.monoids import build_reference_monoid, deloop
 from qckit.ordinals import MonotoneMap, all_maps, compose, degeneracy, face, identity
 from qckit.scat import simplicial_nerve
@@ -85,6 +86,44 @@ def test_validate_catches_swapped_face():
     report = validate(bad)
     assert not report.ok
     assert any("0-1-2" in p for p in report.problems)
+
+
+def permuted_faces(x, cell, order):
+    """x with the face entries of ``cell`` permuted: entry i is the old
+    entry ``order[i]``."""
+    faces = {c: list(x.face_entries(c)) for d in range(1, x.truncation + 1)
+             for c in x.nondegenerate(d)}
+    faces[cell] = [faces[cell][k] for k in order]
+    return FinSSet(x.truncation, {d: x.nondegenerate(d) for d in range(x.truncation + 1)}, faces)
+
+
+def default_nerve():
+    return simplicial_nerve(deloop(build_reference_monoid()), 3)
+
+
+# corrupted sets, each with problems, then the valid sets of
+# test_quasicat's ORACLE_FIXTURES, with none
+IDENTITY_SWEEP_SETS = {
+    "simplex(3)-swapped": (lambda: permuted_faces(standard_simplex(3), "0-1-2", (1, 0, 2)), True),
+    "simplex(3)-rotated": (lambda: permuted_faces(standard_simplex(3), "0-1-2-3", (1, 2, 3, 0)), True),
+    # n3c0's faces 0 and 3 are a triangle and a degenerate vertex
+    "nerve-swapped": (lambda: permuted_faces(default_nerve(), "n3c0", (3, 1, 2, 0)), True),
+    "default-nerve": (default_nerve, False),
+    **{f"horn({n},{k})": (functools.partial(horn, n, k), False)
+       for n in range(1, 4) for k in range(n + 1)},
+    **{f"simplex({n})": (functools.partial(standard_simplex, n), False) for n in range(1, 4)},
+}
+
+
+@pytest.mark.parametrize("name", IDENTITY_SWEEP_SETS)
+def test_validate_identity_problems_match_the_face_walk(name):
+    # the same problems, in the same order, as the sweep that walks
+    # every face afresh; none on the valid sets
+    make, broken = IDENTITY_SWEEP_SETS[name]
+    x = make()
+    problems = validate(x).problems
+    assert problems == scan_identity_problems(x)
+    assert bool(problems) == broken
 
 
 def test_validate_catches_unknown_reference():
