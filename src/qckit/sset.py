@@ -9,21 +9,21 @@ The centrepiece is :meth:`FinSSet.apply`, the contravariant action of an
 arbitrary monotone map on a simplex reference.  Each set keeps one
 action table per operator alpha: [m] -> [n] within the truncation, of
 integer positions: entry p is the position in ``simplices(m)`` of
-``simplices(n)[p]`` acted on by alpha.  ``apply`` answers from it.  On
-a miss it walks: it acts by the face entry for one vertex the operator
-misses, hands the rest of the operator to the tables again, and records
-the position, so each (simplex, operator) is walked once.  A step's
-operator arithmetic depends only on the two operators and is factored
-once per pair for every set, so a miss costs one face-entry read and
-one table read.  :meth:`FinSSet.action` fills a whole table without
-walking, a (level, epi) group of entries at a time.  The tables are
-sound because cells and face entries never change after construction,
-so an entry, once computed, holds for the life of the set.  They hold
-integers, a list slot per entry.
-An identity operator keeps no table: ``apply`` returns a normal-form
-reference itself and :meth:`FinSSet.action` answers with a range of
-positions, so callers need no shortcut of their own.  Truncation is
-strict and checked once, by :meth:`FinSSet.nondegenerate`: ``simplices``,
+``simplices(n)[p]`` acted on by alpha.  :meth:`FinSSet.action` fills a
+whole table on first use, a (level, epi) group of entries at a time: one
+operator step per group, factored once per pair of operators for every
+set, then index arithmetic or one lower table read per cell.  ``apply``
+reads the table.  It walks the face entries, keeping nothing, only
+where the set can keep no table: for a ref without a position, an
+operator reaching above the truncation, or a level with a face entry
+that has no position (a malformed set).  :func:`validate` reads its
+simplicial-identity sweep off the face operators' tables too.  The
+tables are sound because cells and face entries never change after
+construction, so an entry, once computed, holds for the life of the
+set.  An identity operator keeps no table: :meth:`FinSSet.action`
+answers with a range of positions, so callers need no shortcut of their
+own.  Truncation is strict and checked once, by
+:meth:`FinSSet.nondegenerate`: ``simplices``, ``action``,
 :func:`subcomplex` and ``quasicat.find_filler`` raise through it, and no
 level above the truncation is ever silently completed.
 
@@ -213,9 +213,7 @@ class FinSSet:
                 self._dim_of.setdefault(c, d)
         self._simplices: dict[int, list[SimplexRef]] = {}
         self._position: dict[int, dict] = {}
-        # alpha -> (table, position at n, position at m, simplices at m)
-        self._actions: dict[MonotoneMap, tuple] = {}
-        self._complete: dict[MonotoneMap, list[int]] = {}  # filled by action()
+        self._tables: dict[MonotoneMap, list[int]] = {}  # filled by action()
         self._faces_at: dict[int, list | None] = {}  # by _face_positions()
         self._position_index: dict[tuple, dict] = {}
 
@@ -262,71 +260,53 @@ class FinSSet:
         """Normal form of ref . alpha for any monotone alpha into ref's
         dimension.  Functorial: apply(apply(r, a), b) == apply(r, a . b).
 
-        Answered from alpha's kept action table; a miss walks the face
-        entries once and records the position.  A ref without a position
-        (malformed input) or an operator reaching above the truncation
-        is walked every time, and a walk's error propagates unchanged."""
+        Read off alpha's table, :meth:`action`.  Where the set can keep
+        no table for the call, it walks the face entries instead, every
+        time: a ref without a position (malformed input), an operator
+        reaching above the truncation, or a level at or below ref's with
+        a face entry that has no position.  A walk's error propagates
+        unchanged."""
         if alpha.target_arity != ref.dim:
             raise ArityError(
                 f"operator into [{alpha.target_arity}] applied to a "
                 f"{ref.dim}-simplex"
             )
-        return self._lookup(ref, alpha)
-
-    def _lookup(self, ref: SimplexRef, alpha: MonotoneMap) -> SimplexRef:
-        """ref . alpha from alpha's kept table, walking on a miss."""
-        if alpha.is_identity:
-            # the identity leaves a normal form as it is and keeps no
-            # table; a malformed face entry (an epi that is not onto) is
-            # walked, as it would be without the shortcut
-            return ref if ref.epi.is_surjective else self._act(ref, alpha)
-        kept = self._actions.get(alpha)
-        if kept is None:
-            if max(alpha.source_arity, alpha.target_arity) > self.truncation:
-                return self._act(ref, alpha)
-            kept = self._kept_action(alpha)
-        table, here, there, values = kept
-        p = here.get(ref)
-        if p is None:
-            return self._act(ref, alpha)
-        q = table[p]
-        if q is None:
-            out = self._act(ref, alpha)
-            q = there.get(out)
-            if q is None:
-                return out
-            table[p] = q
-        return values[q]
+        m, n = alpha.source_arity, ref.dim
+        if max(m, n) <= self.truncation and self._tabled(n):
+            p = self.position(n).get(ref)
+            if p is not None:
+                return self.simplices(m)[self.action(alpha)[p]]
+        return self._act(ref, alpha)
 
     def action(self, alpha: MonotoneMap) -> list[int]:
         """The kept action table of alpha: [m] -> [n], both within the
         truncation: entry p is the position in :meth:`simplices` ``(m)``
         of ``simplices(n)[p]`` acted on by alpha, filled on first use.  If
         a face entry at dimension n or below has no position (a malformed
-        set), each entry is walked by :meth:`apply`, and a value that is
-        not an m-simplex raises KeyError.  An identity is a range."""
-        table = self._complete.get(alpha)
+        set), each entry is walked, and a value that is not an m-simplex
+        raises KeyError.  An identity is a range and keeps no table."""
+        if alpha.is_identity:
+            return range(len(self.simplices(alpha.source_arity)))
+        table = self._tables.get(alpha)
         if table is None:
-            if alpha.is_identity:
-                return range(len(self.simplices(alpha.source_arity)))
-            table, _, there, _ = self._kept_action(alpha)
-            n = alpha.target_arity
-            if all(self._face_positions(l) for l in range(1, n + 1)):
-                self._fill(alpha, table)
+            m, n = alpha.source_arity, alpha.target_arity
+            self.nondegenerate(max(m, n))  # raises above the truncation
+            if self._tabled(n):
+                table = self._fill(alpha)
             else:
-                for p, s in enumerate(self.simplices(n)):
-                    if table[p] is None:
-                        table[p] = there[self.apply(s, alpha)]
-            self._complete[alpha] = table
+                there = self.position(m)
+                table = [there[self._act(s, alpha)] for s in self.simplices(n)]
+            self._tables[alpha] = table
         return table
 
-    def _fill(self, alpha: MonotoneMap, table: list) -> None:
-        """Every entry of alpha's table, by the slice of one (level l, epi)
-        group at a time, as ``simplices(n)`` runs over levels, cells, epis.
+    def _fill(self, alpha: MonotoneMap) -> list[int]:
+        """alpha's table, filled by the slice of one (level l, epi) group
+        at a time, as ``simplices(n)`` runs over levels, cells, epis.
         One :func:`_step` per group: each l-cell c goes to c . epi' by
         index arithmetic, or where c's face i goes under mu2 . epi' by
         that operator's table, filled the same way one level down."""
         m, n = alpha.source_arity, alpha.target_arity
+        table = [0] * len(self.simplices(n))
         start = target = 0  # level l's first position at n and at m
         for l in range(n + 1):
             count, epis, width = len(self._cells[l]), epis_onto(n, l), len(epis_onto(m, l))
@@ -341,6 +321,12 @@ class FinSSet:
                     table[group] = [lower[q] for q in self._face_positions(l)[i]]
             start += count * len(epis)
             target += count * width
+        return table
+
+    def _tabled(self, n: int) -> bool:
+        """Whether every face entry at levels 1..n has a position, so
+        that the tables of operators into [n] can be filled."""
+        return all(self._face_positions(l) for l in range(1, n + 1))
 
     def _face_positions(self, l: int) -> list | None:
         """Per i, the position of face entry i of each l-cell in
@@ -351,24 +337,14 @@ class FinSSet:
             self._faces_at[l] = None if any(None in c for c in cols) else cols
         return self._faces_at[l]
 
-    def _kept_action(self, alpha: MonotoneMap) -> tuple:
-        kept = self._actions.get(alpha)
-        if kept is None:
-            here = self.position(alpha.target_arity)
-            m = alpha.source_arity
-            kept = ([None] * len(here), here, self.position(m), self.simplices(m))
-            self._actions[alpha] = kept
-        return kept
-
     def _act(self, ref: SimplexRef, alpha: MonotoneMap) -> SimplexRef:
-        """The face walk behind :meth:`apply`: act by the face entry for
-        the last vertex the mono of ref.epi . alpha misses, as
-        :func:`_step` says; the rest of the mono acts on that entry
-        through the kept tables, so each step is walked once too."""
+        """The face walk: act by the face entry for the last vertex the
+        mono of ref.epi . alpha misses, as :func:`_step` says, and walk
+        the rest of the mono on that entry; nothing is kept."""
         epi, i, mu2 = _step(ref.epi, alpha)
         if i is None:
             return SimplexRef(epi, ref.cell)
-        res = self._lookup(self.face_entry(ref.cell, i), mu2)
+        res = self._act(self.face_entry(ref.cell, i), mu2)
         return SimplexRef(_composite(res.epi, epi), res.cell)
 
     def simplices(self, dim: int) -> list[SimplexRef]:
@@ -655,20 +631,27 @@ def validate(x: FinSSet) -> ValidationReport:
                     )
     if report.problems:
         return report
-    # d_i d_j = d_{j-1} d_i for i < j, on every nondegenerate cell.
-    # No walk fails: the pass above checked every face entry's cell and epi.
+    # d_i d_j = d_{j-1} d_i for i < j, on every nondegenerate cell, read
+    # off the face tables: the d-cells are the last cell_count(d)
+    # positions of simplices(d).  Every table fills: the pass above
+    # made every face entry a normal form of a listed cell.
     for d in range(2, x.truncation + 1):
-        for c in x.nondegenerate(d):
-            top = nondeg_ref(c, d)
+        count = x.cell_count(d)
+        if not count:  # an empty level fills no tables
+            continue
+        tops, below = x.simplices(d), x.simplices(d - 2)
+        upper = [x.action(face(d, j)) for j in range(d + 1)]
+        lower = [x.action(face(d - 1, i)) for i in range(d)]
+        for p in range(len(tops) - count, len(tops)):
             for j in range(1, d + 1):
                 for i in range(j):
-                    lhs = x.apply(x.apply(top, face(d, j)), face(d - 1, i))
-                    rhs = x.apply(x.apply(top, face(d, i)), face(d - 1, j - 1))
+                    lhs, rhs = lower[i][upper[j][p]], lower[j - 1][upper[i][p]]
                     if lhs != rhs:
+                        lhs, rhs = below[lhs], below[rhs]
                         report.problems.append(
-                            f"cell {c!r}: identity d{i} d{j} = d{j - 1} d{i} "
-                            f"fails: {lhs.cell!r}.{lhs.epi.values} != "
-                            f"{rhs.cell!r}.{rhs.epi.values}"
+                            f"cell {tops[p].cell!r}: identity d{i} d{j} = "
+                            f"d{j - 1} d{i} fails: {lhs.cell!r}.{lhs.epi.values} "
+                            f"!= {rhs.cell!r}.{rhs.epi.values}"
                         )
     return report
 

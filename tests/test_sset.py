@@ -290,12 +290,18 @@ def test_materialize_accepts_values_repeated_across_levels(x):
     lambda: simplicial_nerve(deloop(build_reference_monoid()), 3),
 ], ids=["simplex(3)", "nerve"])
 def test_identity_action_is_a_range_and_keeps_no_table(make):
+    # neither action nor apply keeps a table for an identity, and every
+    # table kept, one per operator, is whole
     x = make()
     for n in range(x.truncation + 1):
         x.action(face(n, 0) if n else degeneracy(0, 0))
-        kept = (dict(x._actions), dict(x._complete))
+        kept = dict(x._tables)
         assert x.action(identity(n)) == range(len(x.simplices(n)))
-        assert (x._actions, x._complete) == kept
+        assert [x.apply(s, identity(n)) for s in x.simplices(n)] == x.simplices(n)
+        assert x._tables == kept
+    assert x._tables and all(
+        len(table) == len(x.simplices(op.target_arity)) and None not in table
+        for op, table in x._tables.items())
 
 
 def outcome(fn, *args):
