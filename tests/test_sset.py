@@ -287,7 +287,7 @@ def test_materialize_accepts_values_repeated_across_levels(x):
 
 @pytest.mark.parametrize("make", [
     lambda: standard_simplex(3),
-    lambda: simplicial_nerve(deloop(build_reference_monoid()), 3),
+    default_nerve,
 ], ids=["simplex(3)", "nerve"])
 def test_identity_action_is_a_range_and_keeps_no_table(make):
     # neither action nor apply keeps a table for an identity, and every
