@@ -1,4 +1,4 @@
-"""Joins of simplicial sets, slice constructions, and edge anatomy.
+"""Joins of simplicial sets and slice constructions.
 
 The join X * Y is built by one rule: a nondegenerate n-cell is a pair
 (a, b) of nondegenerate cells with dim a + dim b = n - 1, where either
@@ -354,20 +354,3 @@ def cross_validate_coslice(base: FinSSet, vertex: str, dim: int):
                         f"level {n}: face {i} disagrees at {fc!r} / {gc!r}"
                     )
     return report, fast, generic
-
-
-def coslice_edge_anatomy(coslice: CosliceSSet, nerve_sset, edge: SimplexRef):
-    """Decomposes a coslice edge over a coherent nerve into its triangle
-    data (two sources, a composite target, and the connecting path), and
-    checks the data reassembles the underlying 2-cell."""
-    from .scat import classification_to_functor, functor_to_classification
-
-    if edge.dim != 1:
-        raise ValueError("anatomy applies to coslice edges")
-    two = coslice.underlying_ref(edge)
-    f = nerve_sset.functor_of_ref(two)
-    data = functor_to_classification(f)
-    rebuilt = classification_to_functor(2, f.target, data)
-    if rebuilt != f:
-        raise AssertionError("anatomy failed to reassemble the 2-cell")
-    return data

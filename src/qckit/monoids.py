@@ -400,21 +400,6 @@ def default_monoid_spec() -> MonoidSpec:
     return MonoidSpec(grades, {"1": "Z/2", "2+": "Z/2"}, 3)
 
 
-def monoid_spec_to_json(spec: MonoidSpec) -> dict:
-    es = spec.grades.elements
-    return {
-        "grades": {
-            "elements": list(es),
-            "unit": spec.grades.unit,
-            "table": [[spec.grades.product(a, b) for b in es] for a in es],
-        },
-        "components": {
-            g: {"group": name} for g, name in sorted(spec.components.items())
-        },
-        "truncation": spec.truncation,
-    }
-
-
 def monoid_spec_from_json(blob: dict) -> MonoidSpec:
     """Reads a spec file's JSON; a malformed spot raises KeyError,
     TypeError or ValueError naming it.  Laws are left to the build."""
@@ -735,7 +720,7 @@ def verify_proposition(m: GradedSimplicialMonoid, dims: int = 2) -> PropositionR
 
 def __getattr__(name: str):
     # perfbench's tracer reads ``monoids.boxplus`` and ``monoids.span``
-    # by name; this forward goes when ROADMAP item 6 retires the tracer
+    # by name; this forward goes when ROADMAP item 8 retires the tracer
     if name in ("boxplus", "span"):
         from . import grassmann
 

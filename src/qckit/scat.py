@@ -14,11 +14,11 @@ A functor is stored as its object map and a code: per nondegenerate
 chain of rigidify(k), in a fixed layout, the position of the chain's
 value in its target hom's ``simplices``, given to the one constructor
 ``SimplicialFunctor(arity, target, object_map, code)``.  There is no
-chain-keyed view of a whole functor: refs appear only where one pair is
-read back by ``hom_map`` or one field by the classification.  Truncation
-is strict: ``_check_level_cap`` is the one check that k-functors find
-the target's homs to level k - 1, for :func:`enumerate_functors`,
-:func:`precompose` and :func:`simplicial_nerve`.
+chain-keyed view of a whole functor: refs appear only where one field
+is read back by the classification.  Truncation is strict:
+``_check_level_cap`` is the one check that k-functors find the target's
+homs to level k - 1, for :func:`enumerate_functors`, :func:`precompose`
+and :func:`simplicial_nerve`.
 
 Free versus forced cells: a nondegenerate chain of P(i,j) whose least
 element is the bottom {i, j} is free; any other chain has an interior
@@ -35,20 +35,18 @@ nerve's cell order is that of the chain-keyed values.
 
 The low-simplex classification reads one field table, ``_FIELD_CHAINS``:
 each field of an edge, triangle or tetrahedron tuple is the value on one
-free chain, and a tuple rebuilds its functor through the enumeration
-search with those chains held fixed.
+free chain.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from functools import lru_cache
 from typing import Hashable, Iterable, Mapping
 
 from . import Frozen
-from .ordinals import MonotoneMap, degeneracy, epis_onto, face
+from .ordinals import MonotoneMap, epis_onto
 from .posets import (
     chain_cell_id,
     chain_sets,
@@ -62,7 +60,6 @@ from .sset import (
     FinSSet,
     OffTargetError,
     SimplexRef,
-    SimplicialMap,
     TruncationError,
     ValidationReport,
     associativity_failures,
@@ -72,7 +69,6 @@ from .sset import (
     unit_failures,
     validate,
     validate_bilevel,
-    validate_map,
 )
 
 
@@ -347,10 +343,9 @@ class SimplicialFunctor:
     code, one entry per nondegenerate chain of rigidify(arity) in the
     layout of :func:`_layout`, each the position of the chain's value in
     its target hom's ``simplices``; the one constructor.  A functor
-    built by hand may hold a ref where its value is off its hom, so
-    that :func:`validate_functor` can name it.  :meth:`hom_map` reads a
-    pair's entries back as refs.  Functors are equal when their object
-    maps and codes are."""
+    built by hand may hold a ref where its value is off its hom, which
+    :func:`functor_to_classification` reads back as it is.  Functors are
+    equal when their object maps and codes are."""
 
     __slots__ = ("arity", "target", "object_map", "code")
 
@@ -371,17 +366,6 @@ class SimplicialFunctor:
     def __hash__(self):
         return hash((self.object_map, self.code))
 
-    def hom_map(self, i: int, j: int) -> SimplicialMap:
-        """The hom (i, j) part, read off that pair's code entries only."""
-        src = rigidify(self.arity).hom(i, j)
-        tgt = self.target.hom(self.object_map[i], self.object_map[j])
-        homs = _frame(self.target, self.arity, self.object_map).homs
-        return SimplicialMap(src, tgt, {
-            cid: _ref(h, m, v)
-            for (pair, cid, m), h, v in zip(_layout(self.arity)[0], homs, self.code)
-            if pair == (i, j) and v is not None
-        })
-
 
 def _check_level_cap(d: SCat, k: int) -> None:
     """The one level cap: k-functors need d's homs to level k - 1."""
@@ -389,7 +373,7 @@ def _check_level_cap(d: SCat, k: int) -> None:
         raise TruncationError(f"homs truncated at {d.level_cap}, too low for {k}-functors")
 
 
-def _codes(frame: _Frame, fixed: Mapping[int, int] | None = None):
+def _codes(frame: _Frame):
     """The one search: yields the code of every functor with frame's
     object map, in the search's leaf order.  The cells of every hom are
     slots of :func:`~qckit.sset.depth_first`, in :func:`_layout`'s
@@ -398,14 +382,10 @@ def _codes(frame: _Frame, fixed: Mapping[int, int] | None = None):
     the positions already chosen on its faces, in ``simplices`` order.
     A forced cell has one candidate: two kept action tables take its
     halves' positions to its level, and the composition table there
-    composes them.  An entry in ``fixed`` keeps only its given position,
-    where its slot lists it."""
+    composes them."""
     steps, vals = frame.steps(), frame.units()
     size = len(frame.homs)
     candidates = lambda s: _candidates(steps[s], vals)
-    if fixed:
-        listed = candidates
-        candidates = lambda s: [v for v in listed(s) if fixed.get(steps[s][0], v) == v]
     for _ in depth_first([(vals, step[0]) for step in steps], candidates):
         yield tuple([vals[e] for e in range(size)])
 
@@ -413,7 +393,7 @@ def _codes(frame: _Frame, fixed: Mapping[int, int] | None = None):
 def enumerate_functors(k: int, d: SCat) -> list[SimplicialFunctor]:
     """All simplicial functors rigidify(k) -> d, each exactly once: for
     each object map, in ``itertools.product`` order, the codes of
-    :func:`_codes` with nothing fixed."""
+    :func:`_codes`."""
     _check_level_cap(d, k)
     return [
         SimplicialFunctor(k, d, objs, code)
@@ -450,55 +430,6 @@ def _image_chains(op: MonotoneMap) -> tuple:
         img = normalize_chain([frozenset(op(v) for v in s) for s in chain_sets(cid)])
         out.append((index[(op(i), op(j)), img.cell], img.epi))
     return tuple(out)
-
-
-def validate_functor(f: SimplicialFunctor) -> ValidationReport:
-    """Units, naturality of every hom assignment, and the composition
-    squares F(b u a) = F(b) . F(a) levelwise on all pairs, compared as
-    positions in the target homs through rigidify(k)'s union tables and
-    the target's composition tables."""
-    report = ValidationReport("SimplicialFunctor")
-    k = f.arity
-    src = rigidify(k)
-    maps = {(i, j): f.hom_map(i, j) for i in range(k + 1) for j in range(i, k + 1)}
-    for i in range(k + 1):
-        want = nondeg_ref(f.target.identities[f.object_map[i]], 0)
-        if maps[i, i].assignment[chain_cell_id([frozenset({i})])] != want:
-            report.problems.append(f"identity at {i} not preserved")
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            sub = validate_map(maps[i, j])
-            report.problems.extend(
-                f"hom({i},{j}): {p}" for p in sub.problems
-            )
-    if report.problems:
-        return report
-    cap = min(src.level_cap, f.target.level_cap)
-    objs = f.object_map
-    # (i, j, m) -> the position in the target hom of each m-simplex's image
-    images = {
-        (i, j, m): [
-            fm.target.position(m)[fm.image(s)] for s in fm.source.simplices(m)
-        ]
-        for (i, j), fm in maps.items()
-        for m in range(cap + 1)
-    }
-    for i in range(k + 1):
-        for j in range(i, k + 1):
-            for p in range(j, k + 1):
-                for m in range(cap + 1):
-                    unions = src.comp[(i, j, p)].table(m)
-                    comps = f.target.comp[(objs[i], objs[j], objs[p])].table(m)
-                    f_ij, f_ip = images[i, j, m], images[i, p, m]
-                    for b, fb, row in zip(src.hom(j, p).simplices(m),
-                                          images[j, p, m], unions):
-                        for a, fa, u in zip(src.hom(i, j).simplices(m), f_ij, row):
-                            if f_ip[u] != comps[fb][fa]:
-                                report.problems.append(
-                                    f"composition square fails at level {m} on "
-                                    f"({i},{j},{p}): {b.cell!r} over {a.cell!r}"
-                                )
-    return report
 
 
 # -- the homotopy-coherent nerve --------------------------------------
@@ -552,12 +483,6 @@ class TetrahedronData(Frozen):
                "edge1", "edge2", "edge3", "tri_left", "tri_right")
 
 
-def _the_object(d: SCat):
-    if len(d.objects) != 1:
-        raise ValueError("classification works over a single-object target")
-    return d.objects[0]
-
-
 def _chain(*sets: tuple) -> tuple:
     """(hom, chain id, whether it is a vertex) of the chain of ``sets``."""
     pair = (min(sets[0]), max(sets[0]))
@@ -588,83 +513,9 @@ def _field_table(k: int) -> tuple:
     return _FIELD_CHAINS[k]
 
 
-def classify_low_simplices(k: int, d: SCat) -> list:
-    """Independent parametrizations of the k-cells, k <= 3, over a
-    one-object target: vertices, connecting paths, and filling triangles,
-    scanned directly from the hom simplicial set by position, through
-    its ``position_index``, its kept action tables and the composition
-    tables."""
-    x = _the_object(d)
-    _field_table(k)
-    h = d.hom(x, x)
-    names = h.nondegenerate(0)  # the vertices, by position
-    if k == 1:
-        return [EdgeData(v) for v in names]
-    mul0 = d.comp[(x, x, x)].table(0)  # mul0[later][earlier]
-    src = h.action(face(1, 1))  # edge -> its source vertex
-    by_target = h.position_index(1, (0,))
-    edges = h.simplices(1)
-    verts = range(len(names))
-    if k == 2:
-        return [
-            TriangleData(names[v01], names[v12], names[src[g]], edges[g])
-            for v01 in verts for v12 in verts
-            for g in by_target.get((mul0[v12][v01],), ())
-        ]
-    mul1 = d.comp[(x, x, x)].table(1)
-    s0 = h.action(degeneracy(0, 0))
-    by_ends = h.position_index(1)
-    tri_by_faces = h.position_index(2)
-    tris = h.simplices(2)
-    out = []
-    for v01, v12, v23 in itertools.product(verts, repeat=3):
-        v012 = mul0[v12][v01]
-        v123 = mul0[v23][v12]
-        v0123 = mul0[v23][v012]
-        for g02 in by_target.get((v012,), ()):
-            f2 = mul1[s0[v23]][g02]
-            for g13 in by_target.get((v123,), ()):
-                f1 = mul1[g13][s0[v01]]
-                v013 = mul0[src[g13]][v01]
-                v023 = mul0[v23][src[g02]]
-                for e3 in by_target.get((v0123,), ()):
-                    v03 = src[e3]
-                    for e1 in by_ends.get((v013, v03), ()):
-                        for tl in tri_by_faces.get((f1, e3, e1), ()):
-                            for e2 in by_ends.get((v023, v03), ()):
-                                for tr in tri_by_faces.get((f2, e3, e2), ()):
-                                    out.append(TetrahedronData(
-                                        names[v01], names[v12], names[v23],
-                                        edges[g02], edges[g13], edges[e1],
-                                        edges[e2], edges[e3], tris[tl], tris[tr],
-                                    ))
-    return out
-
-
-def classification_to_functor(k: int, d: SCat, data) -> SimplicialFunctor:
-    """Rebuild the functor a classification tuple encodes: the search of
-    :func:`enumerate_functors` with each field's chain held at the
-    field's value, whose one leaf it is.  A tuple that classifies no
-    k-cell raises ValueError naming it."""
-    x = _the_object(d)
-    kind, fields = _field_table(k)
-    if not isinstance(data, kind):
-        raise TypeError(f"{k}-cells are classified by {kind.__name__}, not {data!r}")
-    objs = (x,) * (k + 1)
-    h = d.hom(x, x)
-    entries, index, _ = _layout(k)
-    fixed = {}
-    for (pair, cid, vertex), value in zip(fields, data._values()):
-        e = index[pair, cid]
-        fixed[e] = h.position(entries[e][2]).get(nondeg_ref(value, 0) if vertex else value)
-    for code in _codes(_frame(d, k, objs), fixed):
-        return SimplicialFunctor(k, d, objs, code)
-    raise ValueError(f"{data!r} classifies no {k}-cell")
-
-
 def functor_to_classification(f: SimplicialFunctor):
-    """Inverse of classification_to_functor: each field read off its
-    chain's code entry."""
+    """The classification tuple of a k-functor, k in {1, 2, 3}: each
+    field read off its chain's code entry."""
     kind, fields = _field_table(f.arity)
     entries, index, _ = _layout(f.arity)
     homs = _frame(f.target, f.arity, f.object_map).homs
@@ -678,80 +529,7 @@ def functor_to_classification(f: SimplicialFunctor):
     return kind(*values)
 
 
-# -- discrete enrichment ----------------------------------------------
-
-
-def from_finite_category(
-    objects: Iterable[Hashable],
-    morphisms: Mapping[tuple, Iterable[str]],
-    compose_fn,
-    identities: Mapping[Hashable, str],
-    truncation: int = 3,
-) -> SCat:
-    """A category with discrete homs: vertices are morphism names and all
-    higher simplices are degenerate."""
-    objects = tuple(objects)
-    homs = {}
-    for x in objects:
-        for y in objects:
-            ms = list(morphisms.get((x, y), ()))
-            homs[(x, y)] = FinSSet(truncation, {0: ms}, {})
-    for x in objects:
-        if identities.get(x) not in homs[(x, x)].nondegenerate(0):
-            raise ValueError(
-                f"identity of {x!r} is not a listed ({x!r}, {x!r}) morphism"
-            )
-
-    def make_fn(x, y, z):
-        def fn(level: int, a: SimplexRef, b: SimplexRef) -> SimplexRef:
-            return SimplexRef(epis_onto(level, 0)[0], compose_fn(x, y, z, a.cell, b.cell))
-
-        return fn
-
-    comp = {
-        (x, y, z): BilevelMap(
-            homs[(y, z)], homs[(x, y)], homs[(x, z)], make_fn(x, y, z)
-        )
-        for x in objects
-        for y in objects
-        for z in objects
-    }
-    return SCat(objects, homs, dict(identities), comp)
-
-
 # -- serialization ----------------------------------------------------
-
-
-def scat_to_manifest(d: SCat, directory: str, stem: str = "scat") -> str:
-    """Writes hom files plus a manifest; returns the manifest path."""
-    os.makedirs(directory, exist_ok=True)
-    hom_files = {}
-    for (x, y), h in d.homs.items():
-        fname = f"{stem}_hom_{x}_{y}.json"
-        with open(os.path.join(directory, fname), "w") as fh:
-            fh.write(h.to_json_str())
-        hom_files[f"{x}|{y}"] = fname
-    comp_tables = {}
-    for (x, y, z), bm in d.comp.items():
-        levels = {}
-        for m in range(d.level_cap + 1):
-            zs = bm.target.simplices(m)
-            levels[str(m)] = [
-                [a.to_json(), b.to_json(), zs[t].to_json()]
-                for a, row in zip(bm.x.simplices(m), bm.table(m))
-                for b, t in zip(bm.y.simplices(m), row)
-            ]
-        comp_tables[f"{x}|{y}|{z}"] = levels
-    manifest = {
-        "objects": [str(x) for x in d.objects],
-        "homs": hom_files,
-        "identities": {str(x): v for x, v in d.identities.items()},
-        "comp": comp_tables,
-    }
-    path = os.path.join(directory, f"{stem}.scat.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-    return path
 
 
 def _manifest_key(section: str, key: str, parts: int, objects: list) -> list[str]:
@@ -766,12 +544,6 @@ def _manifest_key(section: str, key: str, parts: int, objects: list) -> list[str
                 f"{section!r} key {key!r} names {x!r}, which 'objects' does not list"
             )
     return names
-
-
-def scat_from_manifest(path: str) -> SCat:
-    with open(path) as fh:
-        manifest = json.load(fh)
-    return scat_from_manifest_json(manifest, os.path.dirname(path))
 
 
 def scat_from_manifest_json(manifest: dict, directory: str) -> SCat:
@@ -797,8 +569,11 @@ def scat_from_manifest_json(manifest: dict, directory: str) -> SCat:
             h = homs[(x, y)] = FinSSet.from_json(fh.read())
         dims[h] = {c: d for d in range(h.truncation + 1) for c in h.nondegenerate(d)}
 
+    epis: dict[tuple, MonotoneMap] = {}
+
     def ref_from(blob, hom_set, where):
-        ref = SimplexRef.from_json(blob, dims[hom_set], f"{where}: entry {blob!r}")
+        ref = SimplexRef.from_json(
+            blob, dims[hom_set], f"{where}: entry {blob!r}", epis)
         if ref.cell not in dims[hom_set]:
             raise ValueError(f"{where}: unknown cell {ref.cell!r}")
         return ref
@@ -848,6 +623,11 @@ def scat_from_manifest_json(manifest: dict, directory: str) -> SCat:
         comp[(x, y, z)] = BilevelMap(*ends, make_fn(table))
     for x, v in manifest["identities"].items():
         _manifest_key("identities", x, 1, objects)
+        if (x, x) not in homs:
+            raise ValueError(
+                f"'identities' entry {x!r} needs the hom {f'{x}|{x}'!r}, "
+                f"which 'homs' does not list"
+            )
         if not isinstance(v, str):
             raise ValueError(f"'identities' entry {x!r} must be a cell name, got {v!r}")
     return SCat(objects, homs, manifest["identities"], comp)

@@ -31,10 +31,10 @@ The one face lookup is :meth:`FinSSet.position_index` ``(n, at)``:
 the positions of the n-simplices keyed by the positions of their faces
 at ``at`` (all of them by default), read off the face operators' action
 tables and kept per (n, at).  Fillers, horn problems, invertibility
-witnesses, the fundamental group, the generic slice, nerve enumeration
-and the low-simplex classification ask it which simplices have given
-faces, read a simplex's own faces from the action tables
-``action(face(n, i))``, and build refs only for their results.
+witnesses, the fundamental group, the generic slice and nerve
+enumeration ask it which simplices have given faces, read a simplex's
+own faces from the action tables ``action(face(n, i))``, and build refs
+only for their results.
 :meth:`FinSSet.simplices` and :meth:`FinSSet.position` are kept per
 dimension; :class:`BilevelMap` answers from its kept level tables, which
 the unit and associativity sweeps read (:func:`unit_failures`,
@@ -44,7 +44,7 @@ standard simplices and the mapping-poset nerves.
 
 Every exhaustive search runs through :func:`depth_first`, one iterative
 depth-first loop over slots of the caller's own dicts: nerve functors
-(``scat.enumerate_functors`` and the classification rebuild), horn problems (``quasicat.horn_problems``),
+(``scat.enumerate_functors``), horn problems (``quasicat.horn_problems``),
 anchored maps (the generic slice) and :func:`iso_search`.  Each caller
 gives only its candidate rule and reads its result at a leaf; leaves
 come in the order of the candidate lists, so each search keeps the
@@ -125,11 +125,14 @@ class SimplexRef(Frozen):
         return {"cell": self.cell, "epi": list(self.epi.values)}
 
     @staticmethod
-    def from_json(blob, dim_of: Mapping[str, int], where: str) -> "SimplexRef":
+    def from_json(blob, dim_of: Mapping[str, int], where: str,
+                  epis: dict) -> "SimplexRef":
         """Reads a :meth:`to_json` object back; a malformed one raises a
         ValueError naming ``where``.  The epi lands in ``dim_of[cell]``,
         or for a cell missing there in the smallest consistent arity, so
-        the breakage surfaces in :func:`validate` instead of here."""
+        the breakage surfaces in :func:`validate` instead of here.
+        ``epis``, one dict per file read, keeps each epi built per
+        (values, target), so equal entries share one."""
         vals = blob.get("epi") if isinstance(blob, dict) else None
         if not (
             isinstance(vals, list)
@@ -140,11 +143,13 @@ class SimplexRef(Frozen):
                 f"{where} must be an object with a string 'cell' and a "
                 f"list of integers 'epi'"
             )
-        target = dim_of.get(blob["cell"], max(vals, default=0))
-        try:
-            epi = MonotoneMap(len(vals) - 1, target, tuple(vals))
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}")
+        key = (tuple(vals), dim_of.get(blob["cell"], max(vals, default=0)))
+        epi = epis.get(key)
+        if epi is None:
+            try:
+                epi = epis[key] = MonotoneMap(len(vals) - 1, key[1], key[0])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}")
         return SimplexRef(epi, blob["cell"])
 
 
@@ -431,6 +436,7 @@ class FinSSet:
             except ValueError:
                 raise ValueError(f"'cells' key {d!r} is not a dimension")
         dim_of = {c: d for d, ids in cells.items() for c in ids}
+        epis: dict[tuple, MonotoneMap] = {}
         faces = {}
         for c, entries in data.get("faces", {}).items():
             if c not in dim_of:
@@ -438,7 +444,7 @@ class FinSSet:
             if not isinstance(entries, list):
                 raise ValueError(f"the faces of cell {c!r} must be a list")
             faces[c] = tuple(
-                SimplexRef.from_json(e, dim_of, f"cell {c!r} face {i}")
+                SimplexRef.from_json(e, dim_of, f"cell {c!r} face {i}", epis)
                 for i, e in enumerate(entries)
             )
         return cls(truncation, cells, faces)
@@ -653,41 +659,6 @@ def validate(x: FinSSet) -> ValidationReport:
                             f"d{j - 1} d{i} fails: {lhs.cell!r}.{lhs.epi.values} "
                             f"!= {rhs.cell!r}.{rhs.epi.values}"
                         )
-    return report
-
-
-def validate_map(f: SimplicialMap) -> ValidationReport:
-    """Checks the assignment commutes with faces up to the common truncation."""
-    report = ValidationReport("SimplicialMap")
-    bound = min(f.source.truncation, f.target.truncation)
-    for d in range(bound + 1):
-        for c in f.source.nondegenerate(d):
-            if c not in f.assignment:
-                report.problems.append(f"cell {c!r} has no image")
-                continue
-            img = f.assignment[c]
-            if img.dim != d:
-                report.problems.append(
-                    f"cell {c!r} of dimension {d} mapped to a {img.dim}-simplex"
-                )
-                continue
-            if not f.target.has_cell(img.cell):
-                report.problems.append(
-                    f"cell {c!r} mapped to unknown cell {img.cell!r}"
-                )
-    if report.problems:
-        return report
-    for d in range(1, bound + 1):
-        for c in f.source.nondegenerate(d):
-            for i in range(d + 1):
-                lhs = f.target.apply(f.assignment[c], face(d, i))
-                src_face = f.source.face_entry(c, i)
-                rhs = f.image(src_face)
-                if lhs != rhs:
-                    report.problems.append(
-                        f"cell {c!r}: face {i} not preserved: "
-                        f"{lhs.cell!r}.{lhs.epi.values} != {rhs.cell!r}.{rhs.epi.values}"
-                    )
     return report
 
 

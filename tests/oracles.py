@@ -1,10 +1,15 @@
-"""Test-side oracles built by independent routes from the library code."""
+"""Test-side oracles built by independent routes from the library code,
+and the fixture writers that the tests build their inputs with (a
+discrete-enriched category, a manifest on disk, a monoid spec's JSON)."""
 
 import functools
 import itertools
+import json
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Hashable, Iterable, Mapping
 
 from qckit.join import CosliceSSet, SliceSSet, cone_operator, join, join_of_maps
 from qckit.monoids import GradeMonoid, MonoidSpec
@@ -20,13 +25,21 @@ from qckit.ordinals import (
 from qckit.posets import chain_cell_id, mapping_poset, nerve, normalize_chain, union_chains
 from qckit.quasicat import HornProblem
 from qckit.scat import (
+    EdgeData,
     NerveSSet,
     SCat,
     SimplicialFunctor,
+    TetrahedronData,
+    TriangleData,
+    _field_table,
+    _frame,
+    _layout,
+    _ref,
     enumerate_functors,
-    from_finite_category,
+    functor_to_classification,
     precompose,
     rigidify,
+    scat_from_manifest_json,
 )
 from qckit.sset import (
     BilevelMap,
@@ -762,11 +775,11 @@ def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
 
 def assignments(f: SimplicialFunctor) -> dict:
     """f's values as refs, per pair and chain id, read through
-    ``hom_map``; a pair with no value is left out."""
+    :func:`hom_map`; a pair with no value is left out."""
     out = {}
     for i in range(f.arity + 1):
         for j in range(i, f.arity + 1):
-            table = f.hom_map(i, j).assignment
+            table = hom_map(f, i, j).assignment
             if table:
                 out[(i, j)] = table
     return out
@@ -1078,3 +1091,291 @@ def scan_survey(x, max_dim, inner_only):
                 report.problems.append(
                     f"{len(unfilled)} unfillable ({n},{k})-horns, first {shown}")
     return report
+
+
+# -- functor checks and the classification oracle ---------------------
+
+
+def hom_map(f: SimplicialFunctor, i: int, j: int) -> SimplicialMap:
+    """The hom (i, j) part of f, read off that pair's code entries only."""
+    src = rigidify(f.arity).hom(i, j)
+    tgt = f.target.hom(f.object_map[i], f.object_map[j])
+    homs = _frame(f.target, f.arity, f.object_map).homs
+    return SimplicialMap(src, tgt, {
+        cid: _ref(h, m, v)
+        for (pair, cid, m), h, v in zip(_layout(f.arity)[0], homs, f.code)
+        if pair == (i, j) and v is not None
+    })
+
+
+def validate_map(f: SimplicialMap) -> ValidationReport:
+    """Checks the assignment commutes with faces up to the common truncation."""
+    report = ValidationReport("SimplicialMap")
+    bound = min(f.source.truncation, f.target.truncation)
+    for d in range(bound + 1):
+        for c in f.source.nondegenerate(d):
+            if c not in f.assignment:
+                report.problems.append(f"cell {c!r} has no image")
+                continue
+            img = f.assignment[c]
+            if img.dim != d:
+                report.problems.append(
+                    f"cell {c!r} of dimension {d} mapped to a {img.dim}-simplex"
+                )
+                continue
+            if not f.target.has_cell(img.cell):
+                report.problems.append(
+                    f"cell {c!r} mapped to unknown cell {img.cell!r}"
+                )
+    if report.problems:
+        return report
+    for d in range(1, bound + 1):
+        for c in f.source.nondegenerate(d):
+            for i in range(d + 1):
+                lhs = f.target.apply(f.assignment[c], face(d, i))
+                src_face = f.source.face_entry(c, i)
+                rhs = f.image(src_face)
+                if lhs != rhs:
+                    report.problems.append(
+                        f"cell {c!r}: face {i} not preserved: "
+                        f"{lhs.cell!r}.{lhs.epi.values} != {rhs.cell!r}.{rhs.epi.values}"
+                    )
+    return report
+
+
+def validate_functor(f: SimplicialFunctor) -> ValidationReport:
+    """Units, naturality of every hom assignment, and the composition
+    squares F(b u a) = F(b) . F(a) levelwise on all pairs, compared as
+    positions in the target homs through rigidify(k)'s union tables and
+    the target's composition tables."""
+    report = ValidationReport("SimplicialFunctor")
+    k = f.arity
+    src = rigidify(k)
+    maps = {(i, j): hom_map(f, i, j) for i in range(k + 1) for j in range(i, k + 1)}
+    for i in range(k + 1):
+        want = nondeg_ref(f.target.identities[f.object_map[i]], 0)
+        if maps[i, i].assignment[chain_cell_id([frozenset({i})])] != want:
+            report.problems.append(f"identity at {i} not preserved")
+    for i in range(k + 1):
+        for j in range(i + 1, k + 1):
+            sub = validate_map(maps[i, j])
+            report.problems.extend(
+                f"hom({i},{j}): {p}" for p in sub.problems
+            )
+    if report.problems:
+        return report
+    cap = min(src.level_cap, f.target.level_cap)
+    objs = f.object_map
+    # (i, j, m) -> the position in the target hom of each m-simplex's image
+    images = {
+        (i, j, m): [
+            fm.target.position(m)[fm.image(s)] for s in fm.source.simplices(m)
+        ]
+        for (i, j), fm in maps.items()
+        for m in range(cap + 1)
+    }
+    for i in range(k + 1):
+        for j in range(i, k + 1):
+            for p in range(j, k + 1):
+                for m in range(cap + 1):
+                    unions = src.comp[(i, j, p)].table(m)
+                    comps = f.target.comp[(objs[i], objs[j], objs[p])].table(m)
+                    f_ij, f_ip = images[i, j, m], images[i, p, m]
+                    for b, fb, row in zip(src.hom(j, p).simplices(m),
+                                          images[j, p, m], unions):
+                        for a, fa, u in zip(src.hom(i, j).simplices(m), f_ij, row):
+                            if f_ip[u] != comps[fb][fa]:
+                                report.problems.append(
+                                    f"composition square fails at level {m} on "
+                                    f"({i},{j},{p}): {b.cell!r} over {a.cell!r}"
+                                )
+    return report
+
+
+def _the_object(d: SCat):
+    if len(d.objects) != 1:
+        raise ValueError("classification works over a single-object target")
+    return d.objects[0]
+
+
+def classify_low_simplices(k: int, d: SCat) -> list:
+    """Independent parametrizations of the k-cells, k <= 3, over a
+    one-object target: vertices, connecting paths, and filling triangles,
+    scanned directly from the hom simplicial set by position, through
+    its ``position_index``, its kept action tables and the composition
+    tables."""
+    x = _the_object(d)
+    _field_table(k)
+    h = d.hom(x, x)
+    names = h.nondegenerate(0)  # the vertices, by position
+    if k == 1:
+        return [EdgeData(v) for v in names]
+    mul0 = d.comp[(x, x, x)].table(0)  # mul0[later][earlier]
+    src = h.action(face(1, 1))  # edge -> its source vertex
+    by_target = h.position_index(1, (0,))
+    edges = h.simplices(1)
+    verts = range(len(names))
+    if k == 2:
+        return [
+            TriangleData(names[v01], names[v12], names[src[g]], edges[g])
+            for v01 in verts for v12 in verts
+            for g in by_target.get((mul0[v12][v01],), ())
+        ]
+    mul1 = d.comp[(x, x, x)].table(1)
+    s0 = h.action(degeneracy(0, 0))
+    by_ends = h.position_index(1)
+    tri_by_faces = h.position_index(2)
+    tris = h.simplices(2)
+    out = []
+    for v01, v12, v23 in itertools.product(verts, repeat=3):
+        v012 = mul0[v12][v01]
+        v123 = mul0[v23][v12]
+        v0123 = mul0[v23][v012]
+        for g02 in by_target.get((v012,), ()):
+            f2 = mul1[s0[v23]][g02]
+            for g13 in by_target.get((v123,), ()):
+                f1 = mul1[g13][s0[v01]]
+                v013 = mul0[src[g13]][v01]
+                v023 = mul0[v23][src[g02]]
+                for e3 in by_target.get((v0123,), ()):
+                    v03 = src[e3]
+                    for e1 in by_ends.get((v013, v03), ()):
+                        for tl in tri_by_faces.get((f1, e3, e1), ()):
+                            for e2 in by_ends.get((v023, v03), ()):
+                                for tr in tri_by_faces.get((f2, e3, e2), ()):
+                                    out.append(TetrahedronData(
+                                        names[v01], names[v12], names[v23],
+                                        edges[g02], edges[g13], edges[e1],
+                                        edges[e2], edges[e3], tris[tl], tris[tr],
+                                    ))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _classified(k: int, d: SCat) -> dict:
+    """Each k-functor into d by its classification tuple."""
+    return {functor_to_classification(f): f for f in enumerate_functors(k, d)}
+
+
+def classification_to_functor(k: int, d: SCat, data) -> SimplicialFunctor:
+    """Rebuild the functor a classification tuple encodes: the k-functor
+    of ``enumerate_functors`` whose ``functor_to_classification`` it is,
+    looked up in a table kept per (k, d).  A tuple that classifies no
+    k-cell raises ValueError naming it."""
+    _the_object(d)
+    kind, _ = _field_table(k)
+    if not isinstance(data, kind):
+        raise TypeError(f"{k}-cells are classified by {kind.__name__}, not {data!r}")
+    f = _classified(k, d).get(data)
+    if f is None:
+        raise ValueError(f"{data!r} classifies no {k}-cell")
+    return f
+
+
+def coslice_edge_anatomy(coslice: CosliceSSet, nerve_sset, edge: SimplexRef):
+    """Decomposes a coslice edge over a coherent nerve into its triangle
+    data (two sources, a composite target, and the connecting path), and
+    checks the data reassembles the underlying 2-cell."""
+    if edge.dim != 1:
+        raise ValueError("anatomy applies to coslice edges")
+    two = coslice.underlying_ref(edge)
+    f = nerve_sset.functor_of_ref(two)
+    data = functor_to_classification(f)
+    rebuilt = classification_to_functor(2, f.target, data)
+    if rebuilt != f:
+        raise AssertionError("anatomy failed to reassemble the 2-cell")
+    return data
+
+
+# -- fixture writers --------------------------------------------------
+
+
+def from_finite_category(
+    objects: Iterable[Hashable],
+    morphisms: Mapping[tuple, Iterable[str]],
+    compose_fn,
+    identities: Mapping[Hashable, str],
+    truncation: int = 3,
+) -> SCat:
+    """A category with discrete homs: vertices are morphism names and all
+    higher simplices are degenerate."""
+    objects = tuple(objects)
+    homs = {}
+    for x in objects:
+        for y in objects:
+            ms = list(morphisms.get((x, y), ()))
+            homs[(x, y)] = FinSSet(truncation, {0: ms}, {})
+    for x in objects:
+        if identities.get(x) not in homs[(x, x)].nondegenerate(0):
+            raise ValueError(
+                f"identity of {x!r} is not a listed ({x!r}, {x!r}) morphism"
+            )
+
+    def make_fn(x, y, z):
+        def fn(level: int, a: SimplexRef, b: SimplexRef) -> SimplexRef:
+            return SimplexRef(epis_onto(level, 0)[0], compose_fn(x, y, z, a.cell, b.cell))
+
+        return fn
+
+    comp = {
+        (x, y, z): BilevelMap(
+            homs[(y, z)], homs[(x, y)], homs[(x, z)], make_fn(x, y, z)
+        )
+        for x in objects
+        for y in objects
+        for z in objects
+    }
+    return SCat(objects, homs, dict(identities), comp)
+
+
+def scat_to_manifest(d: SCat, directory: str, stem: str = "scat") -> str:
+    """Writes hom files plus a manifest; returns the manifest path."""
+    os.makedirs(directory, exist_ok=True)
+    hom_files = {}
+    for (x, y), h in d.homs.items():
+        fname = f"{stem}_hom_{x}_{y}.json"
+        with open(os.path.join(directory, fname), "w") as fh:
+            fh.write(h.to_json_str())
+        hom_files[f"{x}|{y}"] = fname
+    comp_tables = {}
+    for (x, y, z), bm in d.comp.items():
+        levels = {}
+        for m in range(d.level_cap + 1):
+            zs = bm.target.simplices(m)
+            levels[str(m)] = [
+                [a.to_json(), b.to_json(), zs[t].to_json()]
+                for a, row in zip(bm.x.simplices(m), bm.table(m))
+                for b, t in zip(bm.y.simplices(m), row)
+            ]
+        comp_tables[f"{x}|{y}|{z}"] = levels
+    manifest = {
+        "objects": [str(x) for x in d.objects],
+        "homs": hom_files,
+        "identities": {str(x): v for x, v in d.identities.items()},
+        "comp": comp_tables,
+    }
+    path = os.path.join(directory, f"{stem}.scat.json")
+    with open(path, "w") as fh:
+        json.dump(manifest, fh, indent=2)
+    return path
+
+
+def scat_from_manifest(path: str) -> SCat:
+    with open(path) as fh:
+        manifest = json.load(fh)
+    return scat_from_manifest_json(manifest, os.path.dirname(path))
+
+
+def monoid_spec_to_json(spec: MonoidSpec) -> dict:
+    es = spec.grades.elements
+    return {
+        "grades": {
+            "elements": list(es),
+            "unit": spec.grades.unit,
+            "table": [[spec.grades.product(a, b) for b in es] for a in es],
+        },
+        "components": {
+            g: {"group": name} for g, name in sorted(spec.components.items())
+        },
+        "truncation": spec.truncation,
+    }

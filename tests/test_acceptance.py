@@ -7,6 +7,13 @@ import random
 import time
 
 import oracles
+from oracles import (
+    classification_to_functor,
+    classify_low_simplices,
+    monoid_spec_to_json,
+    scat_to_manifest,
+    validate_map,
+)
 
 from qckit.cli import main
 from qckit.join import coslice_fastpath, cross_validate_coslice
@@ -23,7 +30,6 @@ from qckit.monoids import (
     cyclic_group,
     deloop,
     group_nerve,
-    monoid_spec_to_json,
     saturating_grades,
     verify_proposition,
 )
@@ -31,11 +37,8 @@ from qckit.ordinals import all_maps, compose, face
 from qckit.posets import mapping_poset, nerve
 from qckit.quasicat import core, is_kan_up_to, is_quasicategory_up_to
 from qckit.scat import (
-    classification_to_functor,
-    classify_low_simplices,
     enumerate_functors,
     functor_to_classification,
-    scat_to_manifest,
     simplicial_nerve,
 )
 from qckit.sset import (
@@ -43,7 +46,6 @@ from qckit.sset import (
     iso_search,
     nondeg_ref,
     standard_simplex,
-    validate_map,
 )
 
 

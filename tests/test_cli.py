@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import discrete_spec, empty_sset, one_object_category
+from oracles import (
+    discrete_spec,
+    empty_sset,
+    monoid_spec_to_json,
+    one_object_category,
+    scat_to_manifest,
+)
 
 import qckit
 from qckit.cli import main
@@ -23,9 +29,7 @@ from qckit.monoids import (
     cyclic_group,
     default_monoid_spec,
     group_nerve,
-    monoid_spec_to_json,
 )
-from qckit.scat import scat_to_manifest
 from qckit.sset import point, standard_simplex
 
 
@@ -243,6 +247,15 @@ def test_malformed_manifest_exits_two(tmp_path, capsys, key, value):
     assert rc == 2
     assert spot in err and "Traceback" not in err
     assert out == ""
+
+
+def test_identity_without_its_hom_exits_two(tmp_path, capsys):
+    # no 'comp' key needs the hom 'a|a', so only the identity names it
+    blob = {"objects": ["a"], "homs": {}, "comp": {}, "identities": {"a": "x"}}
+    rc, out, err = run(capsys, "check", write_json(tmp_path / "a.scat.json", blob))
+    assert rc == 2 and out == ""
+    assert ("'identities' entry 'a' needs the hom 'a|a', which 'homs' does "
+            "not list") in err
 
 
 # -- nerve ------------------------------------------------------------
@@ -892,7 +905,25 @@ def test_runtime_loads_only_the_standard_library():
 
 # -- mutated artifacts at the boundary --------------------------------
 
+def manifest_and_hom_files():
+    """The manifest of the discrete monoid {1, a} with a.a = a, and the
+    text of each hom file it names."""
+    cat = one_object_category(
+        ["1", "a"], lambda later, earlier: "1" if later == earlier == "1" else "a",
+        truncation=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(scat_to_manifest(cat, tmp)) as fh:
+            manifest = json.load(fh)
+        homs = {}
+        for name in manifest["homs"].values():
+            with open(os.path.join(tmp, name)) as fh:
+                homs[name] = fh.read()
+    return manifest, homs
+
+
+FUZZ_MANIFEST, FUZZ_HOM_FILES = manifest_and_hom_files()
 FUZZ_ARTIFACTS = {
+    "manifest": FUZZ_MANIFEST,
     "spec": monoid_spec_to_json(default_monoid_spec()),
     "simplex": standard_simplex(2).to_json(),
 }
@@ -947,8 +978,11 @@ def mutated_artifacts(draw):
 @settings(max_examples=1200, deadline=None, derandomize=True)
 def test_mutated_artifacts_end_in_an_exit_code(artifact):
     kind, blob = artifact
-    commands = [["check"]] if kind == "spec" else [["check"], ["core"], ["pi"]]
+    commands = [["check"], ["core"], ["pi"]] if kind == "simplex" else [["check"]]
     with tempfile.TemporaryDirectory() as tmp:
+        for name, text in FUZZ_HOM_FILES.items():
+            with open(os.path.join(tmp, name), "w") as fh:
+                fh.write(text)
         path = os.path.join(tmp, "artifact.json")
         with open(path, "w") as fh:
             json.dump(blob, fh)

@@ -139,3 +139,73 @@ def test_the_check_sees_an_unreferenced_helper():
         "a.py: line 4: _orphan",
         "a.py: line 8: _dropped",
     ]
+
+
+# No other definition reaches these: the basic shapes, which the tests
+# of every layer build on, and a pairing the CLI reaches by its name in
+# ``cli.PAIRINGS``.
+REACHED_BY_NO_DEFINITION = ["boundary", "horn", "szudzik_pairing"]
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def public_definitions(tree):
+    """(name, line, node) for each public module-level function or class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node.lineno, node
+
+
+def named_in_strings(tree):
+    """Every string constant that is an identifier: names a tracer or a
+    workload looks up by name."""
+    return {
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.isidentifier()
+    }
+
+
+def unreferenced_public_names(trees, outside=frozenset()):
+    """``module: line: name`` for each public definition that no other
+    module-level statement of ``trees`` (name -> tree) references and
+    that is not in ``outside``."""
+    statements = [node for tree in trees.values() for node in tree.body]
+    refs = {id(node): referenced_names(node) for node in statements}
+    return [
+        f"{module}: line {line}: {name}"
+        for module, tree in sorted(trees.items())
+        for name, line, node in public_definitions(tree)
+        if name not in outside
+        and not any(name in refs[id(other)] for other in statements if other is not node)
+    ]
+
+
+def test_every_public_definition_is_reached_outside_the_tests():
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in MODULES}
+    outside = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        outside |= referenced_names(tree) | named_in_strings(tree)
+    flagged = [entry.rsplit(": ", 1)[1] for entry in unreferenced_public_names(trees, outside)]
+    assert sorted(flagged) == REACHED_BY_NO_DEFINITION
+
+
+def test_the_check_sees_an_unreferenced_definition():
+    trees = {
+        "a.py": ast.parse(
+            "def used(): pass\n"
+            "def orphan(): return orphan()\n"
+            "class Kept: pass\n"
+            "def traced(): pass\n"
+            "def _private(): pass\n"
+        ),
+        "b.py": ast.parse(
+            "from .a import used\n"
+            "def f(k): return used(), k.Kept\n"
+        ),
+    }
+    assert unreferenced_public_names(trees, {"traced"}) == [
+        "a.py: line 2: orphan",
+        "b.py: line 2: f",
+    ]

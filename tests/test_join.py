@@ -6,6 +6,7 @@ import math
 import pytest
 
 from oracles import (
+    coslice_edge_anatomy,
     coslice_projection,
     enumerate_triples,
     join_inclusions,
@@ -16,13 +17,13 @@ from oracles import (
     simplex_join_iso,
     slice_projection,
     triple_from_join_simplex,
+    validate_map,
 )
 
 from qckit import join as join_module
 from qckit.join import (
     CosliceSSet,
     SlicePresentation,
-    coslice_edge_anatomy,
     coslice_fastpath,
     cross_validate_coslice,
     join,
@@ -46,7 +47,6 @@ from qckit.sset import (
     standard_simplex,
     truncate,
     validate,
-    validate_map,
 )
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     bar_nerve,
     discrete_spec,
+    monoid_spec_to_json,
     rref_rescaling_every_pivot,
     scan_bilevel,
     scan_grade_laws,
@@ -47,7 +48,6 @@ from qckit.monoids import (
     group_order,
     group_product,
     monoid_spec_from_json,
-    monoid_spec_to_json,
     saturating_grades,
     total_space,
     validate_monoid,

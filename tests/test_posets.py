@@ -2,12 +2,12 @@ import json
 
 import pytest
 
-from oracles import combinations_nerve, rigidify_map
+from oracles import combinations_nerve, hom_map, rigidify_map, validate_map
 
 from qckit.ordinals import MonotoneMap
 from qckit.posets import chain_cell_id, chain_sets, mapping_poset, nerve, normalize_chain
 from qckit.scat import rigidify
-from qckit.sset import validate, validate_bilevel, validate_map
+from qckit.sset import validate, validate_bilevel
 
 
 def test_mapping_poset_sizes():
@@ -93,14 +93,14 @@ def test_union_compose_vertex_level():
 
 def test_induced_nerve_map_coface():
     f = MonotoneMap(1, 2, (0, 2))
-    m = rigidify_map(f).hom_map(0, 1)
+    m = hom_map(rigidify_map(f), 0, 1)
     assert validate_map(m).ok
     assert m.assignment[chain_cell_id([frozenset({0, 1})])].cell == "0.2"
 
 
 def test_induced_nerve_map_collapse():
     f = MonotoneMap(2, 1, (0, 0, 1))
-    m = rigidify_map(f).hom_map(0, 2)
+    m = hom_map(rigidify_map(f), 0, 2)
     assert validate_map(m).ok
     edge = chain_cell_id([frozenset({0, 2}), frozenset({0, 1, 2})])
     img = m.assignment[edge]

@@ -9,7 +9,10 @@ import pytest
 from oracles import (
     assignments,
     bar_nerve,
+    classification_to_functor,
+    classify_low_simplices,
     discrete_spec,
+    from_finite_category,
     functor_from_assignments,
     functor_normal_form,
     one_object_category,
@@ -20,7 +23,11 @@ from oracles import (
     scan_nerve,
     scan_precompose,
     scan_scat_laws,
+    scat_from_manifest,
+    scat_to_manifest,
     strict_chain_count,
+    validate_functor,
+    validate_map,
 )
 
 from qckit.ordinals import all_maps, compose, degeneracy, epis_onto, face, identity
@@ -37,17 +44,11 @@ from qckit.scat import (
     SimplicialFunctor,
     TriangleData,
     _layout,
-    classification_to_functor,
-    classify_low_simplices,
     enumerate_functors,
-    from_finite_category,
     functor_to_classification,
     precompose,
     rigidify,
-    scat_from_manifest,
-    scat_to_manifest,
     simplicial_nerve,
-    validate_functor,
     validate_scat,
 )
 from qckit.sset import (
@@ -59,7 +60,6 @@ from qckit.sset import (
     nondeg_ref,
     standard_simplex,
     validate,
-    validate_map,
 )
 
 

@@ -5,7 +5,13 @@ import sys
 
 import pytest
 
-from oracles import combinations_nerve, compose_maps, scan_apply, scan_identity_problems
+from oracles import (
+    combinations_nerve,
+    compose_maps,
+    scan_apply,
+    scan_identity_problems,
+    validate_map,
+)
 from qckit.monoids import build_reference_monoid, deloop
 from qckit.ordinals import MonotoneMap, all_maps, compose, degeneracy, face, identity
 from qckit.scat import simplicial_nerve
@@ -26,7 +32,6 @@ from qckit.sset import (
     standard_simplex,
     truncate,
     validate,
-    validate_map,
 )
 
 
@@ -199,6 +204,22 @@ def test_json_round_trip_bit_exact():
         Y = FinSSet.from_json(blob)
         assert Y.to_json_str() == blob
         assert validate(Y).ok == validate(X).ok
+
+
+def test_loaded_face_entries_share_one_epi_per_value():
+    blob = json.loads(default_nerve().to_json_str())
+    x = FinSSet.from_json(blob)
+    entries = [r for d in range(1, 4) for c in x.nondegenerate(d)
+               for r in x.face_entries(c)]
+    first = {}
+    for r in entries:
+        assert r.epi is first.setdefault((r.epi.values, r.epi.target_arity), r.epi)
+    assert len(first) < len(entries)
+    # a malformed epi is still named by its cell and face index
+    c = x.nondegenerate(3)[-1]
+    blob["faces"][c][2]["epi"] = [1, 0, 0]
+    with pytest.raises(ValueError, match=rf"^cell '{c}' face 2: "):
+        FinSSet.from_json(blob)
 
 
 def test_iso_search_identity_and_relabels():
