@@ -29,6 +29,8 @@ a free cell's candidates in the target hom's
 :meth:`FinSSet.position_index` under the positions on its faces, and a
 forced cell's value by two kept action tables, which take its halves'
 positions to its level, and one read of the composition table there.
+A free cell that would be guessed before the free cell above it, which
+fixes it, is read off that cell's value instead (:func:`_derive`).
 :func:`precompose` gathers positions through a plan kept per operator,
 and the signature ranks each position in ``sort_key`` order, so the
 nerve's cell order is that of the chain-keyed values.
@@ -43,10 +45,11 @@ from __future__ import annotations
 import itertools
 import os
 from functools import lru_cache
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping
 
 from . import Frozen
-from .ordinals import MonotoneMap, epis_onto
+from .ordinals import MonotoneMap, epis_onto, face
 from .posets import (
     chain_cell_id,
     chain_sets,
@@ -241,17 +244,57 @@ def _layout(k: int) -> tuple[tuple, dict, tuple]:
     return entries, index, _fail_first(slots, units)
 
 
+def _reads(slot: tuple) -> tuple:
+    """The entries a layout slot reads: its faces, or its split's halves."""
+    _, _, faces, split = slot
+    return faces if split is None else (split[3], split[5])
+
+
 def _fail_first(slots: list, units: set) -> tuple:
     """``slots`` with each forced one, and each free one with more than
     two faces, moved up to right after the slot that sets the last entry
     it reads (``units`` are set before any slot); the rest keep their
     order.  A moved slot sorts by its latest read's key, then its own."""
     key = dict.fromkeys(units, (-1,))
-    for b, (e, _, faces, split) in enumerate(slots):
-        reads = faces if split is None else (split[3], split[5])
+    for b, slot in enumerate(slots):
+        e, _, faces, split = slot
         moved = split is not None or len(faces) > 2
-        key[e] = max(key[r] for r in reads) + (b,) if moved else (b,)
+        key[e] = max(key[r] for r in _reads(slot)) + (b,) if moved else (b,)
     return tuple(sorted(slots, key=lambda s: key[s[0]]))
+
+
+@lru_cache(maxsize=None)
+def _derive(k: int) -> tuple[tuple, dict]:
+    """The search's slot order: :func:`_layout`'s fail-first slots with
+    guessed cells read off the cell above them, and the derived cells.
+
+    A free slot T of dimension m >= 1, taken in slot order, derives its
+    face j when that face S is a free slot, neither derived nor deriving,
+    and no slot between S and T reads it; T derives no other face.  S
+    then moves to right after T: T is keyed by its other faces, and S is
+    read off T's value by the face table.  S's own faces still hold, as
+    each is a face of one of T's keyed faces (d_i d_j = d_{j-1} d_i).
+    ``derived`` maps S's entry to (T's entry, j)."""
+    slots = _layout(k)[2]
+    order = list(slots)
+    free = {e for e, _, _, split in slots if split is None}
+    derived: dict[int, tuple[int, int]] = {}
+    sources: set[int] = set()
+    for e, m, faces, split in slots:
+        if split is not None or m == 0:
+            continue
+        t = next(b for b, slot in enumerate(order) if slot[0] == e)
+        for j, f in enumerate(faces):
+            if f not in free or f in derived or f in sources:
+                continue
+            b = next(b for b, slot in enumerate(order) if slot[0] == f)
+            if any(f in _reads(slot) for slot in order[b + 1:t]):
+                continue
+            derived[f] = (e, j)
+            sources.add(e)
+            order.insert(t, order.pop(b))
+            break
+    return tuple(order), derived
 
 
 class _Frame:
@@ -274,20 +317,30 @@ class _Frame:
         }
 
     def steps(self) -> list[tuple]:
-        """Per slot: (entry, the hom's ``position_index``, faces, None)
-        for a free cell, or (entry, None, (), (upper, act, lower, act,
-        table)) for a forced one: the acts take each half's position to
-        the cell's level, where ``table`` composes them."""
+        """Per slot of :func:`_derive`'s order: (entry, the hom's
+        ``position_index`` on the faces it keys, those faces, None) for a
+        free cell; (entry, None, (source,), its face table) for a derived
+        one; or (entry, None, (), (upper, act, lower, act, table)) for a
+        forced one: the acts take each half's position to the cell's
+        level, where ``table`` composes them."""
         if self._steps is None:
             homs, objs = self.homs, self.objs
-            self._steps = [
-                (e, homs[e].position_index(m, range(len(faces))), faces, None)
-                if split is None else
-                (e, None, (), (split[3], homs[split[3]].action(split[4]),
-                               split[5], homs[split[5]].action(split[6]),
-                               self.d.comp[tuple(objs[v] for v in split[:3])].table(m)))
-                for e, m, faces, split in _layout(self.k)[2]
-            ]
+            order, derived = _derive(self.k)
+            skip = dict(derived.values())
+            self._steps = []
+            for e, m, faces, split in order:
+                if e in derived:
+                    t, j = derived[e]
+                    step = (e, None, (t,), homs[t].action(face(m + 1, j)))
+                elif split is None:
+                    at = [i for i in range(len(faces)) if i != skip.get(e)]
+                    step = (e, homs[e].position_index(m, at), tuple([faces[i] for i in at]), None)
+                else:
+                    step = (e, None, (), (
+                        split[3], homs[split[3]].action(split[4]),
+                        split[5], homs[split[5]].action(split[6]),
+                        self.d.comp[tuple(objs[v] for v in split[:3])].table(m)))
+                self._steps.append(step)
         return self._steps
 
     def ranks(self) -> tuple:
@@ -330,11 +383,14 @@ def _ref(h: FinSSet, m: int, v):
 
 def _candidates(step: tuple, vals: dict):
     """A slot's values once the slots before it are set: the simplices
-    whose faces a free cell's faces hold, or a forced cell's composite."""
-    _, index, faces, forced = step
-    if forced is None:
-        return index.get(tuple([vals[f] for f in faces]), ())
-    upper, up_act, lower, low_act, table = forced
+    whose keyed faces a free cell's faces hold, a derived cell's face of
+    its source, or a forced cell's composite."""
+    _, index, reads, how = step
+    if index is not None:
+        return index.get(tuple([vals[f] for f in reads]), ())
+    if reads:
+        return (how[vals[reads[0]]],)
+    upper, up_act, lower, low_act, table = how
     return (table[up_act[vals[upper]]][low_act[vals[lower]]],)
 
 
@@ -373,27 +429,34 @@ def _check_level_cap(d: SCat, k: int) -> None:
         raise TruncationError(f"homs truncated at {d.level_cap}, too low for {k}-functors")
 
 
-def _codes(frame: _Frame):
-    """The one search: yields the code of every functor with frame's
-    object map, in the search's leaf order.  The cells of every hom are
-    slots of :func:`~qckit.sset.depth_first`, in :func:`_layout`'s
-    fail-first order, and each takes a position in its target hom.  A free
-    cell's candidates are read from the hom's ``position_index`` under
-    the positions already chosen on its faces, in ``simplices`` order.
-    A forced cell has one candidate: two kept action tables take its
-    halves' positions to its level, and the composition table there
-    composes them."""
+def _codes(frame: _Frame) -> list[tuple]:
+    """The one search: the code of every functor with frame's object
+    map, in the leaf order of :func:`_layout`'s fail-first slots.  The
+    cells of every hom are slots of :func:`~qckit.sset.depth_first`, in
+    :func:`_derive`'s order, and each takes a position in its target
+    hom.  A free cell's candidates are read from the hom's
+    ``position_index`` under the positions already chosen on its keyed
+    faces, in ``simplices`` order.  A derived cell has one candidate, its
+    source's value under the source's face table.  A forced cell has one
+    candidate: two kept action tables take its halves' positions to its
+    level, and the composition table there composes them.  Deriving
+    reaches the same leaves, and a stable sort by the free cells'
+    positions in fail-first order puts any it reorders back."""
     steps, vals = frame.steps(), frame.units()
     size = len(frame.homs)
     candidates = lambda s: _candidates(steps[s], vals)
-    for _ in depth_first([(vals, step[0]) for step in steps], candidates):
-        yield tuple([vals[e] for e in range(size)])
+    codes = [tuple([vals[e] for e in range(size)])
+             for _ in depth_first([(vals, step[0]) for step in steps], candidates)]
+    if _derive(frame.k)[1]:
+        codes.sort(key=itemgetter(*[e for e, _, _, split in _layout(frame.k)[2] if split is None]))
+    return codes
 
 
 def enumerate_functors(k: int, d: SCat) -> list[SimplicialFunctor]:
     """All simplicial functors rigidify(k) -> d, each exactly once: for
     each object map, in ``itertools.product`` order, the codes of
-    :func:`_codes`."""
+    :func:`_codes`, in the leaf order of the un-derived fail-first
+    search."""
     _check_level_cap(d, k)
     return [
         SimplicialFunctor(k, d, objs, code)
@@ -412,12 +475,15 @@ def precompose(f: SimplicialFunctor, op: MonotoneMap) -> SimplicialFunctor:
             f"operator into [{op.target_arity}] against arity {f.arity}"
         )
     _check_level_cap(f.target, op.source_arity)
-    code = f.code
-    plan = _frame(f.target, f.arity, f.object_map).plan(op)
-    return SimplicialFunctor(
-        op.source_arity, f.target, tuple([f.object_map[v] for v in op.values]),
-        tuple([act[code[e]] for e, act in plan]),
-    )
+    return SimplicialFunctor(op.source_arity, f.target, *_pull(f.target, (f.object_map, f.code), op))
+
+
+def _pull(d: SCat, value: tuple, op: MonotoneMap) -> tuple:
+    """The (object map, code) of a functor into d given as ``value``,
+    precomposed with op through the frame's plan of op."""
+    objs, code = value
+    plan = _frame(d, len(objs) - 1, objs).plan(op)
+    return tuple([objs[v] for v in op.values]), tuple([act[code[e]] for e, act in plan])
 
 
 @lru_cache(maxsize=None)
@@ -450,19 +516,26 @@ def simplicial_nerve(d: SCat, dim: int) -> NerveSSet:
     """Level k cells are the k-functors; faces precompose with cofaces.
 
     The functors of each level, sorted by signature, go through
-    :func:`materialize_presheaf`, which names the nondegenerate ones
-    ``n{k}c{idx}`` in that order and normalizes every face.  Requires
-    the homs of d to be truncated at least at dim - 1.
+    :func:`materialize_presheaf` as plain (object map, code) pairs,
+    precomposed through the frames' plans; it names the nondegenerate
+    ones ``n{k}c{idx}`` in that order and normalizes every face.  Each
+    cell's functor is built once at the end.  Requires the homs of d to
+    be truncated at least at dim - 1.
     """
     _check_level_cap(d, dim)
     levels = [
-        sorted(enumerate_functors(k, d), key=SimplicialFunctor.signature)
+        [(f.object_map, f.code)
+         for f in sorted(enumerate_functors(k, d), key=SimplicialFunctor.signature)]
         for k in range(dim + 1)
     ]
     counters = [itertools.count() for _ in levels]
-    cells, faces, functor_of = materialize_presheaf(
-        levels, precompose, lambda k, f: f"n{k}c{next(counters[k])}"
+    cells, faces, value_of = materialize_presheaf(
+        levels, lambda v, op: _pull(d, v, op), lambda k, v: f"n{k}c{next(counters[k])}"
     )
+    functor_of = {
+        cid: SimplicialFunctor(len(objs) - 1, d, objs, code)
+        for cid, (objs, code) in value_of.items()
+    }
     return NerveSSet(dim, cells, faces, functor_of)
 
 

@@ -143,7 +143,8 @@ class SimplexRef(Frozen):
                 f"{where} must be an object with a string 'cell' and a "
                 f"list of integers 'epi'"
             )
-        key = (tuple(vals), dim_of.get(blob["cell"], max(vals, default=0)))
+        dim = dim_of.get(blob["cell"])
+        key = (tuple(vals), max(vals, default=0) if dim is None else dim)
         epi = epis.get(key)
         if epi is None:
             try:

@@ -31,6 +31,7 @@ from qckit.scat import (
     SimplicialFunctor,
     TetrahedronData,
     TriangleData,
+    _check_level_cap,
     _field_table,
     _frame,
     _layout,
@@ -48,6 +49,7 @@ from qckit.sset import (
     SimplicialMap,
     TruncationError,
     ValidationReport,
+    depth_first,
     identity_map,
     nondeg_ref,
     simplex_cell_id,
@@ -204,6 +206,35 @@ def scan_functors(k, d):
 
         fill(0)
     return results
+
+
+def fail_first_functors(k, d):
+    """Every functor rigidify(k) -> d by the un-derived fail-first
+    search: :func:`_layout`'s slots in order, each free cell keyed by all
+    of its faces in its hom's ``position_index`` and each forced cell
+    composed from its halves, so leaves come in the lexicographic order
+    of the positions along those slots."""
+    _check_level_cap(d, k)
+    out = []
+    for objs in itertools.product(d.objects, repeat=k + 1):
+        frame = _frame(d, k, objs)
+        homs, vals = frame.homs, frame.units()
+        steps = []
+        for e, m, faces, split in _layout(k)[2]:
+            if split is None:
+                index = homs[e].position_index(m, range(len(faces)))
+                steps.append(lambda index=index, faces=faces:
+                             index.get(tuple([vals[f] for f in faces]), ()))
+            else:
+                i, p, j, upper, up_epi, lower, low_epi = split
+                up, low = homs[upper].action(up_epi), homs[lower].action(low_epi)
+                table = d.comp[objs[i], objs[p], objs[j]].table(m)
+                steps.append(lambda up=up, low=low, table=table, upper=upper, lower=lower:
+                             (table[up[vals[upper]]][low[vals[lower]]],))
+        slots = [(vals, e) for e, _, _, _ in _layout(k)[2]]
+        for _ in depth_first(slots, lambda t: steps[t]()):
+            out.append(SimplicialFunctor(k, d, objs, tuple(vals[e] for e in range(len(homs)))))
+    return out
 
 
 def scan_apply(x, ref, alpha):

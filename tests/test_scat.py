@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import random
@@ -12,6 +13,7 @@ from oracles import (
     classification_to_functor,
     classify_low_simplices,
     discrete_spec,
+    fail_first_functors,
     from_finite_category,
     functor_from_assignments,
     functor_normal_form,
@@ -30,7 +32,7 @@ from oracles import (
     validate_map,
 )
 
-from qckit.ordinals import all_maps, compose, degeneracy, epis_onto, face, identity
+from qckit.ordinals import MonotoneMap, all_maps, compose, degeneracy, epis_onto, face, identity
 from qckit.monoids import (
     MonoidSpec,
     build_reference_monoid,
@@ -43,7 +45,11 @@ from qckit.scat import (
     SCat,
     SimplicialFunctor,
     TriangleData,
+    _candidates,
+    _derive,
+    _frame,
     _layout,
+    _reads,
     enumerate_functors,
     functor_to_classification,
     precompose,
@@ -56,6 +62,7 @@ from qckit.sset import (
     FinSSet,
     SimplexRef,
     TruncationError,
+    depth_first,
     iso_search,
     nondeg_ref,
     standard_simplex,
@@ -255,6 +262,128 @@ def test_layout_places_each_constraining_slot_fail_first(k):
     assert sorted(at) == sorted(set(range(len(entries))) - units)
     kept = [entries[s[0]] for s, moved in zip(slots, constrains) if not moved]
     assert kept == sorted(kept, key=lambda entry: (entry[0][1] - entry[0][0], entry[0][0], entry[2]))
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [(name, k) for name in ("default", "idempotent", "Z/3", "four grades") for k in range(4)]
+    + [("default", 4)],
+)
+def test_enumeration_matches_the_underived_search(name, k):
+    d = delooped(name)
+    assert enumerate_functors(k, d) == fail_first_functors(k, d)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_derive_reads_each_guessed_cell_off_the_cell_above_it(k):
+    # the search order holds every fail-first slot once; each derived
+    # slot sits right after its source, a free cell of dimension >= 1
+    # that derives only that face and is not derived itself, and no slot
+    # between the two in fail-first order reads the derived one.  In the
+    # search order every slot reads only entries set before it: a free
+    # slot its keyed faces, a derived one its source, a forced one its
+    # halves
+    entries, _, slots = _layout(k)
+    order, derived = _derive(k)
+    assert sorted(order) == sorted(slots)
+    old = {slot[0]: b for b, slot in enumerate(slots)}
+    new = {slot[0]: b for b, slot in enumerate(order)}
+    sources = [t for t, _ in derived.values()]
+    assert len(sources) == len(set(sources))
+    for s, (t, j) in derived.items():
+        _, m, faces, split = slots[old[t]]
+        assert new[s] == new[t] + 1
+        assert split is None and m >= 1 and faces[j] == s and t not in derived
+        assert slots[old[s]][3] is None
+        assert all(s not in _reads(slot) for slot in slots[old[s] + 1:old[t]])
+    skip = dict(derived.values())
+    set_ = {e for e, ((i, j), _, _) in enumerate(entries) if i == j}
+    for e, _, faces, split in order:
+        if e in derived:
+            reads = (derived[e][0],)
+        elif split is None:
+            reads = tuple(f for i, f in enumerate(faces) if i != skip.get(e))
+        else:
+            reads = (split[3], split[5])
+        assert set(reads) <= set_
+        set_.add(e)
+    assert len(derived) == (0, 0, 1, 3, 15, 92)[k]
+
+
+def test_derived_slots_get_one_candidate_whose_faces_hold():
+    # on Z/3 at k = 3 each derived slot's one candidate also lies among
+    # the simplices its own faces' values allow
+    d = delooped("Z/3")
+    entries, _, slots = _layout(3)
+    faces_of = {e: faces for e, _, faces, split in slots if split is None}
+    (objs,) = itertools.product(d.objects, repeat=4)
+    frame = _frame(d, 3, objs)
+    steps, vals = frame.steps(), frame.units()
+    checked = []
+
+    def candidates(t):
+        values = _candidates(steps[t], vals)
+        e = steps[t][0]
+        if e in _derive(3)[1]:
+            m = entries[e][2]
+            allowed = frame.homs[e].position_index(m, range(m + 1)) if m else None
+            key = tuple(vals[f] for f in faces_of[e])
+            assert len(values) == 1
+            assert allowed is None or values[0] in allowed[key]
+            checked.append(e)
+        return values
+
+    leaves = sum(1 for _ in depth_first([(vals, step[0]) for step in steps], candidates))
+    assert leaves == len(enumerate_functors(3, d))
+    assert set(checked) == set(_derive(3)[1])
+
+
+def codiscrete_cyclic(n: int, truncation: int = 2) -> SCat:
+    """One object whose hom is the nerve of the codiscrete category on
+    Z/n, whose m-simplices are all (m + 1)-tuples with faces dropping an
+    entry, composed by adding tuples entrywise.  Its edges into a vertex
+    v list the degenerate one at v first, so their sources do not rise
+    with their positions."""
+    def normal(values):
+        cell = [v for i, v in enumerate(values) if i == 0 or values[i - 1] != v]
+        epi = [0]
+        for a, b in zip(values, values[1:]):
+            epi.append(epi[-1] + (a != b))
+        return SimplexRef(MonotoneMap(len(values) - 1, len(cell) - 1, tuple(epi)),
+                          "".join(map(str, cell)))
+
+    cells = {m: ["".join(map(str, t)) for t in itertools.product(range(n), repeat=m + 1)
+                 if all(a != b for a, b in zip(t, t[1:]))]
+             for m in range(truncation + 1)}
+    faces = {c: [normal([int(v) for v in c[:i] + c[i + 1:]]) for i in range(len(c))]
+             for m in range(1, truncation + 1) for c in cells[m]}
+    hom = FinSSet(truncation, cells, faces)
+
+    def add(level, a, b):
+        return normal([(int(a.cell[a.epi(i)]) + int(b.cell[b.epi(i)])) % n
+                       for i in range(level + 1)])
+
+    return SCat(("*",), {("*", "*"): hom}, {"*": "0"},
+                {("*", "*", "*"): BilevelMap(hom, hom, hom, add)})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_enumeration_sorts_reordered_leaves_back(n):
+    # a derived vertex read off an edge comes in the order of the edges'
+    # positions, which here is not the order of the vertices: the
+    # derived search's leaves differ, and the sort puts them back
+    d = codiscrete_cyclic(n)
+    assert validate_scat(d).ok
+    for k in (2, 3):
+        fs = enumerate_functors(k, d)
+        assert fs == fail_first_functors(k, d)
+        frame = _frame(d, k, ("*",) * (k + 1))
+        steps, vals = frame.steps(), frame.units()
+        leaves = [tuple(vals[e] for e in range(len(frame.homs)))
+                  for _ in depth_first([(vals, step[0]) for step in steps],
+                                       lambda t: _candidates(steps[t], vals))]
+        assert sorted(leaves) == sorted(f.code for f in fs)
+        assert leaves != [f.code for f in fs]
 
 
 def test_precompose_functorial_on_z2_deloop():
